@@ -52,11 +52,12 @@ def test_stacked_sweep_beats_sequential(emit):
     speedup = t_sequential / t_stacked
     emit("corner_sweep_speedup", "\n".join([
         f"PVT grid: {grid.describe()}",
+        "(results bit-identical)",
+    ]), [
         f"stacked solve:    {t_stacked * 1e3:8.1f} ms",
         f"sequential loop:  {t_sequential * 1e3:8.1f} ms",
         f"speedup:          {speedup:8.1f}x",
-        "(results bit-identical)",
-    ]))
+    ])
     # The stacked sweep amortises circuit build + factorisation across
     # all 45 lanes; anything below parity would be a regression.
     assert speedup > 1.5

@@ -50,18 +50,19 @@ def test_cache_hit_speedup(emit, tmp_path):
     speedup = cold_time / max(warm_time, 1e-9)
     lines = [
         f"estimate: {SPEEDUP_SAMPLES} MC samples of the section-5 OTA",
+        "hit estimate bit-identical: True",
+    ]
+    emit("service_throughput", "\n".join(lines), [
         f"cold (compute + store): {cold_time * 1e3:8.1f} ms",
         f"warm (cache hit)      : {warm_time * 1e3:8.2f} ms",
         f"cache-hit speedup     : {speedup:.0f}x",
-        "hit estimate bit-identical: True",
-    ]
-    emit("service_throughput", "\n".join(lines))
+    ])
     assert speedup >= 10.0, \
         f"cache-hit speedup gate: expected >= 10x, got {speedup:.1f}x"
 
 
 def test_burst_throughput(emit, tmp_path):
-    # Appends to the artefact the speedup test started.
+    # Appends a section to the artefact the speedup test started.
     cache = ResultCache(tmp_path / "cache")
     requests = [_design(index % DISTINCT_DESIGNS)
                 for index in range(BURST_JOBS)]
@@ -82,18 +83,13 @@ def test_burst_throughput(emit, tmp_path):
     assert hits == BURST_JOBS - DISTINCT_DESIGNS
     jobs_per_sec = BURST_JOBS / elapsed
 
-    from pathlib import Path
-    artefact = Path("benchmarks/results/service_throughput.txt")
-    previous = artefact.read_text().rstrip() if artefact.exists() else ""
     lines = [
-        previous,
-        "",
         f"burst: {BURST_JOBS} estimate jobs ({DISTINCT_DESIGNS} distinct "
         f"designs x {BURST_JOBS // DISTINCT_DESIGNS} users), "
         f"{BURST_SAMPLES} samples each, {WORKERS} workers",
-        f"wall time             : {elapsed * 1e3:8.1f} ms",
-        f"throughput            : {jobs_per_sec:.1f} jobs/sec",
         f"cache                 : {cache.stats.describe()}",
     ]
-    emit("service_throughput", "\n".join(line for line in lines if
-                                         line is not None).lstrip("\n"))
+    emit("service_throughput", "\n".join(lines), [
+        f"wall time             : {elapsed * 1e3:8.1f} ms",
+        f"throughput            : {jobs_per_sec:.1f} jobs/sec",
+    ])

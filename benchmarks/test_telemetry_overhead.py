@@ -132,15 +132,16 @@ def test_disabled_overhead_under_gate(emit, monkeypatch, tmp_path):
         f"sweep: {POINTS} points x {SAMPLES} samples, "
         f"chunk_lanes={CHUNK_LANES} (~{n_chunks} chunks), "
         f"median of {REPEATS} paired rounds",
+        f"gate: disabled overhead <= {100 * MAX_DISABLED_OVERHEAD:.0f}% "
+        f"(+{NOISE_FLOOR * 1e3:.0f} ms noise floor)",
+    ]), [
         f"stripped (no instrumentation) : {t_stripped * 1e3:8.1f} ms",
         f"disabled (shipped default)    : {(t_stripped + delta) * 1e3:8.1f}"
         f" ms  ({100 * disabled_overhead:+.2f}%)",
         f"enabled  (JSONL sink)         : {t_enabled * 1e3:8.1f} ms  "
         f"({100 * enabled_overhead:+.2f}%)",
         f"events recorded               : {len(events.read_bytes())} bytes",
-        f"gate: disabled overhead <= {100 * MAX_DISABLED_OVERHEAD:.0f}% "
-        f"(+{NOISE_FLOOR * 1e3:.0f} ms noise floor)",
-    ]))
+    ])
 
     assert delta <= t_stripped * MAX_DISABLED_OVERHEAD + NOISE_FLOOR, (
         f"disabled telemetry costs {100 * disabled_overhead:.2f}% "

@@ -112,6 +112,7 @@ class Assembler:
         self.batch = self.topology.batch
         self._resolve_current_controls()
         self._linear_cache: StampContext | None = None
+        self._takes_lanes: bool | None = None
 
     def _resolve_current_controls(self) -> None:
         """Bind CCCS/CCVS control branches to voltage-source aux rows."""
@@ -140,19 +141,40 @@ class Assembler:
         return ctx
 
     # -- Newton iteration ---------------------------------------------------------
+    def takes_lanes(self) -> bool:
+        """Whether :meth:`newton_system` accepts a ``lanes`` subset: every
+        nonlinear element can be restricted to a subset of the batch."""
+        if self._takes_lanes is None:
+            lanes = np.arange(self.batch)
+            self._takes_lanes = all(
+                element.take_lanes(lanes) is not None
+                for element in self.circuit.nonlinear_elements())
+        return self._takes_lanes
+
     def newton_system(self, voltages: np.ndarray, *, gmin: float = 0.0,
                       source_scale: float = 1.0,
-                      time: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+                      time: float | None = None,
+                      lanes: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
         """Jacobian and right-hand side linearised at ``voltages``.
 
         ``gmin`` is added to the *node* diagonal entries only (never the
-        auxiliary branch rows, whose equations are not KCL).
+        auxiliary branch rows, whose equations are not KCL).  With
+        ``lanes`` (batch indices; see :meth:`takes_lanes`), ``voltages``
+        and the returned system hold those lanes only, and every lane is
+        stamped exactly as in the full batch.
         """
         lin = self.linear(time=time)
-        G = lin.G.copy()
-        rhs = lin.rhs * source_scale
+        elements = self.circuit.nonlinear_elements()
+        if lanes is None:
+            G = lin.G.copy()
+            rhs = lin.rhs * source_scale
+        else:
+            G = lin.G[lanes]
+            rhs = lin.rhs[lanes] * source_scale
+            elements = [element.take_lanes(lanes) for element in elements]
         ctx = _JacobianContext(G, rhs, source_scale=source_scale, time=time)
-        for element in self.circuit.nonlinear_elements():
+        for element in elements:
             element.load(voltages, ctx)
         n_nodes = self.topology.n_nodes
         if gmin:
@@ -165,18 +187,24 @@ class Assembler:
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Small-signal ``(G, C, excitation)`` at the DC solution.
 
-        ``G``/``C`` are real ``(B, N, N)``; the excitation is complex
-        ``(B, N)`` collected from independent sources' AC values.
+        ``G``/``C`` are real ``(B, N, N)``: copies of the cached linear
+        stamps plus the devices' linearised ``stamp_ac`` loads.  The
+        excitation is :meth:`ac_excitation`.
         """
+        lin = self.linear()
         ctx = StampContext(self.n, self.batch, source_scale=1.0)
-        for element in self.circuit:
-            element.stamp(ctx)
+        ctx.G[...] = lin.G
+        ctx.C[...] = lin.C
         for element in self.circuit.nonlinear_elements():
             element.stamp_ac(op_voltages, ctx)
+        return ctx.G, ctx.C, self.ac_excitation()
+
+    def ac_excitation(self) -> np.ndarray:
+        """Complex ``(B, N)`` excitation from the sources' AC values."""
         ac = ACExcitationContext(self.n, self.batch)
         for element in self.circuit:
             element.ac_rhs(ac)
-        return ctx.G, ctx.C, ac.rhs
+        return ac.rhs
 
 
 def _singular_lanes(matrices: np.ndarray) -> list[int]:

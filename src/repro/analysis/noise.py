@@ -4,10 +4,12 @@ Computes the output noise power spectral density of a circuit at a DC
 operating point, per frequency, with per-element contribution breakdown
 and input-referral -- the standard SPICE ``.noise`` analysis.
 
-Method (direct): at each frequency the small-signal system ``Y = G +
-j*omega*C`` is assembled once; every elementary noise source (a current
-PSD between two nodes) is injected as a unit-current right-hand side, the
-stacked system is solved for all sources at once, and the output PSD is
+Method: the small-signal system ``G + j*omega*C`` is factorised once per
+lane by the AC analysis' modal core (:class:`repro.analysis.ac.
+ModalFactors`, with its per-lane direct-solve fallback).  Every
+elementary noise source (a current PSD between two nodes) is a
+unit-current right-hand side whose transfer ``H_k`` to the output is a
+modal sum over the whole sweep, and the output PSD is
 ``sum_k |H_k|^2 * S_k(f)``.  Independent sources are quiet; noise comes
 from:
 
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import AnalysisError
+from .ac import ModalFactors
 from .dc import OperatingPoint, dc_operating_point
 from .mna import Assembler
 
@@ -45,13 +48,22 @@ _GAMMA_THERMAL = 2.0 / 3.0
 
 @dataclass
 class _NoiseSource:
-    """One elementary noise current source between two matrix rows."""
+    """One elementary noise current source between two matrix rows, with
+    PSD ``level / f**exponent`` [A^2/Hz]."""
 
     element: str
     label: str
     node_a: int
     node_b: int
-    psd: object  # callable f -> (B,) array [A^2/Hz]
+    level: np.ndarray  # (B,)
+    exponent: float = 0.0
+
+    def psd(self, freqs: np.ndarray) -> np.ndarray:
+        """PSD over the sweep, shape ``(B, F)``."""
+        level = self.level[:, None]
+        if not self.exponent:
+            return np.broadcast_to(level, (level.shape[0], freqs.size))
+        return level / np.maximum(freqs, 1e-3) ** self.exponent
 
 
 def _collect_sources(circuit, op: OperatingPoint) -> list[_NoiseSource]:
@@ -60,49 +72,40 @@ def _collect_sources(circuit, op: OperatingPoint) -> list[_NoiseSource]:
     from ..circuit.mosfet import Mosfet
 
     four_kt = 4.0 * BOLTZMANN * TEMPERATURE
+
+    def lanes(value) -> np.ndarray:
+        return np.broadcast_to(np.asarray(value, dtype=float), (op.batch,))
+
     sources: list[_NoiseSource] = []
     for element in circuit:
         if isinstance(element, Resistor):
             a, b = element._node_idx
             resistance = np.asarray(element.resistance, dtype=float)
-            psd_value = four_kt / resistance
-
-            def make_flat(value):
-                return lambda f: np.broadcast_to(value, (op.batch,))
-
             sources.append(_NoiseSource(element.name, "thermal", a, b,
-                                        make_flat(psd_value)))
+                                        lanes(four_kt / resistance)))
         elif isinstance(element, Diode):
             a, b = element._node_idx
             info = element.op_info(op.x)
             shot = 2.0 * ELEMENTARY_CHARGE * np.abs(info["id"])
-            sources.append(_NoiseSource(
-                element.name, "shot", a, b,
-                (lambda value: lambda f: np.broadcast_to(
-                    value, (op.batch,)))(shot)))
+            sources.append(_NoiseSource(element.name, "shot", a, b,
+                                        lanes(shot)))
         elif isinstance(element, Mosfet):
             d_idx, _, s_idx, _ = element._node_idx
             vgs, vds, vbs = element._terminal_voltages(op.x)
             point = element.evaluate(vgs, vds, vbs)
             gm = np.abs(point.gm)
-            thermal = four_kt * _GAMMA_THERMAL * gm
             sources.append(_NoiseSource(
                 element.name, "thermal", d_idx, s_idx,
-                (lambda value: lambda f: np.broadcast_to(
-                    value, (op.batch,)))(thermal)))
+                lanes(four_kt * _GAMMA_THERMAL * gm)))
 
             model = element.model
             if model.kf > 0.0:
                 area_cap = model.cox * np.asarray(element.w, float) \
                     * element.leff
                 flicker_k = model.kf * gm * gm / np.maximum(area_cap, 1e-30)
-
-                def make_flicker(value, af=model.af):
-                    return lambda f: value / np.maximum(f, 1e-3) ** af
-
                 sources.append(_NoiseSource(
                     element.name, "flicker", d_idx, s_idx,
-                    make_flicker(flicker_k)))
+                    lanes(flicker_k), model.af))
     return sources
 
 
@@ -199,37 +202,32 @@ def noise_analysis(circuit, freqs, *, output_node: str,
         if source.node_b >= 0:
             injections[idx, source.node_b] -= 1.0
 
-    gain = None
-    input_rhs = None
+    rhs = [np.broadcast_to(injection, (batch, n)) for injection in injections]
     if input_source is not None:
         element = circuit.element(input_source)
         saved = element.ac_mag
         element.ac_mag = 1.0
         try:
-            _, _, excitation = assembler.ac_system(op.x)
+            rhs.append(assembler.ac_excitation())
         finally:
             element.ac_mag = saved
-        input_rhs = excitation  # (B, n) complex
-        gain = np.empty((batch, freqs.size))
+
+    factors = ModalFactors(circuit, G, C, freqs)
+    s = 2j * np.pi * freqs
+    transfers = [factors.response(out_index, factors.weights(vector), s)
+                 for vector in rhs]
+    if factors.direct_lanes.size:
+        direct = factors.solve_direct(np.stack(rhs, axis=1), freqs)
+        for k, transfer in enumerate(transfers):
+            transfer[factors.direct_lanes] = direct[:, :, k, out_index]
 
     output_psd = np.zeros((batch, freqs.size))
-    contributions = {f"{s.element}:{s.label}": np.zeros((batch, freqs.size))
-                     for s in sources}
-
-    for k, frequency in enumerate(freqs):
-        omega = 2.0 * np.pi * frequency
-        Y = G + 1j * omega * C  # (B, n, n)
-        # Solve all unit injections at once: (B, n, S).
-        rhs = np.broadcast_to(injections.T, (batch, n, len(sources)))
-        transfer = np.linalg.solve(Y, rhs)[:, out_index, :]  # (B, S)
-        for idx, source in enumerate(sources):
-            psd_k = np.asarray(source.psd(frequency), dtype=float)
-            term = np.abs(transfer[:, idx]) ** 2 * psd_k
-            output_psd[:, k] += term
-            contributions[f"{source.element}:{source.label}"][:, k] = term
-        if input_rhs is not None:
-            response = np.linalg.solve(Y, input_rhs[..., None])[..., 0]
-            gain[:, k] = np.abs(response[:, out_index])
+    contributions = {}
+    for source, transfer in zip(sources, transfers, strict=False):
+        term = np.abs(transfer) ** 2 * source.psd(freqs)
+        output_psd += term
+        contributions[f"{source.element}:{source.label}"] = term
+    gain = np.abs(transfers[-1]) if input_source is not None else None
 
     return NoiseResult(freqs=freqs, output_psd=output_psd, gain=gain,
                        contributions=contributions)

@@ -31,6 +31,7 @@ them with Pelgrom-law mismatch samples (:mod:`repro.process.mismatch`).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -197,6 +198,16 @@ class Mosfet(Element):
 
     def batch_size(self) -> int:
         return _param_batch(self.w, self.l, self.delta_vto, self.beta_scale)
+
+    def take_lanes(self, lanes: np.ndarray) -> Mosfet:
+        """A shallow copy of this device holding the per-lane parameters
+        of ``lanes`` only; scalar and length-1 parameters are shared."""
+        view = copy.copy(self)
+        for name in ("w", "l", "delta_vto", "beta_scale"):
+            value = getattr(self, name)
+            if np.ndim(value) == 1 and np.shape(value)[0] > 1:
+                setattr(view, name, np.asarray(value)[lanes])
+        return view
 
     def gate_area(self) -> np.ndarray:
         """``W * Leff`` -- the area entering the Pelgrom mismatch law."""

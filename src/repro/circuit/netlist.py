@@ -110,6 +110,15 @@ class Element:
         """Largest batch length among this element's parameters (1 = scalar)."""
         return 1
 
+    def take_lanes(self, lanes: np.ndarray) -> Element | None:
+        """This element restricted to the batch lanes ``lanes``.
+
+        Elements whose parameters are all scalars serve every lane as they
+        are.  ``None`` means the element has batched parameters it cannot
+        index; subclasses with batched parameters override this.
+        """
+        return self if self.batch_size() == 1 else None
+
     def op_info(self, op: np.ndarray) -> dict[str, np.ndarray]:
         """Operating-point report for this element (empty by default)."""
         return {}

@@ -157,6 +157,57 @@ class TestBatching:
         op1 = dc_operating_point(c1)
         assert op.v("d")[0] == pytest.approx(op1.v("d")[0], rel=1e-6)
 
+    @staticmethod
+    def _mismatched_ota(size=256):
+        from repro.designs.ota import OTAParameters, build_ota
+        rng = np.random.default_rng(3)
+        params = OTAParameters.from_normalized(rng.uniform(0, 1, (size, 8)))
+        variations = C35.sample(size, rng)
+        return build_ota(params, variations=variations)
+
+    def test_newton_stamps_only_moving_lanes(self, monkeypatch):
+        stamped = []
+        newton_system = Assembler.newton_system
+
+        def spy(self, voltages, **kwargs):
+            stamped.append(voltages.shape[0])
+            return newton_system(self, voltages, **kwargs)
+
+        monkeypatch.setattr(Assembler, "newton_system", spy)
+        op = dc_operating_point(self._mismatched_ota())
+        assert len(stamped) == op.iterations
+        assert stamped[0] == 256 and stamped[-1] < 128
+        assert all(a >= b for a, b in zip(stamped, stamped[1:]))
+
+    def test_lane_subsets_are_bit_identical_to_full_batch(self, monkeypatch):
+        subset = dc_operating_point(self._mismatched_ota())
+        monkeypatch.setattr(Assembler, "takes_lanes", lambda self: False)
+        full = dc_operating_point(self._mismatched_ota())
+        assert subset.iterations == full.iterations
+        np.testing.assert_array_equal(subset.x, full.x)
+
+    def test_take_lanes(self):
+        nmos = C35.nmos
+        device = Mosfet("M1", "d", "g", "0", "0", nmos,
+                        np.array([10e-6, 20e-6, 30e-6]), 1e-6,
+                        delta_vto=np.array([0.01, 0.02, 0.03]))
+        view = device.take_lanes(np.array([2, 0]))
+        np.testing.assert_array_equal(view.w, [30e-6, 10e-6])
+        np.testing.assert_array_equal(view.delta_vto, [0.03, 0.01])
+        assert view.l == 1e-6 and view.model is nmos
+        np.testing.assert_array_equal(device.w, [10e-6, 20e-6, 30e-6])
+        assert Diode("D1", "a", "0").take_lanes(np.array([1])) is not None
+
+    def test_element_without_lane_views_keeps_full_batch(self, monkeypatch):
+        monkeypatch.setattr(Mosfet, "take_lanes",
+                            lambda self, lanes: None if self.batch_size() > 1
+                            else self)
+        circuit = self._mismatched_ota()
+        assert not Assembler(circuit).takes_lanes()
+        op = dc_operating_point(circuit)
+        np.testing.assert_array_equal(
+            op.x, dc_operating_point(self._mismatched_ota()).x)
+
 
 class TestSolveBatched:
     def test_stacked_solve(self):

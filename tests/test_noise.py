@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.analysis import log_frequencies, noise_analysis
-from repro.analysis.noise import BOLTZMANN, TEMPERATURE
-from repro.circuit import (Capacitor, Circuit, Diode, Mosfet, Resistor,
+from repro import telemetry
+from repro.analysis import dc_operating_point, log_frequencies, noise_analysis
+from repro.analysis.noise import BOLTZMANN, TEMPERATURE, _collect_sources
+from repro.circuit import (VCVS, Capacitor, Circuit, Diode, Mosfet, Resistor,
                            VoltageSource)
+from repro.designs import OTAParameters, build_ota, default_frequency_grid
 from repro.errors import AnalysisError
 from repro.process import C35
 
@@ -146,3 +148,85 @@ class TestValidationAndBatch:
         res = noise_analysis(rc_circuit(), [1.0, 10.0], output_node="out")
         with pytest.raises(AnalysisError):
             res.integrated_output_rms(f_start=100.0)
+
+
+#: Gates of the modal noise analysis against the per-frequency solve:
+#: relative to the lane's peak over the sweep (of the output PSD, for a
+#: contribution), and pointwise, where a 1 GHz roll-off leaves a PSD
+#: 1e-11 below its peak.
+PEAK_RTOL = 1e-9
+POINT_RTOL = 1e-6
+
+
+def _assert_close(actual, desired, peak, name=""):
+    peak = peak.max(axis=1, keepdims=True)
+    assert np.max(np.abs(actual - desired) / peak) <= PEAK_RTOL, name
+    np.testing.assert_allclose(actual, desired, rtol=POINT_RTOL,
+                               err_msg=name)
+
+
+def _per_frequency_noise(circuit, freqs, output_node, input_source=None):
+    """The per-frequency solve the modal noise analysis replaced, kept as
+    its oracle: ``(G + j*omega*C)`` is solved at every frequency for all
+    unit injections, plus the input excitation."""
+    op = dc_operating_point(circuit)
+    assembler = op.assembler
+    G, C, _ = assembler.ac_system(op.x)
+    out = assembler.topology.index_of(output_node)
+    sources = _collect_sources(circuit, op)
+    batch, n = op.x.shape
+    rhs = np.zeros((batch, len(sources) + 1, n), dtype=complex)
+    for k, source in enumerate(sources):
+        if source.node_a >= 0:
+            rhs[:, k, source.node_a] += 1.0
+        if source.node_b >= 0:
+            rhs[:, k, source.node_b] -= 1.0
+    if input_source is not None:
+        element = circuit.element(input_source)
+        saved, element.ac_mag = element.ac_mag, 1.0
+        rhs[:, -1] = assembler.ac_excitation()
+        element.ac_mag = saved
+    transfer = np.empty((batch, freqs.size, len(sources) + 1), dtype=complex)
+    for k, freq in enumerate(freqs):
+        Y = G + 2j * np.pi * freq * C
+        transfer[:, k] = np.linalg.solve(
+            Y[:, None], rhs[..., None])[:, :, out, 0]
+    contributions = {
+        f"{source.element}:{source.label}":
+            np.abs(transfer[:, :, k]) ** 2 * source.psd(freqs)
+        for k, source in enumerate(sources)}
+    return contributions, np.abs(transfer[:, :, -1])
+
+
+class TestModalAgainstPerFrequencySolve:
+    def check(self, circuit, freqs, output_node, input_source=None):
+        res = noise_analysis(circuit, freqs, output_node=output_node,
+                             input_source=input_source)
+        contributions, gain = _per_frequency_noise(
+            circuit, freqs, output_node, input_source)
+        assert res.contributions.keys() == contributions.keys()
+        total = sum(contributions.values())
+        for name, reference in contributions.items():
+            _assert_close(res.contributions[name], reference, total, name)
+        _assert_close(res.output_psd, total, total)
+        if input_source is not None:
+            _assert_close(res.gain, gain, gain)
+
+    def test_ota_with_input_referral(self):
+        rng = np.random.default_rng(4)
+        params = OTAParameters.from_normalized(rng.uniform(0.1, 0.9, (6, 8)))
+        circuit = build_ota(params, variations=C35.sample(6, rng))
+        self.check(circuit, default_frequency_grid(4), "out", "VINP")
+
+    def test_vcvs_circuit_takes_the_direct_fallback(self):
+        ckt = Circuit("buffered divider")
+        ckt.add(VoltageSource("V1", "in", "0", 0.0))
+        ckt.add(Resistor("R1", "in", "a", np.array([1e3, 3e3])))
+        ckt.add(Resistor("R2", "a", "0", 2e3))
+        ckt.add(Capacitor("C1", "a", "0", 1e-9))
+        ckt.add(VCVS("E1", "out", "0", "a", "0", 4.0))
+        ckt.add(Resistor("RL", "out", "0", 1e4))
+        before = telemetry.REGISTRY.counter_value("analysis.ac.direct_lanes")
+        self.check(ckt, log_frequencies(1e2, 1e8, 5), "out", "V1")
+        assert telemetry.REGISTRY.counter_value(
+            "analysis.ac.direct_lanes") - before == 2

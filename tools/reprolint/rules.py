@@ -525,7 +525,7 @@ _SPAN_PREFIXES = ("workload.",)
 _COUNTER_NAMES = frozenset({
     "cache.hits", "cache.misses", "cache.stores", "cache.evictions",
     "exec.tasks", "mc.lanes", "mc.stream.rounds", "estimator.simulations",
-    "surrogate.evaluations"})
+    "surrogate.evaluations", "analysis.ac.direct_lanes"})
 _COUNTER_PREFIXES = ("jobs.",)
 _GAUGE_NAMES = frozenset({"cache.bytes", "cache.entries"})
 _GAUGE_PREFIXES = ()
