@@ -11,8 +11,8 @@ continuation strategies:
 
 Only if both fail does :class:`~repro.errors.ConvergenceError` escape.
 Convergence is tracked per lane and converged lanes are frozen so
-late-converging lanes cannot disturb them; once most lanes have
-converged, iterations stamp and solve only the lanes still moving.
+late-converging lanes cannot disturb them; each iteration stamps and
+solves only the lanes still moving.
 """
 
 from __future__ import annotations
@@ -21,25 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConvergenceError
+from ..errors import ConvergenceError, SingularMatrixError
 from .mna import Assembler, solve_batched
 
 __all__ = ["NewtonOptions", "OperatingPoint", "dc_operating_point"]
 
 #: Conductance floor always present on node diagonals (SPICE GMIN).
 GMIN_FLOOR = 1e-12
-
-#: Fraction of the stamped lanes still moving at or below which a Newton
-#: iteration drops the converged lanes from the system.  Shrinking by at
-#: least half each time keeps the re-indexing to a few times per solve,
-#: while the stamped lanes stay within twice the moving ones.
-NEWTON_SHRINK = 0.5
-#: Fewest lanes a shrink must drop.  An OTA iteration costs about 1.7 ms
-#: of per-device call overhead plus about 5 us per lane, and a shrunk
-#: system re-indexes the device parameters on every iteration, so
-#: dropping a few dozen lanes does not pay: on 16- and 50-lane batches
-#: shrinking made the DC solve 2-4% slower.
-NEWTON_SHRINK_MIN_DROP = 64
 
 
 @dataclass(frozen=True)
@@ -136,42 +124,40 @@ def _newton_attempt(assembler: Assembler, x0: np.ndarray, options: NewtonOptions
                     time: float | None = None) -> tuple[np.ndarray, bool, int]:
     """One damped-Newton run; returns ``(x, all_converged, iterations)``.
 
-    A lane is frozen once its step is within tolerance.  Once at most
-    :data:`NEWTON_SHRINK` of the stamped lanes still move, at least
-    :data:`NEWTON_SHRINK_MIN_DROP` of them have stopped, and the
-    assembler can stamp a subset of the batch, the system shrinks to the
-    moving lanes.  On large batches the cost then follows the lanes'
-    total iterations rather than the slowest lane's.  Each lane's
-    arithmetic is the same either way.
+    A lane is frozen once its step is within tolerance, and later
+    iterations stamp and solve only the lanes still moving, so the cost
+    follows the lanes' total iterations rather than the slowest lane's.
+    Each lane's arithmetic is the same as in a whole-batch solve.
     """
     x = x0.copy()
     batch = x.shape[0]
-    stamped = np.arange(batch)              # lanes in the Newton system
-    moving = np.ones(batch, dtype=bool)     # which of them still iterate
+    moving = np.arange(batch)  # lanes still iterating
     for iteration in range(1, options.max_iterations + 1):
-        whole = stamped.size == batch
-        x_stamped = x if whole else x[stamped]
+        whole = moving.size == batch
+        x_moving = x if whole else x[moving]
         G, rhs = assembler.newton_system(
-            x_stamped, gmin=gmin + GMIN_FLOOR, source_scale=source_scale,
-            time=time, lanes=None if whole else stamped)
-        x_new = solve_batched(G, rhs)
-        dx = np.clip(x_new - x_stamped, -options.dv_limit, options.dv_limit)
-        tol = options.reltol * np.abs(x_stamped) + options.vabstol
-        lane_converged = np.all(np.abs(dx) <= tol, axis=1)
-        # Freeze already-converged lanes; advance the rest.
-        x_stamped = np.where(moving[:, None], x_stamped + dx, x_stamped)
+            x_moving, gmin=gmin + GMIN_FLOOR, source_scale=source_scale,
+            time=time, lanes=None if whole else moving)
+        try:
+            x_new = solve_batched(G, rhs)
+        except SingularMatrixError as exc:
+            if whole or exc.lane_indices is None:
+                raise
+            bad = [int(moving[i]) for i in exc.lane_indices]
+            raise SingularMatrixError(
+                f"singular MNA matrix in lane(s) {bad} of {batch} "
+                "(floating node or voltage-source loop?)",
+                lane_indices=bad) from exc
+        dx = np.clip(x_new - x_moving, -options.dv_limit, options.dv_limit)
+        tol = options.reltol * np.abs(x_moving) + options.vabstol
+        converged = np.all(np.abs(dx) <= tol, axis=1)
         if whole:
-            x = x_stamped
+            x = x_moving + dx
         else:
-            x[stamped] = x_stamped
-        moving &= ~lane_converged
-        remaining = np.count_nonzero(moving)
-        if not remaining:
+            x[moving] = x_moving + dx
+        moving = moving[~converged]
+        if not moving.size:
             return x, True, iteration
-        if (remaining <= NEWTON_SHRINK * stamped.size
-                and stamped.size - remaining >= NEWTON_SHRINK_MIN_DROP
-                and assembler.takes_lanes()):
-            stamped, moving = stamped[moving], moving[moving]
     return x, False, options.max_iterations
 
 

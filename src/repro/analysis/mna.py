@@ -22,7 +22,8 @@ import numpy as np
 
 from ..errors import NetlistError, SingularMatrixError
 
-__all__ = ["StampContext", "ACExcitationContext", "Assembler", "solve_batched"]
+__all__ = ["StampContext", "ACExcitationContext", "DeviceStamps", "Assembler",
+           "solve_batched"]
 
 
 class StampContext:
@@ -61,30 +62,6 @@ class StampContext:
         self.rhs[:, i] += value
 
 
-class _JacobianContext:
-    """Context handed to nonlinear ``load``: shares G/rhs with a parent."""
-
-    def __init__(self, G: np.ndarray, rhs: np.ndarray,
-                 source_scale: float = 1.0, time: float | None = None) -> None:
-        self.G = G
-        self.rhs = rhs
-        self.source_scale = source_scale
-        self.time = time
-
-    def add_g(self, i: int, j: int, value) -> None:
-        if i < 0 or j < 0:
-            return
-        self.G[:, i, j] += value
-
-    def add_c(self, i: int, j: int, value) -> None:  # capacitors open in DC
-        pass
-
-    def add_rhs(self, i: int, value) -> None:
-        if i < 0:
-            return
-        self.rhs[:, i] += value
-
-
 class ACExcitationContext:
     """Collects the complex AC excitation vector from source ``ac_rhs``."""
 
@@ -97,12 +74,198 @@ class ACExcitationContext:
         self.rhs[:, i] += value
 
 
+#: Lanes per block of :meth:`DeviceStamps.system`.  Keeps the
+#: ``(devices, lanes)`` temporaries of the device math and the block's
+#: matrices in cache; the math is elementwise, so the block size changes
+#: no result.
+LANE_BLOCK = 512
+
+
+class _Pattern:
+    """One mode's stamp pattern: the target entries the devices touch and
+    the rounds that add the device values to them.
+
+    Entries are ``(target, flat index)`` keys, in the order of their
+    first contribution, followed by ``extra`` keys that receive none
+    (the node diagonals gmin is added to); ``targets`` maps each target
+    to its keys' positions and flat indices.  ``ops`` apply the rounds
+    in order; each adds (or, for a negative stamp, subtracts)
+    ``values[rows]`` at ``positions``.
+    """
+
+    def __init__(self, per_round: list, targets, extra=()) -> None:
+        # Round 0 touches each entry once; its additions go first so that
+        # both halves address a contiguous run of entries.
+        first = sorted(per_round[0], key=lambda stamp: stamp[2] < 0) \
+            if per_round else []
+        keys = [key for key, _, _ in first]
+        position = {key: k for k, key in enumerate(keys)}
+        self.ops = []
+        for r, stamps in enumerate(per_round):
+            for subtract in (False, True):
+                chosen = [(position[key], row) for key, row, sign in stamps
+                          if (sign < 0) == subtract]
+                if not chosen:
+                    continue
+                positions, rows = (np.array(column) for column in zip(*chosen))
+                # Views instead of gathers where possible: round 0 is a
+                # contiguous run, and a lone stamp is a single row.
+                if r == 0:
+                    positions = slice(positions[0], positions[-1] + 1)
+                elif len(chosen) == 1:
+                    positions, rows = chosen[0]
+                self.ops.append((positions, rows, subtract))
+        keys += [key for key in extra if key not in position]
+        position = {key: k for k, key in enumerate(keys)}
+        self.size = len(keys)
+        self.extra = np.array([position[key] for key in extra], dtype=int)
+        self.targets = {
+            target: (np.array([k for k, key in enumerate(keys)
+                               if key[0] == target], dtype=int),
+                     np.array([key[1] for key in keys if key[0] == target],
+                              dtype=int))
+            for target in targets}
+
+
+class DeviceStamps:
+    """A circuit's nonlinear devices compiled for batched stamping.
+
+    Devices of one type form a bank (``element.bank``) that evaluates all
+    of them over a block of lanes in one vectorised call, writing its
+    stamp values into rows of a ``(rows, lanes)`` array.  The static
+    stamp pattern lists every device's contributions in circuit element
+    order, split into *rounds*: round ``r`` adds every matrix entry's
+    ``r``-th contribution.  Adding the rounds in order therefore
+    accumulates each entry in the same order as stamping the devices one
+    after another, and the result is bit-identical to it.  The rounds
+    run on a lane-minor copy of the touched entries, where each is a
+    contiguous row, one block of lanes at a time.
+    """
+
+    def __init__(self, circuit, topology) -> None:
+        self.n = topology.n_unknowns
+        self.batch = topology.batch
+        self._buffers: tuple | None = None
+        elements = circuit.nonlinear_elements()
+        groups: dict[type, list] = {}
+        for element in elements:
+            groups.setdefault(element.bank, []).append(element)
+        self.banks = [bank(devices, topology.batch)
+                      for bank, devices in groups.items()]
+        where = {id(device): (bank, index)
+                 for bank, devices in zip(self.banks, groups.values())
+                 for index, device in enumerate(devices)}
+        #: Each device's bank and index in it, in circuit element order.
+        self._order = [where[id(element)] for element in elements]
+        self.offsets: dict[str, list[int]] = {}
+        self.rows: dict[str, int] = {}
+        self.patterns: dict[str, _Pattern] = {}
+        diagonal = [("G", i * self.n + i) for i in range(topology.n_nodes)]
+        for mode, targets in (("newton", ("G", "rhs")), ("ac", ("G", "C"))):
+            sizes = [bank.ROWS[mode] * bank.size for bank in self.banks]
+            self.offsets[mode] = np.cumsum([0] + sizes[:-1]).tolist()
+            self.rows[mode] = sum(sizes)
+            self.patterns[mode] = _Pattern(
+                self._rounds(mode), targets,
+                diagonal if mode == "newton" else ())
+
+    def _rounds(self, mode: str) -> list:
+        """The rounds of ``((target, entry), value row, sign)`` stamps."""
+        offset = dict(zip(map(id, self.banks), self.offsets[mode]))
+        rounds: list[list] = []
+        seen: dict[tuple[str, int], int] = {}
+        for bank, index in self._order:
+            nodes = bank.nodes[:, index]
+            for target, a, b, value, sign in bank.stamps(mode, index):
+                i, j = nodes[a], nodes[b]
+                if i < 0 or j < 0:  # ground
+                    continue
+                key = (target, int(i if target == "rhs" else i * self.n + j))
+                r = seen.get(key, 0)
+                seen[key] = r + 1
+                if r == len(rounds):
+                    rounds.append([])
+                row = offset[id(bank)] + value * bank.size + index
+                rounds[r].append((key, row, sign))
+        return rounds
+
+    def _workspace(self) -> tuple:
+        """Per-block buffers, shared by the modes: the voltages with the
+        ground row last, the stamp values, and the touched entries.
+
+        Kept between calls: allocating them afresh made the allocator
+        hand memory back to the system and fault it in again each call.
+        An assembler therefore builds one system at a time.
+        """
+        if self._buffers is None:
+            width = min(self.batch, LANE_BLOCK)
+            self._buffers = tuple(
+                np.zeros((rows, width)) for rows in (
+                    self.n + 1, max(self.rows.values()),
+                    max(p.size for p in self.patterns.values())))
+        return self._buffers
+
+    def _values(self, mode: str, xT: np.ndarray, lanes,
+                values: np.ndarray) -> None:
+        """Fill ``values`` (``(rows, b)``) with every bank's stamp values
+        at the voltages ``xT`` (``(N + 1, b)``, ground row last)."""
+        b = xT.shape[1]
+        for bank, offset in zip(self.banks, self.offsets[mode]):
+            rows = bank.ROWS[mode]
+            out = values[offset:offset + rows * bank.size]
+            bank.values(mode, xT, lanes, out.reshape(rows, bank.size, b))
+
+    def system(self, mode: str, voltages: np.ndarray, linear: dict, *,
+               lanes: np.ndarray | None = None, source_scale: float = 1.0,
+               gmin: float = 0.0) -> dict:
+        """The ``mode`` system at ``voltages``: for each target of
+        ``linear`` (``"G"``/``"C"``: ``(B, N, N)``, ``"rhs"``: ``(B, N)``,
+        the linear part of the whole batch), that part plus the device
+        stamps, for ``lanes`` only when given.
+
+        ``source_scale`` multiplies the linear ``rhs``; ``gmin`` is added
+        to the node diagonals of ``G`` after the device stamps.
+        """
+        b = voltages.shape[0]
+        out = {target: np.empty((b,) + array.shape[1:])
+               for target, array in linear.items()}
+        pattern = self.patterns[mode]
+        xT, values, touched = self._workspace()
+        for start in range(0, b, LANE_BLOCK):
+            block = slice(start, min(start + LANE_BLOCK, b))
+            w = block.stop - start
+            param_lanes = block if lanes is None else lanes[block]
+            xT[:-1, :w] = voltages[block].T
+            self._values(mode, xT[:, :w], param_lanes, values[:, :w])
+            part = touched[:pattern.size, :w]
+            flats = {}
+            for target, array in out.items():
+                array[block] = linear[target][param_lanes]
+                if target == "rhs":
+                    array[block] *= source_scale
+                positions, entries = pattern.targets[target]
+                flats[target] = array[block].reshape(w, -1)
+                part[positions] = flats[target][:, entries].T
+            for positions, rows, subtract in pattern.ops:
+                if subtract:
+                    part[positions] -= values[rows, :w]
+                else:
+                    part[positions] += values[rows, :w]
+            if gmin:
+                part[pattern.extra] += gmin
+            for target, flat in flats.items():
+                positions, entries = pattern.targets[target]
+                flat[:, entries] = part[positions].T
+        return out
+
+
 class Assembler:
     """Stamps a circuit into batched MNA matrices, caching the linear part.
 
     The linear stamps (R, C, L, controlled sources, source *topology*) never
     change during Newton iteration, so they are built once; each Newton step
-    copies them and adds the nonlinear device loads.
+    copies them and adds the nonlinear device stamps from the compiled
+    :class:`DeviceStamps`.
     """
 
     def __init__(self, circuit) -> None:
@@ -112,7 +275,7 @@ class Assembler:
         self.batch = self.topology.batch
         self._resolve_current_controls()
         self._linear_cache: StampContext | None = None
-        self._takes_lanes: bool | None = None
+        self._devices: DeviceStamps | None = None
 
     def _resolve_current_controls(self) -> None:
         """Bind CCCS/CCVS control branches to voltage-source aux rows."""
@@ -140,17 +303,13 @@ class Assembler:
             self._linear_cache = ctx
         return ctx
 
-    # -- Newton iteration ---------------------------------------------------------
-    def takes_lanes(self) -> bool:
-        """Whether :meth:`newton_system` accepts a ``lanes`` subset: every
-        nonlinear element can be restricted to a subset of the batch."""
-        if self._takes_lanes is None:
-            lanes = np.arange(self.batch)
-            self._takes_lanes = all(
-                element.take_lanes(lanes) is not None
-                for element in self.circuit.nonlinear_elements())
-        return self._takes_lanes
+    def devices(self) -> DeviceStamps:
+        """The compiled nonlinear devices (built on first use)."""
+        if self._devices is None:
+            self._devices = DeviceStamps(self.circuit, self.topology)
+        return self._devices
 
+    # -- Newton iteration ---------------------------------------------------------
     def newton_system(self, voltages: np.ndarray, *, gmin: float = 0.0,
                       source_scale: float = 1.0,
                       time: float | None = None,
@@ -160,27 +319,15 @@ class Assembler:
 
         ``gmin`` is added to the *node* diagonal entries only (never the
         auxiliary branch rows, whose equations are not KCL).  With
-        ``lanes`` (batch indices; see :meth:`takes_lanes`), ``voltages``
-        and the returned system hold those lanes only, and every lane is
-        stamped exactly as in the full batch.
+        ``lanes`` (batch indices), ``voltages`` and the returned system
+        hold those lanes only, and every lane is stamped exactly as in
+        the full batch.
         """
         lin = self.linear(time=time)
-        elements = self.circuit.nonlinear_elements()
-        if lanes is None:
-            G = lin.G.copy()
-            rhs = lin.rhs * source_scale
-        else:
-            G = lin.G[lanes]
-            rhs = lin.rhs[lanes] * source_scale
-            elements = [element.take_lanes(lanes) for element in elements]
-        ctx = _JacobianContext(G, rhs, source_scale=source_scale, time=time)
-        for element in elements:
-            element.load(voltages, ctx)
-        n_nodes = self.topology.n_nodes
-        if gmin:
-            idx = np.arange(n_nodes)
-            G[:, idx, idx] += gmin
-        return G, rhs
+        system = self.devices().system(
+            "newton", voltages, {"G": lin.G, "rhs": lin.rhs}, lanes=lanes,
+            source_scale=source_scale, gmin=gmin)
+        return system["G"], system["rhs"]
 
     # -- small-signal (AC) system -----------------------------------------------------
     def ac_system(self, op_voltages: np.ndarray
@@ -188,16 +335,13 @@ class Assembler:
         """Small-signal ``(G, C, excitation)`` at the DC solution.
 
         ``G``/``C`` are real ``(B, N, N)``: copies of the cached linear
-        stamps plus the devices' linearised ``stamp_ac`` loads.  The
-        excitation is :meth:`ac_excitation`.
+        stamps plus the devices' small-signal conductances and
+        capacitances.  The excitation is :meth:`ac_excitation`.
         """
         lin = self.linear()
-        ctx = StampContext(self.n, self.batch, source_scale=1.0)
-        ctx.G[...] = lin.G
-        ctx.C[...] = lin.C
-        for element in self.circuit.nonlinear_elements():
-            element.stamp_ac(op_voltages, ctx)
-        return ctx.G, ctx.C, self.ac_excitation()
+        system = self.devices().system("ac", op_voltages,
+                                       {"G": lin.G, "C": lin.C})
+        return system["G"], system["C"], self.ac_excitation()
 
     def ac_excitation(self) -> np.ndarray:
         """Complex ``(B, N)`` excitation from the sources' AC values."""

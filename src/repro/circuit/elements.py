@@ -23,7 +23,7 @@ import numpy as np
 
 from ..errors import NetlistError
 from ..units import parse_si
-from .netlist import Element, _param_batch
+from .netlist import Element, _column, _param_batch
 
 __all__ = [
     "Resistor", "Capacitor", "Inductor",
@@ -406,6 +406,75 @@ class CCVS(Element):
 # diode (simplest nonlinear device; exercises the Newton machinery)
 # ---------------------------------------------------------------------------
 
+#: Diode exponent clamp: beyond it the exponential is linearised.
+_EXP_CLAMP = 40.0
+
+
+class DiodeBank:
+    """``D`` diodes compiled for evaluation over many lanes at once.
+
+    The diode counterpart of :class:`~repro.circuit.mosfet.MosfetBank`
+    (see there for ``STAMPS`` and the calling convention); diode
+    parameters are scalars, so the bank holds ``(D, 1)`` columns only.
+    """
+
+    #: Newton value rows: g, i_eq.  AC: g, cj0.
+    STAMPS = {
+        "newton": (("G", 0, 0, 0, 1), ("G", 1, 1, 0, 1), ("G", 0, 1, 0, -1),
+                   ("G", 1, 0, 0, -1), ("rhs", 0, 0, 1, -1),
+                   ("rhs", 1, 1, 1, 1)),
+    }
+    STAMPS["ac"] = STAMPS["newton"][:4] + (
+        ("C", 0, 0, 1, 1), ("C", 1, 1, 1, 1), ("C", 0, 1, 1, -1),
+        ("C", 1, 0, 1, -1))
+    ROWS = {"newton": 2, "ac": 2}
+
+    def __init__(self, devices, batch: int = 1) -> None:
+        self.size = len(devices)
+        #: ``(2, D)`` node rows; ground (-1) indexes the appended zero row.
+        self.nodes = np.array([device._node_idx for device in devices]).T
+        nvt = [device.n * device.vt for device in devices]
+        self.i_s = _column([device.i_s for device in devices])
+        self.nvt = _column(nvt)
+        self.v_clamp = _column([_EXP_CLAMP * v for v in nvt])
+        self.i_clamp = _column([device.i_s * (math.exp(_EXP_CLAMP) - 1.0)
+                                for device in devices])
+        self.g_clamp = _column([device.i_s * math.exp(_EXP_CLAMP) / v
+                                for device, v in zip(devices, nvt)])
+        self.cj0 = _column([device.cj0 for device in devices])
+
+    def stamps(self, mode: str, device: int):
+        """Stamps of ``device`` in ``mode``; no C stamps without ``cj0``."""
+        stamps = self.STAMPS[mode]
+        if mode == "ac" and not self.cj0[device, 0]:
+            stamps = stamps[:4]
+        return stamps
+
+    def current(self, vd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Diode current and conductance with exponent clamping."""
+        x = vd / self.nvt
+        exp = np.exp(np.minimum(x, _EXP_CLAMP))
+        current = self.i_s * (exp - 1.0)
+        conductance = self.i_s * exp / self.nvt
+        # Beyond the clamp, continue linearly to keep the model monotone.
+        over = x > _EXP_CLAMP
+        if np.any(over):
+            current = np.where(
+                over, self.i_clamp + self.g_clamp * (vd - self.v_clamp),
+                current)
+            conductance = np.where(over, self.g_clamp, conductance)
+        return current, conductance + 1e-12  # tiny leakage keeps matrix regular
+
+    def values(self, mode: str, xT: np.ndarray, lanes, out: np.ndarray
+               ) -> None:
+        """Fill ``out`` (``(ROWS[mode], D, b)``) at the voltages ``xT``."""
+        va, vb = xT[self.nodes]
+        vd = va - vb
+        current, conductance = self.current(vd)
+        out[0] = conductance
+        out[1] = current - conductance * vd if mode == "newton" else self.cj0
+
+
 class Diode(Element):
     """Junction diode ``anode -> cathode`` with exponential I-V law.
 
@@ -414,10 +483,7 @@ class Diode(Element):
     independent) for AC analysis.
     """
 
-    nonlinear = True
-
-    #: Exponent clamp: beyond this the exponential is linearised.
-    _EXP_CLAMP = 40.0
+    bank = DiodeBank
 
     def __init__(self, name: str, anode: str, cathode: str, *,
                  i_s: float = 1e-14, n: float = 1.0, vt: float = 0.025852,
@@ -428,57 +494,12 @@ class Diode(Element):
         self.vt = float(vt)
         self.cj0 = float(cj0)
 
-    def _iv(self, vd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Diode current and conductance with exponent clamping."""
-        nvt = self.n * self.vt
-        x = vd / nvt
-        x_clamped = np.minimum(x, self._EXP_CLAMP)
-        exp = np.exp(x_clamped)
-        current = self.i_s * (exp - 1.0)
-        conductance = self.i_s * exp / nvt
-        # Beyond the clamp, continue linearly to keep the model monotone.
-        over = x > self._EXP_CLAMP
-        if np.any(over):
-            i_clamp = self.i_s * (math.exp(self._EXP_CLAMP) - 1.0)
-            g_clamp = self.i_s * math.exp(self._EXP_CLAMP) / nvt
-            current = np.where(over, i_clamp + g_clamp * (vd - self._EXP_CLAMP * nvt),
-                               current)
-            conductance = np.where(over, g_clamp, conductance)
-        return current, conductance + 1e-12  # tiny leakage keeps matrix regular
-
-    def load(self, voltages: np.ndarray, ctx) -> None:
-        a, b = self._node_idx
-        va = voltages[..., a] if a >= 0 else 0.0
-        vb = voltages[..., b] if b >= 0 else 0.0
-        vd = np.asarray(va) - np.asarray(vb)
-        current, conductance = self._iv(vd)
-        i_eq = current - conductance * vd
-        ctx.add_g(a, a, conductance)
-        ctx.add_g(b, b, conductance)
-        ctx.add_g(a, b, -conductance)
-        ctx.add_g(b, a, -conductance)
-        ctx.add_rhs(a, -i_eq)
-        ctx.add_rhs(b, i_eq)
-
-    def stamp_ac(self, op: np.ndarray, ctx) -> None:
-        a, b = self._node_idx
-        va = op[..., a] if a >= 0 else 0.0
-        vb = op[..., b] if b >= 0 else 0.0
-        _, conductance = self._iv(np.asarray(va) - np.asarray(vb))
-        ctx.add_g(a, a, conductance)
-        ctx.add_g(b, b, conductance)
-        ctx.add_g(a, b, -conductance)
-        ctx.add_g(b, a, -conductance)
-        if self.cj0:
-            ctx.add_c(a, a, self.cj0)
-            ctx.add_c(b, b, self.cj0)
-            ctx.add_c(a, b, -self.cj0)
-            ctx.add_c(b, a, -self.cj0)
-
     def op_info(self, op: np.ndarray) -> dict[str, np.ndarray]:
         a, b = self._node_idx
         va = op[..., a] if a >= 0 else 0.0
         vb = op[..., b] if b >= 0 else 0.0
         vd = np.asarray(va) - np.asarray(vb)
-        current, conductance = self._iv(vd)
+        current, conductance = (
+            value[0].reshape(vd.shape)
+            for value in DiodeBank([self]).current(vd[None]))
         return {"vd": vd, "id": current, "gd": conductance}

@@ -31,18 +31,19 @@ them with Pelgrom-law mismatch samples (:mod:`repro.process.mismatch`).
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..errors import NetlistError
 from ..units import parse_si
-from .netlist import Element, _param_batch
+from .netlist import Element, _column, _param_batch
 
 __all__ = ["MOSModel", "Mosfet"]
 
 _THERMAL_VOLTAGE = 0.025852  # kT/q at 300 K
+#: Minimum conductance added to gds; keeps matrices regular when off.
+_GDS_MIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -124,10 +125,9 @@ class _OperatingPoint:
     vbs: np.ndarray
     vth: np.ndarray
     vov: np.ndarray
-    capacitances: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def _softplus(x: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
+def _softplus(x: np.ndarray, width) -> tuple[np.ndarray, np.ndarray]:
     """Soft-plus ``width*ln(1+exp(x/width))`` and its derivative (sigmoid).
 
     Overflow-safe: for large positive arguments the identity
@@ -138,6 +138,174 @@ def _softplus(x: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
     value = width * (np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))))
     deriv = 0.5 * (1.0 + np.tanh(0.5 * z))  # sigmoid(z), overflow-free
     return value, deriv
+
+
+def _per_lane(values, batch: int) -> np.ndarray:
+    """Per-device scalars or batch arrays stacked to ``(D, batch)``."""
+    return np.stack([np.broadcast_to(np.asarray(value, dtype=float), (batch,))
+                     for value in values])
+
+
+class MosfetBank:
+    """``D`` MOSFETs compiled for evaluation over many lanes at once.
+
+    Model parameters are ``(D, 1)`` columns and per-lane parameters
+    ``(D, B)`` arrays (``B`` the circuit batch), so one call evaluates a
+    ``(D, b)`` block of terminal voltages; ``lanes`` picks the block's
+    columns of the per-lane arrays.  The arithmetic is elementwise, so a
+    device's result does not depend on which devices or lanes share the
+    call.  This is the only copy of the device equations:
+    :meth:`Mosfet.evaluate` and :meth:`Mosfet.capacitances` run it with
+    ``D = 1``.
+
+    ``STAMPS`` lists each device's matrix contributions in stamping
+    order as ``(target, row terminal, column terminal, value row,
+    sign)``; terminals index ``(drain, gate, source, bulk)``, value rows
+    index what :meth:`values` fills, and a negative stamp subtracts the
+    value.  ``rhs`` stamps ignore the column.
+    """
+
+    #: Newton value rows: gm, gds, gmb, gsum, i_eq.  AC: gm, gds, gmb,
+    #: gsum, then cgs, cgd, cgb, cdb, csb.
+    STAMPS = {
+        "newton": (("G", 0, 1, 0, 1), ("G", 0, 0, 1, 1), ("G", 0, 3, 2, 1),
+                   ("G", 0, 2, 3, -1), ("G", 2, 1, 0, -1), ("G", 2, 0, 1, -1),
+                   ("G", 2, 3, 2, -1), ("G", 2, 2, 3, 1),
+                   ("rhs", 0, 0, 4, -1), ("rhs", 2, 2, 4, 1)),
+    }
+    # Each capacitance between its terminal pair.
+    STAMPS["ac"] = STAMPS["newton"][:8] + tuple(
+        stamp
+        for k, (a, b) in enumerate(((1, 2), (1, 0), (1, 3), (0, 3), (2, 3)))
+        for stamp in (("C", a, a, 4 + k, 1), ("C", b, b, 4 + k, 1),
+                      ("C", a, b, 4 + k, -1), ("C", b, a, 4 + k, -1)))
+    ROWS = {"newton": 5, "ac": 9}
+
+    def __init__(self, devices, batch: int | None = None) -> None:
+        if batch is None:
+            batch = max(device.batch_size() for device in devices)
+        models = [device.model for device in devices]
+        self.size = len(devices)
+        #: ``(4, D)`` node rows; ground (-1) indexes the zero row that
+        #: callers append to the voltages.
+        self.nodes = np.array([device._node_idx for device in devices]).T
+        self.sign = _column([1.0 if m.polarity == "n" else -1.0
+                             for m in models])
+        for name in ("phi", "gamma", "cox", "cgso", "cgdo", "cgbo", "cj",
+                     "cjsw", "pb", "mj", "mjsw", "ldiff"):
+            setattr(self, name, _column([getattr(m, name) for m in models]))
+        self.sqrt_phi = np.sqrt(self.phi)
+        self.width = _column([m.n_sub * _THERMAL_VOLTAGE for m in models])
+
+        def lanes(values):
+            return _per_lane(values, batch)
+
+        self.vto_n = lanes([abs(m.vto) + np.asarray(d.delta_vto, dtype=float)
+                            for d, m in zip(devices, models)])
+        self.beta = lanes([d.beta for d in devices])
+        self.lam = lanes([d.lam for d in devices])
+        self.w = lanes([np.asarray(d.w, dtype=float) * d.m for d in devices])
+        self.leff = lanes([d.leff for d in devices])
+
+    def stamps(self, mode: str, device: int):
+        """Stamps of ``device`` in ``mode`` (``"newton"`` or ``"ac"``)."""
+        return self.STAMPS[mode]
+
+    def _threshold(self, vbs, lanes) -> tuple[np.ndarray, np.ndarray]:
+        """Body-effect threshold and ``-dVth/dVbs`` (NMOS frame)."""
+        raw = self.phi - vbs
+        clamped = raw < 1e-3  # strongly forward-biased bulk junction
+        sqrt_term = np.sqrt(np.maximum(raw, 1e-3))
+        vth = self.vto_n[:, lanes] + self.gamma * (sqrt_term - self.sqrt_phi)
+        # In the clamped region vth is constant, so its derivative must be
+        # zero too -- otherwise Newton sees a slope the residual lacks.
+        dvth_dvbs = np.where(clamped, 0.0, -self.gamma / (2.0 * sqrt_term))
+        return vth, -dvth_dvbs
+
+    def evaluate(self, vgs, vds, vbs, lanes=slice(None)):
+        """``(ids, gm, gds, gmb, vth, vov)`` at physical terminal voltages.
+
+        PMOS devices see negative ``vgs``/``vds`` in normal operation;
+        polarity mirroring and drain/source reversal happen here, and
+        every partial is with respect to the physical voltages.
+        """
+        # Map to the NMOS frame.
+        nvgs, nvds, nvbs = self.sign * vgs, self.sign * vds, self.sign * vbs
+        reverse = nvds < 0.0
+        swapped = reverse.any()
+        # Forward evaluation arguments, drain and source swapped if needed.
+        vgs = np.where(reverse, nvgs - nvds, nvgs) if swapped else nvgs
+        vds = np.abs(nvds)
+        vbs = np.where(reverse, nvbs - nvds, nvbs) if swapped else nvbs
+
+        vth, gmb_factor = self._threshold(vbs, lanes)
+        beta, lam = self.beta[:, lanes], self.lam[:, lanes]
+        vov_arg = vgs - vth
+        a, sa = _softplus(vov_arg, self.width)
+        b, sb = _softplus(vov_arg - vds, self.width)
+        clm = np.maximum(1.0 + lam * vds, 0.05)
+        core = 0.5 * beta * (a * a - b * b)
+        ids = core * clm
+        f_g = beta * (a * sa - b * sb) * clm
+        f_d = beta * b * sb * clm + core * lam
+        f_b = f_g * gmb_factor
+
+        if swapped:
+            # Chain rule back through the swap:
+            #   Id = -f(vgs - vds, -vds, vbs - vds) in reverse mode, hence
+            #   dId/dvgs = -f_g ; dId/dvds = f_g + f_d + f_b ; dId/dvbs = -f_b.
+            ids, f_g, f_d, f_b = (np.where(reverse, -ids, ids),
+                                  np.where(reverse, -f_g, f_g),
+                                  np.where(reverse, f_g + f_d + f_b, f_d),
+                                  np.where(reverse, -f_b, f_b))
+        # Back in the physical frame Id_phys = sign * Id_nmos, and each
+        # conductance d(sign*Id)/d(sign*V) is unchanged.
+        return self.sign * ids, f_g, f_d + _GDS_MIN, f_b, self.sign * vth, a
+
+    def capacitances(self, vgs, vds, vbs, lanes=slice(None)):
+        """Meyer gate and junction capacitances ``(cgs, cgd, cgb, cdb, csb)``."""
+        nvgs, nvds, nvbs = self.sign * vgs, self.sign * vds, self.sign * vbs
+        vth, _ = self._threshold(nvbs, lanes)
+        vov, s_on = _softplus(nvgs - vth, self.width)
+
+        # Meyer model with the drain saturation voltage clamp.
+        w, leff = self.w[:, lanes], self.leff[:, lanes]
+        cox_total = self.cox * w * leff
+        vde = np.clip(nvds, 0.0, vov)
+        denom = np.maximum(2.0 * vov - vde, 1e-9)
+        cgs_i = (2.0 / 3.0) * cox_total * (1.0 - ((vov - vde) / denom) ** 2)
+        cgd_i = (2.0 / 3.0) * cox_total * (1.0 - (vov / denom) ** 2)
+        # Below threshold the channel disappears: fade the intrinsic parts
+        # with the inversion sigmoid and hand the oxide cap to the bulk.
+        cgs = cgs_i * s_on + self.cgso * w
+        cgd = cgd_i * s_on + self.cgdo * w
+        cgb = cox_total * (1.0 - s_on) + self.cgbo * leff
+
+        # Junction capacitances (reverse-bias dependent, forward clamped).
+        area = w * self.ldiff
+        perim = 2.0 * (w + self.ldiff)
+
+        def junction(v_junction):
+            ratio = np.maximum(1.0 - v_junction / self.pb, 0.4)
+            return (self.cj * area * ratio ** (-self.mj)
+                    + self.cjsw * perim * ratio ** (-self.mjsw))
+
+        return cgs, cgd, cgb, junction(nvbs - nvds), junction(nvbs)
+
+    def values(self, mode: str, xT: np.ndarray, lanes, out: np.ndarray
+               ) -> None:
+        """Fill ``out`` (``(ROWS[mode], D, b)``) with the stamp values at
+        the voltages ``xT`` (``(N + 1, b)``, ground row last)."""
+        vd, vg, vs, vb = xT[self.nodes]
+        vgs, vds, vbs = vg - vs, vd - vs, vb - vs
+        ids, gm, gds, gmb, _, _ = self.evaluate(vgs, vds, vbs, lanes)
+        out[0], out[1], out[2] = gm, gds, gmb
+        out[3] = gm + gds + gmb
+        if mode == "newton":
+            out[4] = ids - gm * vgs - gds * vds - gmb * vbs
+        else:
+            for k, cap in enumerate(self.capacitances(vgs, vds, vbs, lanes)):
+                out[4 + k] = cap
 
 
 class Mosfet(Element):
@@ -156,10 +324,8 @@ class Mosfet(Element):
         Per-device statistical perturbations (see module docstring).
     """
 
-    nonlinear = True
-
-    #: Minimum conductance added to gds; keeps matrices regular when off.
-    GDS_MIN = 1e-12
+    bank = MosfetBank
+    GDS_MIN = _GDS_MIN
 
     def __init__(self, name: str, drain: str, gate: str, source: str, bulk: str,
                  model: MOSModel, w, l, *, m: float = 1.0,
@@ -199,58 +365,19 @@ class Mosfet(Element):
     def batch_size(self) -> int:
         return _param_batch(self.w, self.l, self.delta_vto, self.beta_scale)
 
-    def take_lanes(self, lanes: np.ndarray) -> Mosfet:
-        """A shallow copy of this device holding the per-lane parameters
-        of ``lanes`` only; scalar and length-1 parameters are shared."""
-        view = copy.copy(self)
-        for name in ("w", "l", "delta_vto", "beta_scale"):
-            value = getattr(self, name)
-            if np.ndim(value) == 1 and np.shape(value)[0] > 1:
-                setattr(view, name, np.asarray(value)[lanes])
-        return view
-
     def gate_area(self) -> np.ndarray:
         """``W * Leff`` -- the area entering the Pelgrom mismatch law."""
         return np.asarray(self.w, dtype=float) * self.leff
 
-    # -- core I-V evaluation ---------------------------------------------------
-    def _threshold(self, vbs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Body-effect threshold (NMOS convention) and ``-dVth/dVbs``.
-
-        ``vbs`` here is already polarity-normalised (NMOS convention).
-        """
-        model = self.model
-        vto_n = abs(model.vto) + np.asarray(self.delta_vto, dtype=float)
-        raw = model.phi - vbs
-        clamped = raw < 1e-3  # strongly forward-biased bulk junction
-        phi_minus_vbs = np.maximum(raw, 1e-3)
-        sqrt_term = np.sqrt(phi_minus_vbs)
-        vth = vto_n + model.gamma * (sqrt_term - np.sqrt(model.phi))
-        # In the clamped region vth is constant, so its derivative must be
-        # zero too -- otherwise Newton sees a slope the residual lacks.
-        dvth_dvbs = np.where(clamped, 0.0,
-                             -model.gamma / (2.0 * sqrt_term))
-        return vth, -dvth_dvbs
-
-    def _forward_iv(self, vgs, vds, vbs):
-        """Current and partial derivatives for ``vds >= 0`` (NMOS frame).
-
-        Returns ``(id, d/dvgs, d/dvds, d/dvbs, vth, vov)``.
-        """
-        model = self.model
-        width = model.n_sub * _THERMAL_VOLTAGE
-        vth, gmb_factor = self._threshold(vbs)
-        beta = self.beta
-        lam = self.lam
-        a, sa = _softplus(vgs - vth, width)
-        b, sb = _softplus(vgs - vth - vds, width)
-        clm = np.maximum(1.0 + lam * vds, 0.05)
-        core = 0.5 * beta * (a * a - b * b)
-        ids = core * clm
-        d_vgs = beta * (a * sa - b * sb) * clm
-        d_vds = beta * b * sb * clm + core * lam
-        d_vbs = d_vgs * gmb_factor
-        return ids, d_vgs, d_vds, d_vbs, vth, a
+    # -- single-device evaluation ----------------------------------------------
+    def _single(self, method, vgs, vds, vbs) -> list[np.ndarray]:
+        """Run a :class:`MosfetBank` method for this device alone (D=1)."""
+        bank = MosfetBank([self])
+        lanes = bank.beta.shape[1]
+        shape = np.broadcast_shapes(np.shape(vgs), np.shape(vds),
+                                    np.shape(vbs), (lanes,) if lanes > 1 else ())
+        voltages = (np.asarray(v, dtype=float)[None] for v in (vgs, vds, vbs))
+        return [value[0].reshape(shape) for value in method(bank, *voltages)]
 
     def evaluate(self, vgs, vds, vbs) -> _OperatingPoint:
         """Evaluate ``Id`` and small-signal conductances at a bias point.
@@ -260,36 +387,22 @@ class Mosfet(Element):
         drain/source reversal are handled internally.  All partials are with
         respect to the physical ``(vgs, vds, vbs)``.
         """
-        vgs = np.asarray(vgs, dtype=float)
-        vds = np.asarray(vds, dtype=float)
-        vbs = np.asarray(vbs, dtype=float)
-        sign = 1.0 if self.model.polarity == "n" else -1.0
-        # Map to the NMOS frame.
-        nvgs, nvds, nvbs = sign * vgs, sign * vds, sign * vbs
+        ids, gm, gds, gmb, vth, vov = self._single(MosfetBank.evaluate,
+                                                   vgs, vds, vbs)
+        return _OperatingPoint(ids=ids, gm=gm, gds=gds, gmb=gmb,
+                               vgs=np.asarray(vgs, dtype=float),
+                               vds=np.asarray(vds, dtype=float),
+                               vbs=np.asarray(vbs, dtype=float),
+                               vth=vth, vov=vov)
 
-        reverse = nvds < 0.0
-        # Forward evaluation arguments, with drain/source swapped where needed.
-        e_vgs = np.where(reverse, nvgs - nvds, nvgs)
-        e_vds = np.abs(nvds)
-        e_vbs = np.where(reverse, nvbs - nvds, nvbs)
-        ids_f, f_g, f_d, f_b, vth, vov = self._forward_iv(e_vgs, e_vds, e_vbs)
+    def capacitances(self, vgs, vds, vbs) -> dict[str, np.ndarray]:
+        """Meyer gate capacitances + junction capacitances at a bias point.
 
-        # Chain rule back through the swap:
-        #   Id = -f(vgs - vds, -vds, vbs - vds) in reverse mode, hence
-        #   dId/dvgs = -f_g ; dId/dvds = f_g + f_d + f_b ; dId/dvbs = -f_b.
-        ids_n = np.where(reverse, -ids_f, ids_f)
-        gm_n = np.where(reverse, -f_g, f_g)
-        gds_n = np.where(reverse, f_g + f_d + f_b, f_d)
-        gmb_n = np.where(reverse, -f_b, f_b)
+        Returns a dict with keys ``cgs, cgd, cgb, cdb, csb`` [F].
+        """
+        return dict(zip(("cgs", "cgd", "cgb", "cdb", "csb"),
+                        self._single(MosfetBank.capacitances, vgs, vds, vbs)))
 
-        # Map back to the physical frame: Id_phys = sign * Id_nmos and each
-        # conductance is d(sign*Id)/d(sign*V) = unchanged.
-        ids = sign * ids_n
-        return _OperatingPoint(
-            ids=ids, gm=gm_n, gds=gds_n + self.GDS_MIN, gmb=gmb_n,
-            vgs=vgs, vds=vds, vbs=vbs, vth=sign * vth, vov=vov)
-
-    # -- terminal voltage helpers ------------------------------------------------
     def _terminal_voltages(self, x: np.ndarray):
         """Extract (vgs, vds, vbs) from the unknown vector ``x`` (..., N)."""
         d, g, s, b = self._node_idx
@@ -298,88 +411,6 @@ class Mosfet(Element):
         vs = x[..., s] if s >= 0 else np.zeros(x.shape[:-1])
         vb = x[..., b] if b >= 0 else np.zeros(x.shape[:-1])
         return vg - vs, vd - vs, vb - vs
-
-    # -- stamping -----------------------------------------------------------------
-    def _stamp_conductances(self, ctx, gm, gds, gmb) -> None:
-        """Stamp the linearised transistor (drain-source current source)."""
-        d, g, s, b = self._node_idx
-        gsum = gm + gds + gmb
-        ctx.add_g(d, g, gm)
-        ctx.add_g(d, d, gds)
-        ctx.add_g(d, b, gmb)
-        ctx.add_g(d, s, -gsum)
-        ctx.add_g(s, g, -gm)
-        ctx.add_g(s, d, -gds)
-        ctx.add_g(s, b, -gmb)
-        ctx.add_g(s, s, gsum)
-
-    def load(self, voltages: np.ndarray, ctx) -> None:
-        vgs, vds, vbs = self._terminal_voltages(voltages)
-        op = self.evaluate(vgs, vds, vbs)
-        d, g, s, b = self._node_idx
-        self._stamp_conductances(ctx, op.gm, op.gds, op.gmb)
-        i_eq = op.ids - op.gm * vgs - op.gds * vds - op.gmb * vbs
-        ctx.add_rhs(d, -i_eq)
-        ctx.add_rhs(s, i_eq)
-
-    # -- capacitances -----------------------------------------------------------
-    def capacitances(self, vgs, vds, vbs) -> dict[str, np.ndarray]:
-        """Meyer gate capacitances + junction capacitances at a bias point.
-
-        Returns a dict with keys ``cgs, cgd, cgb, cdb, csb`` [F].
-        """
-        model = self.model
-        sign = 1.0 if model.polarity == "n" else -1.0
-        nvgs = sign * np.asarray(vgs, dtype=float)
-        nvds = sign * np.asarray(vds, dtype=float)
-        nvbs = sign * np.asarray(vbs, dtype=float)
-
-        w = np.asarray(self.w, dtype=float) * self.m
-        leff = self.leff
-        cox_total = model.cox * w * leff
-        width = model.n_sub * _THERMAL_VOLTAGE
-        vth, _ = self._threshold(nvbs)
-        vov, s_on = _softplus(nvgs - vth, width)
-
-        # Meyer model with the drain saturation voltage clamp.
-        vde = np.clip(nvds, 0.0, vov)
-        denom = np.maximum(2.0 * vov - vde, 1e-9)
-        cgs_i = (2.0 / 3.0) * cox_total * (1.0 - ((vov - vde) / denom) ** 2)
-        cgd_i = (2.0 / 3.0) * cox_total * (1.0 - (vov / denom) ** 2)
-        # Below threshold the channel disappears: fade the intrinsic parts
-        # with the inversion sigmoid and hand the oxide cap to the bulk.
-        cgs = cgs_i * s_on + model.cgso * w
-        cgd = cgd_i * s_on + model.cgdo * w
-        cgb = cox_total * (1.0 - s_on) + model.cgbo * leff
-
-        # Junction capacitances (reverse-bias dependent, forward clamped).
-        area = w * model.ldiff
-        perim = 2.0 * (w + model.ldiff)
-
-        def junction(v_junction):
-            ratio = np.maximum(1.0 - v_junction / model.pb, 0.4)
-            return (model.cj * area * ratio ** (-model.mj)
-                    + model.cjsw * perim * ratio ** (-model.mjsw))
-
-        vbd = nvbs - nvds
-        cdb = junction(vbd)
-        csb = junction(nvbs)
-        return {"cgs": cgs, "cgd": cgd, "cgb": cgb, "cdb": cdb, "csb": csb}
-
-    def stamp_ac(self, op: np.ndarray, ctx) -> None:
-        vgs, vds, vbs = self._terminal_voltages(op)
-        point = self.evaluate(vgs, vds, vbs)
-        self._stamp_conductances(ctx, point.gm, point.gds, point.gmb)
-
-        caps = self.capacitances(vgs, vds, vbs)
-        d, g, s, b = self._node_idx
-        for (na, nb), key in (((g, s), "cgs"), ((g, d), "cgd"), ((g, b), "cgb"),
-                              ((d, b), "cdb"), ((s, b), "csb")):
-            c = caps[key]
-            ctx.add_c(na, na, c)
-            ctx.add_c(nb, nb, c)
-            ctx.add_c(na, nb, -c)
-            ctx.add_c(nb, na, -c)
 
     # -- reporting -----------------------------------------------------------
     def op_info(self, op: np.ndarray) -> dict[str, np.ndarray]:

@@ -55,12 +55,11 @@ class Element:
         Stamp the *linear, bias-independent* part of the element into the
         MNA system: conductances into ``ctx.add_g``, capacitances into
         ``ctx.add_c``, DC source terms into ``ctx.add_rhs``.
-    ``load(voltages, ctx)``
-        Nonlinear elements only: stamp the Newton companion model (Jacobian
-        + equivalent current) linearised at ``voltages``.
-    ``stamp_ac(op, ctx)``
-        Nonlinear elements only: stamp the small-signal conductances and
-        capacitances at the DC operating point ``op``.
+    ``bank``
+        Nonlinear elements only: the class that compiles all devices of
+        the type into one bank, evaluated over every device and lane at
+        once (see :class:`~repro.circuit.mosfet.MosfetBank`).  The
+        analyses stamp the banks' Newton and small-signal values.
     ``ac_rhs(ctx)``
         Independent sources only: stamp the complex AC excitation.
 
@@ -68,8 +67,8 @@ class Element:
     :meth:`stamp` and sources additionally :meth:`ac_rhs`.
     """
 
-    #: Set by nonlinear subclasses; tells the DC solver to call ``load``.
-    nonlinear: bool = False
+    #: Set by nonlinear subclasses to their device-bank class.
+    bank = None
 
     #: 1-based source line of the card that produced this element, when
     #: it came from a parsed netlist (set by the parser; ``None`` for
@@ -96,12 +95,6 @@ class Element:
     def stamp(self, ctx) -> None:
         """Stamp the linear part of the element (default: nothing)."""
 
-    def load(self, voltages: np.ndarray, ctx) -> None:
-        """Stamp the Newton companion model at ``voltages`` (nonlinear)."""
-
-    def stamp_ac(self, op: np.ndarray, ctx) -> None:
-        """Stamp small-signal conductances/capacitances at DC point ``op``."""
-
     def ac_rhs(self, ctx) -> None:
         """Stamp the complex AC excitation (independent sources only)."""
 
@@ -109,15 +102,6 @@ class Element:
     def batch_size(self) -> int:
         """Largest batch length among this element's parameters (1 = scalar)."""
         return 1
-
-    def take_lanes(self, lanes: np.ndarray) -> Element | None:
-        """This element restricted to the batch lanes ``lanes``.
-
-        Elements whose parameters are all scalars serve every lane as they
-        are.  ``None`` means the element has batched parameters it cannot
-        index; subclasses with batched parameters override this.
-        """
-        return self if self.batch_size() == 1 else None
 
     def op_info(self, op: np.ndarray) -> dict[str, np.ndarray]:
         """Operating-point report for this element (empty by default)."""
@@ -145,6 +129,11 @@ def _param_batch(*values) -> int:
                 f"inconsistent parameter batch sizes: {arr.shape[0]} vs {batch}")
         batch = max(batch, arr.shape[0])
     return batch
+
+
+def _column(values) -> np.ndarray:
+    """One value per device as a ``(D, 1)`` column (device banks)."""
+    return np.array(values, dtype=float)[:, None]
 
 
 class CompiledTopology:
@@ -292,7 +281,7 @@ class Circuit:
 
     def nonlinear_elements(self) -> list[Element]:
         """All elements that participate in Newton iteration."""
-        return [e for e in self if e.nonlinear]
+        return [e for e in self if e.bank is not None]
 
     def invalidate(self) -> None:
         """Force recompilation (call after mutating element parameters

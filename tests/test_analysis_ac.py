@@ -21,6 +21,7 @@ from repro.measure.acmeas import (dc_gain_db, f3db, passband_ripple_db,
                                   unity_gain_frequency)
 from repro.process import C35
 from repro.workload.designs import ota_points_evaluator
+from stamp_oracle import oracle_stamp_ac
 
 
 def rc_lowpass(r=1e3, c=1e-9):
@@ -379,13 +380,14 @@ class TestSmallSignalAssembly:
         op = dc_operating_point(circuit)
         G, C, excitation = op.assembler.ac_system(op.x)
 
-        # The restamping the cached linear part replaced.
+        # The restamping the cached linear part and the device banks
+        # replaced: every element stamped one after another.
         assembler = op.assembler
         ctx = StampContext(assembler.n, assembler.batch)
         for element in circuit:
             element.stamp(ctx)
         for element in circuit.nonlinear_elements():
-            element.stamp_ac(op.x, ctx)
+            oracle_stamp_ac(element, op.x, ctx)
         ac = ACExcitationContext(assembler.n, assembler.batch)
         for element in circuit:
             element.ac_rhs(ac)

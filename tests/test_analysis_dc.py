@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import Assembler, NewtonOptions, dc_operating_point
+from repro.analysis.dc import GMIN_FLOOR
 from repro.analysis.mna import solve_batched
 from repro.circuit import (Circuit, Diode, Mosfet, Resistor,
                            VoltageSource)
+from repro.circuit.mosfet import MosfetBank
 from repro.errors import SingularMatrixError
 from repro.process import C35
+from stamp_oracle import oracle_ac_system, oracle_newton_system
 
 
 class TestBasics:
@@ -179,34 +182,234 @@ class TestBatching:
         assert stamped[0] == 256 and stamped[-1] < 128
         assert all(a >= b for a, b in zip(stamped, stamped[1:]))
 
-    def test_lane_subsets_are_bit_identical_to_full_batch(self, monkeypatch):
+    def test_lane_subsets_are_bit_identical_to_full_batch(self):
+        # The Newton loop stamps only the moving lanes; its answer must be
+        # bit-identical to iterating the whole batch with converged lanes
+        # frozen, and each subset system to the full one, row by row.
         subset = dc_operating_point(self._mismatched_ota())
-        monkeypatch.setattr(Assembler, "takes_lanes", lambda self: False)
-        full = dc_operating_point(self._mismatched_ota())
-        assert subset.iterations == full.iterations
-        np.testing.assert_array_equal(subset.x, full.x)
+        assembler = subset.assembler
+        options = NewtonOptions()
+        x = np.zeros((assembler.batch, assembler.n))
+        moving = np.ones(assembler.batch, dtype=bool)
+        for iteration in range(1, options.max_iterations + 1):
+            G, rhs = assembler.newton_system(x, gmin=GMIN_FLOOR)
+            dx = np.clip(solve_batched(G, rhs) - x, -options.dv_limit,
+                         options.dv_limit)
+            tol = options.reltol * np.abs(x) + options.vabstol
+            converged = np.all(np.abs(dx) <= tol, axis=1)
+            x = np.where(moving[:, None], x + dx, x)
+            moving &= ~converged
+            if not moving.any():
+                break
+        assert subset.strategy == "newton"
+        assert subset.iterations == iteration
+        assert subset.x.tobytes() == x.tobytes()
 
-    def test_take_lanes(self):
+        x = subset.x + np.random.default_rng(1).normal(0, 0.05, x.shape)
+        lanes = np.array([255, 3, 17, 128, 0, 64])
+        G_full, rhs_full = assembler.newton_system(x, gmin=1e-9)
+        G, rhs = assembler.newton_system(x[lanes], gmin=1e-9, lanes=lanes)
+        assert G.tobytes() == G_full[lanes].tobytes()
+        assert rhs.tobytes() == rhs_full[lanes].tobytes()
+
+    def test_bank_indexes_per_lane_parameters_of_a_subset(self):
         nmos = C35.nmos
         device = Mosfet("M1", "d", "g", "0", "0", nmos,
                         np.array([10e-6, 20e-6, 30e-6]), 1e-6,
                         delta_vto=np.array([0.01, 0.02, 0.03]))
-        view = device.take_lanes(np.array([2, 0]))
-        np.testing.assert_array_equal(view.w, [30e-6, 10e-6])
-        np.testing.assert_array_equal(view.delta_vto, [0.03, 0.01])
-        assert view.l == 1e-6 and view.model is nmos
+        bank = MosfetBank([device])
+        vgs = np.array([[0.9, 1.1]])
+        vds = np.array([[1.5, -0.3]])
+        vbs = np.zeros((1, 2))
+        lanes = np.array([2, 0])
+        subset = bank.evaluate(vgs, vds, vbs, lanes)
+        full = bank.evaluate(np.array([[1.1, 0.0, 0.9]]),
+                             np.array([[-0.3, 1.0, 1.5]]),
+                             np.zeros((1, 3)))
+        for part, whole in zip(subset, full):
+            assert part.tobytes() == whole[:, lanes].tobytes()
         np.testing.assert_array_equal(device.w, [10e-6, 20e-6, 30e-6])
-        assert Diode("D1", "a", "0").take_lanes(np.array([1])) is not None
 
-    def test_element_without_lane_views_keeps_full_batch(self, monkeypatch):
-        monkeypatch.setattr(Mosfet, "take_lanes",
-                            lambda self, lanes: None if self.batch_size() > 1
-                            else self)
-        circuit = self._mismatched_ota()
-        assert not Assembler(circuit).takes_lanes()
+    def test_mixed_scalar_and_batched_devices_take_lane_subsets(self):
+        # Scalar devices, per-lane devices and diodes in one batched
+        # circuit: the bank broadcasts scalar parameters to every lane,
+        # so a lane subset still matches the full batch bit for bit.
+        c = Circuit("mixed")
+        c.add(VoltageSource("VDD", "vdd", "0", np.linspace(2.5, 3.3, 5)))
+        c.add(VoltageSource("VG", "g", "0", 1.0))
+        c.add(Resistor("RD", "vdd", "d", 1e4))
+        c.add(Mosfet("M1", "d", "g", "s", "0", C35.nmos, 10e-6, 1e-6))
+        c.add(Mosfet("M2", "s", "g", "0", "0", C35.nmos,
+                     np.linspace(5e-6, 25e-6, 5), 1e-6))
+        c.add(Diode("D1", "d", "s"))
+        op = dc_operating_point(c)
+        lanes = np.array([4, 1])
+        G_full, rhs_full = op.assembler.newton_system(op.x)
+        G, rhs = op.assembler.newton_system(op.x[lanes], lanes=lanes)
+        assert G.tobytes() == G_full[lanes].tobytes()
+        assert rhs.tobytes() == rhs_full[lanes].tobytes()
+
+    def test_singular_lane_in_a_subset_is_reported_in_batch_terms(self):
+        # Lane 2 of 4 converges late; make its Newton system singular
+        # once the others have stopped and the system holds lanes
+        # [1, 2] only: the error must still name batch lane 2.
+        c = Circuit("t")
+        c.add(VoltageSource("V1", "in", "0", np.array([1.0, 30.0, 30.0,
+                                                          1.0])))
+        c.add(Resistor("R1", "in", "d", 1e3))
+        c.add(Diode("D1", "d", "0", i_s=1e-15))
+        assembler = Assembler(c)
+        newton_system = assembler.newton_system
+
+        def poisoned(voltages, **kwargs):
+            G, rhs = newton_system(voltages, **kwargs)
+            lanes = kwargs.get("lanes")
+            if lanes is not None and 2 in lanes:
+                G[list(lanes).index(2)] = 0.0
+            return G, rhs
+
+        assembler.newton_system = poisoned
+        with pytest.raises(SingularMatrixError) as excinfo:
+            dc_operating_point(c, assembler=assembler)
+        assert excinfo.value.lane_indices == (2,)
+
+
+class TestDeviceBankOracle:
+    """The compiled device banks against device-by-device stamping:
+    ``G``, ``rhs`` and ``C`` must be bit-identical."""
+
+    @staticmethod
+    def _ota(size, seed=3):
+        from repro.designs.ota import OTAParameters, build_ota
+        rng = np.random.default_rng(seed)
+        params = OTAParameters.from_normalized(rng.uniform(0, 1, (size, 8)))
+        return build_ota(params, variations=C35.sample(size, rng))
+
+    @staticmethod
+    def _assert_same(assembler, voltages, **kwargs):
+        G, rhs = assembler.newton_system(voltages, **kwargs)
+        G_ref, rhs_ref = oracle_newton_system(assembler, voltages, **kwargs)
+        assert G.tobytes() == G_ref.tobytes()
+        assert rhs.tobytes() == rhs_ref.tobytes()
+
+    @staticmethod
+    def _assert_same_ac(assembler, voltages):
+        G, C, _ = assembler.ac_system(voltages)
+        G_ref, C_ref = oracle_ac_system(assembler, voltages)
+        assert G.tobytes() == G_ref.tobytes()
+        assert C.tobytes() == C_ref.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 16, 300])
+    def test_mismatched_ota(self, size):
+        op = dc_operating_point(self._ota(size))
+        self._assert_same(op.assembler, op.x)
+        self._assert_same(op.assembler, op.x, gmin=1e-12)
+        self._assert_same_ac(op.assembler, op.x)
+
+    def test_off_solution_and_zero_voltages(self):
+        # Random node voltages put devices in reverse mode and forward-
+        # bias bulk junctions past the clamp of the body term.
+        circuit = self._ota(300)
+        assembler = Assembler(circuit)
+        x = np.random.default_rng(5).uniform(-3.0, 3.0,
+                                             (300, assembler.n))
+        reversed_lanes = clamped = 0
+        for device in circuit.nonlinear_elements():
+            _, vds, vbs = device._terminal_voltages(x)
+            sign = 1.0 if device.model.polarity == "n" else -1.0
+            nvds, nvbs = sign * vds, sign * vbs
+            reversed_lanes += np.count_nonzero(nvds < 0)
+            e_vbs = np.where(nvds < 0, nvbs - nvds, nvbs)
+            clamped += np.count_nonzero(device.model.phi - e_vbs < 1e-3)
+        assert reversed_lanes and clamped
+        for voltages in (x, np.zeros_like(x)):
+            self._assert_same(assembler, voltages)
+            self._assert_same_ac(assembler, voltages)
+
+    def test_scalar_and_batched_parameters(self):
+        from repro.designs.ota import OTAParameters, build_ota
+        params = OTAParameters.from_array(
+            np.array([30e-6, 1e-6, 60e-6, 1e-6, 10e-6, 2e-6, 20e-6, 2e-6]))
+        scalar = dc_operating_point(build_ota(params))
+        assert scalar.x.shape[0] == 1
+        self._assert_same(scalar.assembler, scalar.x)
+        self._assert_same_ac(scalar.assembler, scalar.x)
+        # Scalar device parameters in a batch set by the sources alone.
+        supply = np.linspace(2.8, 3.6, 7)
+        batched = build_ota(params, variations=None)
+        batched.element("VDD").dc = supply
+        batched.invalidate()
+        op = dc_operating_point(batched)
+        assert op.x.shape[0] == 7
+        self._assert_same(op.assembler, op.x)
+        self._assert_same_ac(op.assembler, op.x)
+
+    def test_source_scale_and_gmin(self):
+        op = dc_operating_point(self._ota(16))
+        self._assert_same(op.assembler, 0.5 * op.x, source_scale=0.25,
+                          gmin=1e-3)
+
+    def test_lane_subsets(self):
+        op = dc_operating_point(self._ota(300))
+        x = op.x + np.random.default_rng(2).normal(0, 0.2, op.x.shape)
+        for lanes in (np.array([299, 0, 150, 7]), np.arange(1, 300, 2)):
+            self._assert_same(op.assembler, x[lanes], lanes=lanes,
+                              gmin=1e-9)
+
+    def test_transient_time(self):
+        from repro.circuit import Capacitor, Pulse
+        c = Circuit("tran")
+        c.add(VoltageSource("VDD", "vdd", "0", 3.3))
+        c.add(VoltageSource("VG", "g", "0", 0.0,
+                            waveform=Pulse(0.0, 1.5, rise=1e-9)))
+        c.add(Resistor("RD", "vdd", "d", 1e4))
+        c.add(Mosfet("M1", "d", "g", "0", "0", C35.nmos,
+                     np.array([10e-6, 20e-6, 40e-6]), 1e-6))
+        c.add(Capacitor("CL", "d", "0", 1e-12))
+        assembler = Assembler(c)
+        x = np.random.default_rng(4).uniform(0, 3.3, (3, assembler.n))
+        for t in (0.0, 0.5e-9, 2e-9):
+            self._assert_same(assembler, x, time=t)
+
+    def test_section5_filter(self):
+        from repro.designs.filter2 import FilterCaps, build_filter_transistor
+        from repro.designs.ota import OTAParameters
+        rng = np.random.default_rng(9)
+        params = OTAParameters.from_normalized(rng.uniform(0, 1, (20, 8)))
+        circuit = build_filter_transistor(
+            FilterCaps(), params, variations=C35.sample(20, rng))
         op = dc_operating_point(circuit)
-        np.testing.assert_array_equal(
-            op.x, dc_operating_point(self._mismatched_ota()).x)
+        self._assert_same(op.assembler, op.x, gmin=1e-12)
+        self._assert_same_ac(op.assembler, op.x)
+
+    def test_lane_blocks(self, monkeypatch):
+        from repro.analysis import mna
+        monkeypatch.setattr(mna, "LANE_BLOCK", 7)
+        op = dc_operating_point(self._ota(40))
+        lanes = np.arange(39, 0, -3)
+        self._assert_same(op.assembler, op.x, gmin=1e-12)
+        self._assert_same(op.assembler, op.x[lanes], lanes=lanes)
+        self._assert_same_ac(op.assembler, op.x)
+
+    def test_diode_and_mosfet_sharing_nodes(self):
+        # Diodes and MOSFETs live in different banks but add to the same
+        # matrix entries; the merged pattern must keep element order.
+        c = Circuit("mixed")
+        c.add(VoltageSource("VDD", "vdd", "0", 3.3))
+        c.add(VoltageSource("VG", "g", "0", 1.2))
+        c.add(Resistor("RD", "vdd", "d", 1e4))
+        c.add(Diode("D1", "d", "s", cj0=1e-12))
+        c.add(Mosfet("M1", "d", "g", "s", "0", C35.nmos,
+                     np.array([10e-6, 20e-6, 30e-6, 40e-6]), 1e-6))
+        c.add(Diode("D2", "s", "0", i_s=1e-15))
+        c.add(Mosfet("M2", "s", "g", "d", "0", C35.pmos, 20e-6, 2e-6))
+        c.add(Diode("D3", "d", "s", n=1.5, cj0=2e-13))
+        assembler = Assembler(c)
+        rng = np.random.default_rng(6)
+        for x in (dc_operating_point(c, assembler=assembler).x,
+                  rng.uniform(-1.0, 3.3, (4, assembler.n))):
+            self._assert_same(assembler, x, gmin=1e-12)
+            self._assert_same_ac(assembler, x)
 
 
 class TestSolveBatched:
