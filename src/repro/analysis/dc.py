@@ -12,7 +12,8 @@ continuation strategies:
 Only if both fail does :class:`~repro.errors.ConvergenceError` escape.
 Convergence is tracked per lane and converged lanes are frozen so
 late-converging lanes cannot disturb them; each iteration stamps and
-solves only the lanes still moving.
+solves only the lanes still moving, and each fallback runs only on the
+lanes the previous strategy left unconverged.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConvergenceError, SingularMatrixError
-from .mna import Assembler, solve_batched
+from .mna import Assembler, format_lanes, solve_batched
 
 __all__ = ["NewtonOptions", "OperatingPoint", "dc_operating_point"]
 
@@ -70,7 +71,8 @@ class OperatingPoint:
     iterations:
         Total Newton iterations spent (all strategies).
     strategy:
-        Which strategy converged: ``"newton"``, ``"gmin"`` or ``"source"``.
+        The strongest strategy any lane needed: ``"newton"``, ``"gmin"``
+        or ``"source"``.
     """
 
     circuit: object
@@ -121,44 +123,71 @@ class OperatingPoint:
 
 def _newton_attempt(assembler: Assembler, x0: np.ndarray, options: NewtonOptions,
                     *, gmin: float, source_scale: float,
-                    time: float | None = None) -> tuple[np.ndarray, bool, int]:
-    """One damped-Newton run; returns ``(x, all_converged, iterations)``.
+                    time: float | None = None,
+                    lanes: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, int]:
+    """One damped-Newton run; returns ``(x, converged, iterations)``.
 
-    A lane is frozen once its step is within tolerance, and later
-    iterations stamp and solve only the lanes still moving, so the cost
-    follows the lanes' total iterations rather than the slowest lane's.
-    Each lane's arithmetic is the same as in a whole-batch solve.
+    ``converged`` is the per-row convergence mask.  A lane is frozen once
+    its step is within tolerance, and later iterations stamp and solve
+    only the lanes still moving, so the cost follows the lanes' total
+    iterations rather than the slowest lane's.  With ``lanes`` (batch
+    indices), ``x0`` holds those lanes of the batch only.  Each lane's
+    arithmetic is the same as in a whole-batch solve.
     """
     x = x0.copy()
-    batch = x.shape[0]
-    moving = np.arange(batch)  # lanes still iterating
+    rows = x.shape[0]
+    batch = rows if lanes is None else assembler.batch
+    moving = np.arange(rows)  # rows still iterating
+    converged = np.zeros(rows, dtype=bool)
     for iteration in range(1, options.max_iterations + 1):
-        whole = moving.size == batch
+        whole = lanes is None and moving.size == rows
         x_moving = x if whole else x[moving]
+        subset = moving if lanes is None else lanes[moving]
         G, rhs = assembler.newton_system(
             x_moving, gmin=gmin + GMIN_FLOOR, source_scale=source_scale,
-            time=time, lanes=None if whole else moving)
+            time=time, lanes=None if whole else subset)
         try:
             x_new = solve_batched(G, rhs)
         except SingularMatrixError as exc:
             if whole or exc.lane_indices is None:
                 raise
-            bad = [int(moving[i]) for i in exc.lane_indices]
+            bad = [int(subset[i]) for i in exc.lane_indices]
             raise SingularMatrixError(
                 f"singular MNA matrix in lane(s) {bad} of {batch} "
                 "(floating node or voltage-source loop?)",
                 lane_indices=bad) from exc
         dx = np.clip(x_new - x_moving, -options.dv_limit, options.dv_limit)
         tol = options.reltol * np.abs(x_moving) + options.vabstol
-        converged = np.all(np.abs(dx) <= tol, axis=1)
+        done = np.all(np.abs(dx) <= tol, axis=1)
         if whole:
             x = x_moving + dx
         else:
             x[moving] = x_moving + dx
-        moving = moving[~converged]
+        converged[moving[done]] = True
+        moving = moving[~done]
         if not moving.size:
-            return x, True, iteration
-    return x, False, options.max_iterations
+            return x, converged, iteration
+    return x, converged, options.max_iterations
+
+
+def _continuation(assembler: Assembler, x: np.ndarray, lanes: np.ndarray,
+                  steps, options: NewtonOptions, *, source_scale: float,
+                  time: float | None) -> tuple[np.ndarray, np.ndarray, int]:
+    """Walk ``lanes`` (starting at rows ``x``) through the continuation
+    ``steps`` (``(gmin, source_scale)`` pairs), then a clean solve at
+    full ``source_scale``.  A lane that fails any step drops out; returns
+    ``(x, lanes, iterations)`` of the lanes that converged."""
+    iterations = 0
+    for gmin, scale in [*steps, (0.0, source_scale)]:
+        if not lanes.size:
+            break
+        x, ok, used = _newton_attempt(assembler, x, options, gmin=gmin,
+                                      source_scale=scale, time=time,
+                                      lanes=lanes)
+        iterations += used
+        x, lanes = x[ok], lanes[ok]
+    return x, lanes, iterations
 
 
 def dc_operating_point(circuit, *, options: NewtonOptions | None = None,
@@ -167,6 +196,12 @@ def dc_operating_point(circuit, *, options: NewtonOptions | None = None,
                        time: float | None = None,
                        assembler: Assembler | None = None) -> OperatingPoint:
     """Solve the DC operating point of ``circuit``.
+
+    Plain Newton runs on the whole batch; only the lanes it leaves
+    unconverged go on to gmin stepping, and only the lanes gmin stepping
+    cannot solve go on to source stepping, so a hard lane never changes
+    the other lanes' solutions.  :attr:`OperatingPoint.strategy` is the
+    strongest strategy any lane needed.
 
     Parameters
     ----------
@@ -184,7 +219,9 @@ def dc_operating_point(circuit, *, options: NewtonOptions | None = None,
     Raises
     ------
     ConvergenceError
-        If Newton, gmin stepping and source stepping all fail.
+        If Newton, gmin stepping and source stepping all fail on some
+        lane; the error names those lanes and carries the per-lane
+        ``converged_mask``.
     """
     options = options or NewtonOptions()
     assembler = assembler or Assembler(circuit)
@@ -192,55 +229,41 @@ def dc_operating_point(circuit, *, options: NewtonOptions | None = None,
     x = np.zeros((batch, n)) if x0 is None else np.array(x0, dtype=float)
     if x.ndim == 1:
         x = np.broadcast_to(x, (batch, n)).copy()
-    total_iterations = 0
 
     # Strategy 1: plain Newton from the initial guess.
-    x_try, ok, used = _newton_attempt(
+    x_sol, converged, total_iterations = _newton_attempt(
         assembler, x, options, gmin=0.0, source_scale=source_scale, time=time)
-    total_iterations += used
-    if ok:
-        return OperatingPoint(circuit, assembler, x_try, total_iterations, "newton")
+    strategy = "newton"
 
-    # Strategy 2: gmin stepping.
-    x_step = x.copy()
-    gmin_ok = True
-    for exponent in np.linspace(-options.gmin_start_exponent, -12, options.gmin_steps):
-        gmin = 10.0 ** exponent
-        x_step, ok, used = _newton_attempt(
-            assembler, x_step, options, gmin=gmin, source_scale=source_scale,
-            time=time)
-        total_iterations += used
-        if not ok:
-            gmin_ok = False
+    # Strategy 2: gmin stepping from the initial guess; strategy 3:
+    # source stepping from zero (with a light gmin safety net removed
+    # at the final full-scale clean solve).
+    gmin_steps = [(10.0 ** exponent, source_scale) for exponent in
+                  np.linspace(-options.gmin_start_exponent, -12,
+                              options.gmin_steps)]
+    source_steps = [(1e-9, scale * source_scale) for scale in
+                    np.linspace(1.0 / options.source_steps, 1.0,
+                                options.source_steps)]
+    for name, steps in (("gmin", gmin_steps), ("source", source_steps)):
+        pending = np.flatnonzero(~converged)
+        if not pending.size:
             break
-    if gmin_ok:
-        x_try, ok, used = _newton_attempt(
-            assembler, x_step, options, gmin=0.0, source_scale=source_scale,
-            time=time)
+        start = x[pending] if name == "gmin" else np.zeros((pending.size, n))
+        x_lanes, solved, used = _continuation(
+            assembler, start, pending, steps, options,
+            source_scale=source_scale, time=time)
         total_iterations += used
-        if ok:
-            return OperatingPoint(circuit, assembler, x_try, total_iterations, "gmin")
+        x_sol[solved] = x_lanes
+        converged[solved] = True
+        if solved.size:
+            strategy = name
 
-    # Strategy 3: source stepping (with a light gmin safety net removed at
-    # the final full-scale clean solve).
-    x_step = np.zeros((batch, n))
-    for scale in np.linspace(1.0 / options.source_steps, 1.0, options.source_steps):
-        x_step, ok, used = _newton_attempt(
-            assembler, x_step, options, gmin=1e-9,
-            source_scale=scale * source_scale, time=time)
-        total_iterations += used
-        if not ok:
-            break
-    else:
-        x_try, ok, used = _newton_attempt(
-            assembler, x_step, options, gmin=0.0, source_scale=source_scale,
-            time=time)
-        total_iterations += used
-        if ok:
-            return OperatingPoint(circuit, assembler, x_try, total_iterations,
-                                  "source")
-
-    raise ConvergenceError(
-        f"DC operating point of {circuit.title!r} failed to converge "
-        f"after {total_iterations} Newton iterations "
-        "(tried plain Newton, gmin stepping and source stepping)")
+    if not converged.all():
+        raise ConvergenceError(
+            f"DC operating point of {circuit.title!r} failed to converge "
+            f"in lane(s) {format_lanes(np.flatnonzero(~converged))} of "
+            f"{batch} after {total_iterations} Newton iterations "
+            "(tried plain Newton, gmin stepping and source stepping)",
+            converged_mask=converged)
+    return OperatingPoint(circuit, assembler, x_sol, total_iterations,
+                          strategy)

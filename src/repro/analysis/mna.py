@@ -351,6 +351,14 @@ class Assembler:
         return ac.rhs
 
 
+def format_lanes(lanes) -> str:
+    """Comma list of lane indices for error messages (first eight)."""
+    shown = ", ".join(str(lane) for lane in lanes[:8])
+    if len(lanes) > 8:
+        shown += f", ... ({len(lanes)} total)"
+    return shown
+
+
 def _singular_lanes(matrices: np.ndarray) -> list[int]:
     """Flat indices of the singular systems within a stacked batch.
 
@@ -397,10 +405,7 @@ def solve_batched(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         lanes = _singular_lanes(matrices)
         total = int(np.prod(matrices.shape[:-2], dtype=int))
         if lanes:
-            shown = ", ".join(str(lane) for lane in lanes[:8])
-            if len(lanes) > 8:
-                shown += f", ... ({len(lanes)} total)"
-            where = f" in stack lane(s) {shown} of {total}"
+            where = f" in stack lane(s) {format_lanes(lanes)} of {total}"
         else:  # LAPACK refused the whole stack without naming a lane
             where = ""
         raise SingularMatrixError(

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stream", "child_streams", "latin_hypercube_normal", "erf"]
+__all__ = ["stream", "child_streams", "latin_hypercube_normal", "erf",
+           "normal_cdf"]
 
 
 def _key_to_int(key: str) -> int:
@@ -137,7 +138,7 @@ def _probit(p: np.ndarray) -> np.ndarray:
     # fully vectorised erf matters: this polish sits on the hot path of
     # every stratified draw, and a `np.vectorize(math.erf)` round-trip
     # through Python objects costs ~100x the rational evaluation.
-    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    cdf = normal_cdf(x)
     pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
     return x - (cdf - p) / np.maximum(pdf, 1e-300)
 
@@ -219,3 +220,8 @@ def erf(x) -> np.ndarray:
         result[tail] = 1.0 - erfc
 
     return np.copysign(result, x)
+
+
+def normal_cdf(z) -> np.ndarray:
+    """Standard normal CDF ``Phi(z)``, elementwise, via :func:`erf`."""
+    return 0.5 * (1.0 + erf(np.asarray(z, dtype=float) / np.sqrt(2.0)))

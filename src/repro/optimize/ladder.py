@@ -32,7 +32,10 @@ only resolve designs far from the specification limits.  The
   (:mod:`repro.yieldmodel.importance`).  Candidates still ambiguous
   about the target yield get the full mean-shift + likelihood-ratio
   estimator -- the most expensive rung
-  (``is_pilot + is_samples`` calls) and the final word.
+  (``is_pilot + is_samples`` calls) and the final word.  All
+  candidates' pilots are evaluated as one stacked pass and all main
+  runs as another (lane-bounded chunks of whole candidates through the
+  same backends), each candidate on its own streams.
 
 Escalation is **target-aware**: a candidate escalates only while the
 current fidelity cannot confidently place its yield on one side of
@@ -65,13 +68,13 @@ from ..corners.sweep import corner_sweep_points
 from ..errors import OptimizationError
 from ..exec import resolve_backend
 from ..flow.accounting import SimulationLedger
-from ..mc.sampler import (_key_to_int, child_streams, erf,
-                          latin_hypercube_normal, stream)
+from ..mc.sampler import (_key_to_int, child_streams,
+                          latin_hypercube_normal, normal_cdf, stream)
 from ..measure.specs import SpecSet
-from ..process.pdk import GLOBAL_DIMS, ProcessKit
+from ..process.pdk import GLOBAL_DIMS, ProcessKit, ProcessSample
 from ..surrogate.regression import SURROGATE_KINDS, fit_surrogate
 from ..yieldmodel.importance import (ImportanceSamplingConfig,
-                                     estimate_yield_importance)
+                                     estimate_yield_importance_stacked)
 
 __all__ = ["FIDELITY_NAMES", "LadderConfig", "LadderBatchEstimate",
            "LadderCounts", "EstimatorLadder"]
@@ -83,10 +86,6 @@ FIDELITY_NAMES = ("corner bounds", "surrogate classification",
 #: Clamp on reported robustness z-scores (keeps optimiser arithmetic
 #: finite when the corner spread of a performance collapses to zero).
 _Z_CLAMP = 50.0
-
-
-def _normal_cdf(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(np.asarray(z, dtype=float) / np.sqrt(2.0)))
 
 
 def _derived_seed(seed: int, key: str) -> int:
@@ -371,6 +370,14 @@ class EstimatorLadder:
         order = np.argsort(ambiguity[candidates], kind="stable")
         return candidates[order[:n_afford]]
 
+    def _chunks(self, count: int, lanes_each: int) -> list[tuple[int, int]]:
+        """``[lo, hi)`` ranges splitting ``count`` candidates of
+        ``lanes_each`` lanes into chunks of at most ``chunk_lanes`` lanes
+        (at least one candidate each)."""
+        per_chunk = max(1, self.config.chunk_lanes // lanes_each)
+        return [(lo, min(lo + per_chunk, count))
+                for lo in range(0, count, per_chunk)]
+
     def _pass_probability(self, predicted: dict[str, np.ndarray],
                           scales: dict[str, float]) -> np.ndarray:
         """Calibrated pass probability of surrogate-predicted lanes
@@ -378,7 +385,7 @@ class EstimatorLadder:
         probability = np.ones(next(iter(predicted.values())).size)
         for spec in self.specs:
             z = spec.margin(predicted[spec.name]) / scales[spec.name]
-            probability = probability * _normal_cdf(z)
+            probability = probability * normal_cdf(z)
         return probability
 
     # -- fidelity 0: corner bounds ------------------------------------------
@@ -410,7 +417,7 @@ class EstimatorLadder:
             z = np.where(np.isnan(z), -np.inf, z)  # margin 0, sigma 0
             z = np.clip(z, -_Z_CLAMP, _Z_CLAMP)
             z_min = np.minimum(z_min, z)
-            yield0 = yield0 * _normal_cdf(z)
+            yield0 = yield0 * normal_cdf(z)
         std0 = np.minimum(yield0, 1.0 - yield0)
         decisive = (((z_min >= config.corner_z)
                      & (yield0 >= config.yield_target))
@@ -428,12 +435,11 @@ class EstimatorLadder:
         returns name -> ``(E, T)``."""
         config = self.config
         n_escalated, n_train, _ = xs.shape
-        per_chunk = max(1, config.chunk_lanes // n_train)
-        n_chunks = (n_escalated + per_chunk - 1) // per_chunk
+        chunks = self._chunks(n_escalated, n_train)
         rngs = child_streams(config.seed, f"ladder-train-mm-{self._batch_no}",
-                             n_chunks)
-        bounds = [(i * per_chunk, min((i + 1) * per_chunk, n_escalated),
-                   rngs[i]) for i in range(n_chunks)]
+                             len(chunks))
+        bounds = [(lo, hi, rng)
+                  for (lo, hi), rng in zip(chunks, rngs, strict=True)]
 
         def run_chunk(task):
             chunk_start, chunk_stop, rng = task
@@ -506,34 +512,44 @@ class EstimatorLadder:
     # -- fidelity 2: importance-sampled Monte Carlo -------------------------
     def _importance_stage(self, evaluator, indices: np.ndarray,
                           uids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Full-fidelity estimates for the remaining candidates; each
-        candidate is one backend task with privately derived streams."""
+        """Full-fidelity estimates for the remaining candidates.
+
+        Each candidate draws from privately derived streams; the pilots
+        of all candidates are evaluated as one stacked pass, then the
+        shifted main runs as another, each split into chunks of whole
+        candidates (at most ``chunk_lanes`` lanes) through the execution
+        backends."""
         config = self.config
         start = time.perf_counter()
+        backend = resolve_backend(config.backend, config.workers)
 
-        def run_candidate(task):
-            index, uid = task
+        def evaluate(samples: list[ProcessSample]) -> dict[str, np.ndarray]:
+            repeats = samples[0].size
 
-            def single(sample):
-                return evaluator(np.array([index]), sample.size, sample)
+            def run_chunk(chunk):
+                lo, hi = chunk
+                performance = evaluator(indices[lo:hi], repeats,
+                                        ProcessSample.concatenate(
+                                            samples[lo:hi]))
+                return {name: np.asarray(values, dtype=float).reshape(-1)
+                        for name, values in performance.items()}
 
-            estimate = estimate_yield_importance(
-                single, self.specs, self.pdk,
-                ImportanceSamplingConfig(
-                    n_samples=config.is_samples,
-                    pilot_samples=config.is_pilot,
-                    seed=_derived_seed(config.seed, f"ladder-is-{uid}"),
-                    include_mismatch=config.include_mismatch,
-                    confidence=config.confidence))
-            return estimate.yield_estimate, estimate.std_error
+            parts = backend.run(run_chunk, self._chunks(len(samples), repeats))
+            return {name: np.concatenate([part[name] for part in parts])
+                    for name in parts[0]}
 
-        tasks = [(int(index), int(uid)) for index, uid in zip(indices, uids, strict=True)]
-        results = resolve_backend(config.backend, config.workers).run(
-            run_candidate, tasks)
+        estimates = estimate_yield_importance_stacked(
+            evaluate, self.specs, self.pdk,
+            [ImportanceSamplingConfig(
+                n_samples=config.is_samples,
+                pilot_samples=config.is_pilot,
+                seed=_derived_seed(config.seed, f"ladder-is-{uid}"),
+                include_mismatch=config.include_mismatch,
+                confidence=config.confidence) for uid in uids])
         self._record(2, indices.size * config.fidelity_cost(2, self.pdk),
                      time.perf_counter() - start)
-        yield2 = np.array([value for value, _ in results])
-        std2 = np.array([error for _, error in results])
+        yield2 = np.array([estimate.yield_estimate for estimate in estimates])
+        std2 = np.array([estimate.std_error for estimate in estimates])
         return np.clip(yield2, 0.0, 1.0), std2
 
     # -- the ladder ----------------------------------------------------------

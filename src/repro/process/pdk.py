@@ -133,6 +133,54 @@ class ProcessSample:
         self.rng = rng
         if mismatch is not None and rng is None:
             raise ReproError("mismatch sampling requires an rng")
+        #: ``(start, stop, rng)`` lane segments with their own mismatch
+        #: streams (set by :meth:`concatenate`).
+        self.segments = ((0, self.size, rng),)
+
+    @classmethod
+    def concatenate(cls, samples) -> "ProcessSample":
+        """Stack several samples into one batch, lanes in list order.
+
+        Each input becomes a segment that keeps its own mismatch rng:
+        :meth:`device_variation` draws every segment's Pelgrom mismatch
+        from that segment's stream with the segment's size, so each
+        segment's lanes get exactly the randoms they would get if the
+        sample were evaluated alone.  Either every input carries mismatch
+        (with the same model) or none does; likewise for ``vdd`` and
+        ``temp_k``.
+        """
+        samples = list(samples)
+        if not samples:
+            raise ReproError("concatenate needs at least one sample")
+        if any(s.mismatch != samples[0].mismatch for s in samples):
+            raise ReproError(
+                "cannot stack samples with different mismatch models "
+                "(mix of mismatch and no-mismatch segments?)")
+
+        def stacked(attr):
+            arrays = [getattr(s, attr) for s in samples]
+            if all(a is None for a in arrays):
+                return None
+            if any(a is None for a in arrays):
+                raise ReproError(f"cannot stack samples with and without "
+                                 f"per-lane {attr}")
+            return np.concatenate(arrays)
+
+        size = sum(s.size for s in samples)
+        out = cls(size, dvto_n=stacked("dvto_n"),
+                  kp_scale_n=stacked("kp_scale_n"),
+                  dvto_p=stacked("dvto_p"), kp_scale_p=stacked("kp_scale_p"),
+                  cap_scale=stacked("cap_scale"), vdd=stacked("vdd"),
+                  temp_k=stacked("temp_k"))
+        out.mismatch = samples[0].mismatch
+        offset, segments = 0, []
+        for s in samples:
+            segments += [(offset + start, offset + stop, rng)
+                         for start, stop, rng in s.segments]
+            offset += s.size
+        out.segments = tuple(segments)
+        out.rng = segments[0][2] if len(segments) == 1 else None
+        return out
 
     @classmethod
     def nominal(cls, size: int = 1) -> "ProcessSample":
@@ -177,7 +225,8 @@ class ProcessSample:
         Combines the die-level global shift (shared by all devices of the
         polarity) with the lane's temperature shift (when ``temp_k`` is
         set) and a fresh Pelgrom mismatch draw for this device's gate
-        area.
+        area (one draw per :attr:`segments` entry, from that segment's
+        rng, on a stacked sample).
         """
         if model.polarity == "n":
             dvto = self.dvto_n.copy()
@@ -192,8 +241,16 @@ class ProcessSample:
         if self.mismatch is not None:
             leff = np.asarray(l, float) - 2.0 * model.ld
             area = np.asarray(w, float) * leff
-            dvt_local, dbeta_local = self.mismatch.draw(
-                model.polarity, area, self.size, self.rng)
+            if len(self.segments) == 1:
+                dvt_local, dbeta_local = self.mismatch.draw(
+                    model.polarity, area, self.size, self.rng)
+            else:
+                area = np.broadcast_to(area, (self.size,))
+                draws = [self.mismatch.draw(model.polarity, area[start:stop],
+                                            stop - start, rng)
+                         for start, stop, rng in self.segments]
+                dvt_local = np.concatenate([dvt for dvt, _ in draws])
+                dbeta_local = np.concatenate([dbeta for _, dbeta in draws])
             dvto = dvto + dvt_local
             beta_scale = beta_scale * (1.0 + dbeta_local)
         return dvto, beta_scale

@@ -42,7 +42,7 @@ import numpy as np
 
 from ..errors import SurrogateError
 from ..mc.engine import MCConfig, monte_carlo
-from ..mc.sampler import erf, latin_hypercube_normal, stream
+from ..mc.sampler import latin_hypercube_normal, normal_cdf, stream
 from ..measure.specs import SpecSet
 from ..process.pdk import GLOBAL_DIMS, ProcessKit
 from ..yieldmodel.estimator import (YieldEstimate, estimate_yield,
@@ -51,10 +51,6 @@ from .train import SurrogateBundle, evaluate_sigma_batch, train_surrogates
 
 __all__ = ["SurrogateConfig", "SurrogateYieldEstimate",
            "SurrogateYieldEstimator", "estimate_yield_surrogate"]
-
-
-def _normal_cdf(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(np.asarray(z, float) / np.sqrt(2.0)))
 
 
 @dataclass(frozen=True)
@@ -276,7 +272,7 @@ class SurrogateYieldEstimator:
         probability = np.ones(next(iter(predicted.values())).size)
         for spec in self.specs:
             z = spec.margin(predicted[spec.name]) / scales[spec.name]
-            probability = probability * _normal_cdf(z)
+            probability = probability * normal_cdf(z)
         return probability
 
     # -- the pipeline --------------------------------------------------------

@@ -5,8 +5,8 @@ from .estimator import (YieldEstimate, estimate_yield,
                         estimate_yield_streaming, normal_interval,
                         wilson_interval, z_value)
 from .importance import (ImportanceSamplingConfig, ImportanceSamplingEstimate,
-                         estimate_yield_importance, global_sigmas,
-                         shifted_sample)
+                         estimate_yield_importance,
+                         estimate_yield_importance_stacked, shifted_sample)
 from .rare import (RareEventConfig, RareEventResult, RareLevel,
                    direct_mc_samples_for_halfwidth, equivalent_sigma,
                    estimate_yield_rare)
@@ -19,7 +19,8 @@ __all__ = [
     "YieldEstimate", "estimate_yield", "estimate_yield_streaming",
     "wilson_interval", "normal_interval", "z_value",
     "ImportanceSamplingConfig", "ImportanceSamplingEstimate",
-    "estimate_yield_importance", "global_sigmas", "shifted_sample",
+    "estimate_yield_importance", "estimate_yield_importance_stacked",
+    "shifted_sample",
     "RareEventConfig", "RareEventResult", "RareLevel",
     "estimate_yield_rare", "equivalent_sigma",
     "direct_mc_samples_for_halfwidth",

@@ -52,13 +52,8 @@ from ..process.pdk import GLOBAL_DIMS, ProcessKit, ProcessSample
 from .estimator import YieldEstimate, normal_interval
 
 __all__ = ["ImportanceSamplingConfig", "ImportanceSamplingEstimate",
-           "estimate_yield_importance", "global_sigmas", "shifted_sample"]
-
-
-def global_sigmas(pdk: ProcessKit) -> np.ndarray:
-    """1-sigma scales of the PDK's global parameters, :data:`GLOBAL_DIMS`
-    order (alias of :meth:`repro.process.ProcessKit.global_sigmas`)."""
-    return pdk.global_sigmas()
+           "estimate_yield_importance", "estimate_yield_importance_stacked",
+           "shifted_sample"]
 
 
 @dataclass(frozen=True)
@@ -261,35 +256,90 @@ def estimate_yield_importance(evaluator, specs: SpecSet,
     ``pilot_samples + n_samples`` evaluator lanes.
     """
     config = config or ImportanceSamplingConfig()
-    if config.pilot_samples < 2 or config.n_samples < 2:
-        raise ValueError("pilot_samples and n_samples must be >= 2")
-    telemetry.counter_add("estimator.simulations",
-                          config.pilot_samples + config.n_samples)
+    return estimate_yield_importance_stacked(
+        lambda samples: evaluator(samples[0]), specs, pdk, [config])[0]
 
-    # Pilot: plain (unshifted) draw to locate the failure direction.
-    with telemetry.span("yield.importance.pilot",
-                        samples=config.pilot_samples):
-        pilot_rng = stream(config.seed, "is-pilot")
-        zero = np.zeros(len(GLOBAL_DIMS))
-        pilot_sample, _, x_pilot = _draw_shifted(
-            pdk, config.pilot_samples, pilot_rng, zero,
-            config.include_mismatch)
-        pilot_perf = {name: np.asarray(values, dtype=float).reshape(-1)
-                      for name, values in evaluator(pilot_sample).items()}
-        pilot_fail = ~specs.pass_mask(pilot_perf)
-        margins = _aggregate_margin(pilot_perf, specs)
-        shift = _mean_shift(x_pilot, pilot_fail, margins, config)
 
-    # Main run: shifted proposal + likelihood-ratio reweighting.
-    with telemetry.span("yield.importance.main", samples=config.n_samples):
-        main_rng = stream(config.seed, "is-main")
-        sample, weights = shifted_sample(
-            pdk, config.n_samples, main_rng, shift,
-            include_mismatch=config.include_mismatch)
-        performance = {name: np.asarray(values, dtype=float).reshape(-1)
-                       for name, values in evaluator(sample).items()}
-        fail = ~specs.pass_mask(performance)
+def estimate_yield_importance_stacked(evaluate, specs: SpecSet,
+                                      pdk: ProcessKit, configs
+                                      ) -> list[ImportanceSamplingEstimate]:
+    """Importance-sample several designs with one evaluation per stage.
 
+    Every design (one ``configs`` entry each) draws its pilot and main
+    runs from its own ``config.seed`` streams, exactly as
+    :func:`estimate_yield_importance` would; only the simulator calls
+    are shared: all pilots are evaluated in one call, then all main
+    runs in another.  Provided ``evaluate`` treats the segments
+    independently, every estimate is bitwise equal to the one-design
+    call.
+
+    Parameters
+    ----------
+    evaluate:
+        Callable ``(list[ProcessSample]) -> dict[name, (S,) array]``
+        taking one sample per design, in ``configs`` order, and
+        returning the performances of all their lanes concatenated in
+        that order (``S`` is the sum of the sample sizes).
+    specs:
+        The specification set defining pass/fail.
+    configs:
+        One :class:`ImportanceSamplingConfig` per design.
+    """
+    configs = list(configs)
+    for config in configs:
+        if config.pilot_samples < 2 or config.n_samples < 2:
+            raise ValueError("pilot_samples and n_samples must be >= 2")
+    telemetry.counter_add("estimator.simulations", sum(
+        config.pilot_samples + config.n_samples for config in configs))
+
+    # Pilot: plain (unshifted) draws to locate each failure direction.
+    zero = np.zeros(len(GLOBAL_DIMS))
+    with telemetry.span("yield.importance.pilot", samples=sum(
+            config.pilot_samples for config in configs)):
+        pilots = [_draw_shifted(pdk, config.pilot_samples,
+                                stream(config.seed, "is-pilot"), zero,
+                                config.include_mismatch)
+                  for config in configs]
+        pilot_perfs = _split(evaluate([sample for sample, _, _ in pilots]),
+                             [config.pilot_samples for config in configs])
+        pilot_fails, shifts = [], []
+        for config, (_, _, x_pilot), perf in zip(configs, pilots, pilot_perfs,
+                                                 strict=True):
+            pilot_fails.append(~specs.pass_mask(perf))
+            shifts.append(_mean_shift(x_pilot, pilot_fails[-1],
+                                      _aggregate_margin(perf, specs), config))
+
+    # Main run: shifted proposals + likelihood-ratio reweighting.
+    with telemetry.span("yield.importance.main", samples=sum(
+            config.n_samples for config in configs)):
+        mains = [_draw_shifted(pdk, config.n_samples,
+                               stream(config.seed, "is-main"), shift,
+                               config.include_mismatch)
+                 for config, shift in zip(configs, shifts, strict=True)]
+        main_perfs = _split(evaluate([sample for sample, _, _ in mains]),
+                            [config.n_samples for config in configs])
+
+    return [_reduce(config, shift, weights, ~specs.pass_mask(perf),
+                    pilot_fail)
+            for config, shift, (_, weights, _), perf, pilot_fail
+            in zip(configs, shifts, mains, main_perfs, pilot_fails,
+                   strict=True)]
+
+
+def _split(performance: dict[str, np.ndarray], sizes: list[int]
+           ) -> list[dict[str, np.ndarray]]:
+    """Per-design slices of a stacked performance dict."""
+    flat = {name: np.asarray(values, dtype=float).reshape(-1)
+            for name, values in performance.items()}
+    bounds = np.cumsum([0, *sizes])
+    return [{name: values[start:stop] for name, values in flat.items()}
+            for start, stop in zip(bounds[:-1], bounds[1:], strict=True)]
+
+
+def _reduce(config: ImportanceSamplingConfig, shift: np.ndarray,
+            weights: np.ndarray, fail: np.ndarray,
+            pilot_fail: np.ndarray) -> ImportanceSamplingEstimate:
+    """The weighted estimate of one design's main run."""
     contributions = weights * fail
     failure_probability = float(np.mean(contributions))
     std_error = float(np.std(contributions, ddof=1)

@@ -11,7 +11,7 @@ from repro.analysis.mna import solve_batched
 from repro.circuit import (Circuit, Diode, Mosfet, Resistor,
                            VoltageSource)
 from repro.circuit.mosfet import MosfetBank
-from repro.errors import SingularMatrixError
+from repro.errors import ConvergenceError, SingularMatrixError
 from repro.process import C35
 from stamp_oracle import oracle_ac_system, oracle_newton_system
 
@@ -111,6 +111,42 @@ class TestHomotopies:
         assert op.strategy in ("newton", "gmin", "source")
         i_chain = (20.0 - op.v("a")[0]) / 1e6
         assert i_chain > 0
+
+    def test_fallback_runs_only_on_unconverged_lanes(self, monkeypatch):
+        # A lane started 150 V off cannot return within the 200-iteration
+        # budget at 0.5 V per step, so it needs a fallback; every other
+        # lane must keep its plain-Newton solution bit for bit.
+        circuit = TestBatching._mismatched_ota(32)
+        reference = dc_operating_point(circuit)
+        assert reference.strategy == "newton"
+        x0 = np.zeros_like(reference.x)
+        x0[5] = 150.0
+        stamped = []
+        newton_system = Assembler.newton_system
+
+        def spy(self, voltages, **kwargs):
+            stamped.append(voltages.shape[0])
+            return newton_system(self, voltages, **kwargs)
+
+        monkeypatch.setattr(Assembler, "newton_system", spy)
+        op = dc_operating_point(circuit, x0=x0)
+        assert op.strategy == "source"
+        others = np.arange(32) != 5
+        assert op.x[others].tobytes() == reference.x[others].tobytes()
+        np.testing.assert_allclose(op.x[5], reference.x[5], atol=1e-6)
+        # After the first attempt only the hard lane is stamped.
+        assert stamped[0] == 32 and stamped.count(1) > 200
+
+    def test_convergence_error_names_the_failing_lanes(self):
+        c = Circuit("t")
+        c.add(VoltageSource("V1", "in", "0", np.array([1.0, np.nan, 2.0])))
+        c.add(Resistor("R1", "in", "d", 1e3))
+        c.add(Diode("D1", "d", "0"))
+        with pytest.raises(ConvergenceError, match=r"lane\(s\) 1 of 3") \
+                as info:
+            dc_operating_point(c, options=NewtonOptions(max_iterations=30))
+        np.testing.assert_array_equal(info.value.converged_mask,
+                                      [True, False, True])
 
     def test_ota_converges_across_parameter_extremes(self):
         from repro.designs.ota import OTAParameters, build_ota

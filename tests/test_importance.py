@@ -20,8 +20,7 @@ from repro.process import C35
 from repro.yieldmodel import (ImportanceSamplingConfig,
                               ImportanceSamplingEstimate,
                               estimate_yield, estimate_yield_importance,
-                              global_sigmas, normal_interval, shifted_sample,
-                              z_value)
+                              normal_interval, shifted_sample, z_value)
 from statcheck import DEFAULT_CONFIDENCE, assert_mean_close, mean_halfwidth
 
 SIGMA = C35.global_variation.sigma_vto_n
@@ -53,7 +52,7 @@ class TestHelpers:
     def test_global_sigmas_order(self):
         gv = C35.global_variation
         np.testing.assert_array_equal(
-            global_sigmas(C35),
+            C35.global_sigmas(),
             [gv.sigma_vto_n, gv.sigma_kp_n, gv.sigma_vto_p,
              gv.sigma_kp_p, gv.sigma_cap])
 

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.errors import OptimizationError
 from repro.measure import Spec, SpecSet
 from repro.moo.problem import FunctionProblem, Objective
@@ -19,8 +20,12 @@ from repro.optimize import (EstimatorLadder, LadderConfig,
                             YieldAugmentedProblem, YieldSearchConfig,
                             format_guardband_comparison,
                             format_ladder_summary, format_yield_front,
-                            run_yield_search)
+                            ota_evaluator_factory, run_yield_search)
+from repro.optimize.ladder import _derived_seed
 from repro.process import C35
+from repro.telemetry import load_events
+from repro.yieldmodel import (ImportanceSamplingConfig,
+                              estimate_yield_importance)
 
 COEFS = np.array([1.0, 0.5, -0.8, 0.3, 0.2])
 NORM = float(np.linalg.norm(COEFS))
@@ -207,6 +212,111 @@ class TestEstimatorLadder:
         assert np.any(escalated)
         assert not np.array_equal(first.yield_estimate[escalated],
                                   second.yield_estimate[escalated])
+
+
+def mismatch_factory(unit_params):
+    """Synthetic evaluator that also consumes per-device mismatch, with
+    per-candidate gate geometry (the first normalised parameter)."""
+    offsets = offsets_of(unit_params)
+    widths = 10e-6 + 50e-6 * np.atleast_2d(unit_params)[:, 0]
+
+    def evaluate(point_indices, repeats, die_sample):
+        x = C35.sigma_coordinates(die_sample)
+        w = np.repeat(widths[point_indices], repeats)
+        dvt_n, _ = die_sample.device_variation(C35.nmos, w, 1e-6)
+        _, beta_p = die_sample.device_variation(C35.pmos, 2e-6, 0.5e-6)
+        base = np.repeat(offsets[point_indices], repeats)
+        return {"perf": base + x @ COEFS + 50.0 * dvt_n + 5.0 * beta_p}
+
+    return evaluate
+
+
+def per_candidate_oracle(factory, specs, unit, config):
+    """The IS rung's answer computed one candidate at a time, each with
+    its own evaluator calls (first batch: uid == candidate index)."""
+    evaluator = factory(unit)
+    yields, errors = [], []
+    for index in range(len(unit)):
+        estimate = estimate_yield_importance(
+            lambda sample, index=index: evaluator(np.array([index]),
+                                                  sample.size, sample),
+            specs, C35, ImportanceSamplingConfig(
+                n_samples=config.is_samples, pilot_samples=config.is_pilot,
+                seed=_derived_seed(config.seed, f"ladder-is-{index}"),
+                include_mismatch=config.include_mismatch,
+                confidence=config.confidence))
+        yields.append(estimate.yield_estimate)
+        errors.append(estimate.std_error)
+    return np.clip(yields, 0.0, 1.0), np.array(errors)
+
+
+class TestStackedImportanceRung:
+    """The fidelity-2 rung evaluates every candidate's pilot in one
+    stacked pass and every main run in another; each estimate must be
+    bitwise equal to a per-candidate ``estimate_yield_importance``."""
+
+    @pytest.mark.parametrize("include_mismatch", [True, False])
+    @pytest.mark.parametrize("n_points", [1, 16])
+    @pytest.mark.parametrize("backend,chunk_lanes", [
+        ("serial", 4000), ("serial", 250), ("thread:2", 250),
+        ("process:2", 250)])
+    def test_equals_per_candidate_estimates(self, include_mismatch,
+                                            n_points, backend, chunk_lanes):
+        # chunk_lanes=250 splits the candidates over several chunks
+        # (6 pilots of 40 lanes, 2 main runs of 120 lanes per chunk).
+        config = fast_config(min_fidelity=2,
+                             include_mismatch=include_mismatch,
+                             backend=backend, chunk_lanes=chunk_lanes)
+        unit = spread_unit_params(n_points)
+        unit[:, 0] = np.linspace(0.0, 1.0, n_points)
+        estimate = EstimatorLadder(mismatch_factory, SPECS, C35,
+                                   config).estimate_batch(unit)
+        assert np.all(estimate.fidelity == 2)
+        yields, errors = per_candidate_oracle(mismatch_factory, SPECS, unit,
+                                              config)
+        assert np.array_equal(estimate.yield_estimate, yields)
+        assert np.array_equal(estimate.std_error, errors)
+
+    def test_mismatch_reaches_the_estimate(self):
+        unit = spread_unit_params(4)
+        on, off = (EstimatorLadder(
+            mismatch_factory, SPECS, C35,
+            fast_config(min_fidelity=2, include_mismatch=flag)
+        ).estimate_batch(unit) for flag in (True, False))
+        assert not np.array_equal(on.yield_estimate, off.yield_estimate)
+
+    def test_ota_circuit_equals_per_candidate_estimates(self):
+        # The real circuit stack: stacked DC/AC lanes of several
+        # candidates must solve exactly as each candidate alone.
+        specs = SpecSet([Spec("gain_db", "ge", 50.0, "dB"),
+                         Spec("pm_deg", "ge", 60.0, "deg")])
+        config = LadderConfig(seed=3, min_fidelity=2, is_pilot=8,
+                              is_samples=16, chunk_lanes=40)
+        unit = np.random.default_rng(4).uniform(0.1, 0.9, (4, 8))
+        factory = ota_evaluator_factory(pdk=C35)
+        estimate = EstimatorLadder(factory, specs, C35,
+                                   config).estimate_batch(unit)
+        yields, errors = per_candidate_oracle(factory, specs, unit, config)
+        assert np.array_equal(estimate.yield_estimate, yields)
+        assert np.array_equal(estimate.std_error, errors)
+
+    def test_one_pilot_and_one_main_pass(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        config = fast_config(min_fidelity=2)
+        before = telemetry.REGISTRY.counter_value("estimator.simulations")
+        with telemetry.session(path):
+            EstimatorLadder(synthetic_factory, SPECS, C35,
+                            config).estimate_batch(spread_unit_params(5))
+        spent = telemetry.REGISTRY.counter_value(
+            "estimator.simulations") - before
+        assert spent == 5 * (config.is_pilot + config.is_samples)
+        opens = [e for e in load_events(path) if e["type"] == "span_open"]
+        for stage, size in (("pilot", config.is_pilot),
+                            ("main", config.is_samples)):
+            spans = [e for e in opens
+                     if e["name"] == f"yield.importance.{stage}"]
+            assert len(spans) == 1
+            assert spans[0]["attrs"]["samples"] == 5 * size
 
 
 def base_problem():

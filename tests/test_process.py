@@ -171,3 +171,98 @@ class TestDeviceVariation:
         dp, bp = sample.device_variation(C35.pmos, 1e-5, 1e-6)
         assert np.all(dn == 0.01) and np.all(bn == 1.1)
         assert np.all(dp == 0.02) and np.all(bp == 0.9)
+
+
+class TestConcatenate:
+    @staticmethod
+    def _draws(sample, devices):
+        return [sample.device_variation(model, w, l)
+                for model, w, l in devices]
+
+    SIZES = (4, 7, 8)
+    # The third device has per-lane geometry, sliced per segment.
+    DEVICES = ((C35.nmos, 20e-6, 1e-6), (C35.pmos, 10e-6, 0.5e-6),
+               (C35.nmos, np.linspace(10e-6, 60e-6, sum(SIZES)), 2e-6))
+
+    def _samples(self, include_mismatch=True, seed=11):
+        return [C35.sample(size, np.random.default_rng(seed + i),
+                           include_mismatch=include_mismatch)
+                for i, size in enumerate(self.SIZES)]
+
+    def test_segment_mismatch_equals_separate_draws(self):
+        bounds = np.cumsum([0, *self.SIZES])
+        stacked = ProcessSample.concatenate(self._samples())
+        assert stacked.size == sum(self.SIZES)
+        assert len(stacked.segments) == len(self.SIZES)
+        got = self._draws(stacked, self.DEVICES)
+        for index, sample in enumerate(self._samples()):
+            lo, hi = bounds[index], bounds[index + 1]
+            local = [(m, w if np.ndim(w) == 0 else w[lo:hi], l)
+                     for m, w, l in self.DEVICES]
+            for (dvto, beta), (ref_dvto, ref_beta) in zip(
+                    got, self._draws(sample, local), strict=True):
+                assert dvto[lo:hi].tobytes() == ref_dvto.tobytes()
+                assert beta[lo:hi].tobytes() == ref_beta.tobytes()
+
+    def test_nested_concatenate_flattens_segments(self):
+        a, b, c = self._samples()
+        flat = ProcessSample.concatenate([a, b, c])
+        a, b, c = self._samples()
+        nested = ProcessSample.concatenate(
+            [a, ProcessSample.concatenate([b, c])])
+        assert [seg[:2] for seg in nested.segments] == \
+            [seg[:2] for seg in flat.segments]
+        np.testing.assert_array_equal(
+            flat.device_variation(C35.nmos, 20e-6, 1e-6)[0],
+            nested.device_variation(C35.nmos, 20e-6, 1e-6)[0])
+
+    def test_global_arrays_stack_in_order(self):
+        samples = self._samples(include_mismatch=False)
+        stacked = ProcessSample.concatenate(samples)
+        for attr in ("dvto_n", "kp_scale_n", "dvto_p", "kp_scale_p",
+                     "cap_scale"):
+            np.testing.assert_array_equal(
+                getattr(stacked, attr),
+                np.concatenate([getattr(s, attr) for s in samples]))
+        assert stacked.mismatch is None and stacked.vdd is None
+
+    def test_single_sample_keeps_its_stream(self):
+        sample = C35.sample(6, np.random.default_rng(3))
+        stacked = ProcessSample.concatenate([sample])
+        assert stacked.rng is sample.rng
+        ref = C35.sample(6, np.random.default_rng(3))
+        np.testing.assert_array_equal(
+            stacked.device_variation(C35.pmos, 10e-6, 1e-6)[1],
+            ref.device_variation(C35.pmos, 10e-6, 1e-6)[1])
+
+    def test_mixing_mismatch_and_no_mismatch_raises(self):
+        with_mm = C35.sample(3, np.random.default_rng(1))
+        without = C35.sample(3, np.random.default_rng(2),
+                             include_mismatch=False)
+        with pytest.raises(ReproError):
+            ProcessSample.concatenate([with_mm, without])
+        with pytest.raises(ReproError):
+            ProcessSample.concatenate([without, with_mm])
+
+    def test_mixing_vdd_lanes_raises(self):
+        with pytest.raises(ReproError):
+            ProcessSample.concatenate([C35.corner_sample("tm", vdd=3.0),
+                                       C35.corner_sample("tm")])
+
+    def test_empty_raises(self):
+        with pytest.raises(ReproError):
+            ProcessSample.concatenate([])
+
+    def test_lanes_and_tiled_raise_with_live_mismatch(self):
+        stacked = ProcessSample.concatenate(self._samples())
+        with pytest.raises(ReproError):
+            stacked.lanes(0, 2)
+        with pytest.raises(ReproError):
+            stacked.tiled(2)
+
+    def test_lanes_and_tiled_work_without_mismatch(self):
+        samples = self._samples(include_mismatch=False)
+        stacked = ProcessSample.concatenate(samples)
+        np.testing.assert_array_equal(stacked.lanes(4, 11).dvto_n,
+                                      samples[1].dvto_n)
+        assert stacked.tiled(2).size == 2 * stacked.size
