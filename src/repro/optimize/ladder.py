@@ -370,11 +370,14 @@ class EstimatorLadder:
         order = np.argsort(ambiguity[candidates], kind="stable")
         return candidates[order[:n_afford]]
 
-    def _chunks(self, count: int, lanes_each: int) -> list[tuple[int, int]]:
+    def _chunks(self, count: int, lanes_each: int,
+                parts: int = 1) -> list[tuple[int, int]]:
         """``[lo, hi)`` ranges splitting ``count`` candidates of
         ``lanes_each`` lanes into chunks of at most ``chunk_lanes`` lanes
-        (at least one candidate each)."""
-        per_chunk = max(1, self.config.chunk_lanes // lanes_each)
+        (at least one candidate each), and into at least ``parts``
+        chunks when there are that many candidates."""
+        per_chunk = max(1, min(self.config.chunk_lanes // lanes_each,
+                               -(-count // parts)))
         return [(lo, min(lo + per_chunk, count))
                 for lo in range(0, count, per_chunk)]
 
@@ -517,8 +520,8 @@ class EstimatorLadder:
         Each candidate draws from privately derived streams; the pilots
         of all candidates are evaluated as one stacked pass, then the
         shifted main runs as another, each split into chunks of whole
-        candidates (at most ``chunk_lanes`` lanes) through the execution
-        backends."""
+        candidates (at most ``chunk_lanes`` lanes, and at least one per
+        backend worker) through the execution backends."""
         config = self.config
         start = time.perf_counter()
         backend = resolve_backend(config.backend, config.workers)
@@ -534,7 +537,8 @@ class EstimatorLadder:
                 return {name: np.asarray(values, dtype=float).reshape(-1)
                         for name, values in performance.items()}
 
-            parts = backend.run(run_chunk, self._chunks(len(samples), repeats))
+            parts = backend.run(run_chunk, self._chunks(
+                len(samples), repeats, backend.workers))
             return {name: np.concatenate([part[name] for part in parts])
                     for name in parts[0]}
 

@@ -130,11 +130,10 @@ class ProcessSample:
         self.temp_k = None if temp_k is None else \
             np.broadcast_to(np.asarray(temp_k, float), (size,))
         self.mismatch = mismatch
-        self.rng = rng
         if mismatch is not None and rng is None:
             raise ReproError("mismatch sampling requires an rng")
-        #: ``(start, stop, rng)`` lane segments with their own mismatch
-        #: streams (set by :meth:`concatenate`).
+        #: ``(start, stop, rng)`` lane segments, each with its own mismatch
+        #: stream: one segment here, one per input after :meth:`concatenate`.
         self.segments = ((0, self.size, rng),)
 
     @classmethod
@@ -179,7 +178,6 @@ class ProcessSample:
                          for start, stop, rng in s.segments]
             offset += s.size
         out.segments = tuple(segments)
-        out.rng = segments[0][2] if len(segments) == 1 else None
         return out
 
     @classmethod
@@ -241,16 +239,13 @@ class ProcessSample:
         if self.mismatch is not None:
             leff = np.asarray(l, float) - 2.0 * model.ld
             area = np.asarray(w, float) * leff
-            if len(self.segments) == 1:
-                dvt_local, dbeta_local = self.mismatch.draw(
-                    model.polarity, area, self.size, self.rng)
-            else:
-                area = np.broadcast_to(area, (self.size,))
-                draws = [self.mismatch.draw(model.polarity, area[start:stop],
-                                            stop - start, rng)
-                         for start, stop, rng in self.segments]
-                dvt_local = np.concatenate([dvt for dvt, _ in draws])
-                dbeta_local = np.concatenate([dbeta for _, dbeta in draws])
+            draws = [self.mismatch.draw(
+                         model.polarity,
+                         area if area.ndim == 0 else area[start:stop],
+                         stop - start, rng)
+                     for start, stop, rng in self.segments]
+            dvt_local = np.concatenate([dvt for dvt, _ in draws])
+            dbeta_local = np.concatenate([dbeta for _, dbeta in draws])
             dvto = dvto + dvt_local
             beta_scale = beta_scale * (1.0 + dbeta_local)
         return dvto, beta_scale

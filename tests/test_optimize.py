@@ -14,6 +14,7 @@ import pytest
 
 from repro import telemetry
 from repro.errors import OptimizationError
+from repro.exec import SerialBackend
 from repro.measure import Spec, SpecSet
 from repro.moo.problem import FunctionProblem, Objective
 from repro.optimize import (EstimatorLadder, LadderConfig,
@@ -299,6 +300,32 @@ class TestStackedImportanceRung:
         yields, errors = per_candidate_oracle(factory, specs, unit, config)
         assert np.array_equal(estimate.yield_estimate, yields)
         assert np.array_equal(estimate.std_error, errors)
+
+    def test_passes_split_over_backend_workers(self):
+        # A pass that fits one chunk still gets one chunk per worker, so
+        # a parallel backend keeps every worker busy.
+        class RecordingBackend(SerialBackend):
+            def __init__(self):
+                super().__init__()
+                self.workers = 3
+                self.calls = []
+
+            def run(self, fn, tasks, progress=None):
+                self.calls.append(list(tasks))
+                return super().run(fn, tasks, progress)
+
+        backend = RecordingBackend()
+        config = fast_config(min_fidelity=2, backend=backend)
+        unit = spread_unit_params(16)
+        estimate = EstimatorLadder(synthetic_factory, SPECS, C35,
+                                   config).estimate_batch(unit)
+        pilot, main = backend.calls[-2:]
+        assert pilot == main == [(0, 6), (6, 12), (12, 16)]
+        serial = EstimatorLadder(
+            synthetic_factory, SPECS, C35,
+            fast_config(min_fidelity=2)).estimate_batch(unit)
+        assert np.array_equal(estimate.yield_estimate, serial.yield_estimate)
+        assert np.array_equal(estimate.std_error, serial.std_error)
 
     def test_one_pilot_and_one_main_pass(self, tmp_path):
         path = tmp_path / "events.jsonl"

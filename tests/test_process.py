@@ -229,7 +229,7 @@ class TestConcatenate:
     def test_single_sample_keeps_its_stream(self):
         sample = C35.sample(6, np.random.default_rng(3))
         stacked = ProcessSample.concatenate([sample])
-        assert stacked.rng is sample.rng
+        assert stacked.segments == sample.segments
         ref = C35.sample(6, np.random.default_rng(3))
         np.testing.assert_array_equal(
             stacked.device_variation(C35.pmos, 10e-6, 1e-6)[1],
