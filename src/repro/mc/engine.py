@@ -1,6 +1,6 @@
 """Monte-Carlo execution engine.
 
-Two entry points:
+Three entry points:
 
 * :func:`monte_carlo` -- MC on a single design: draw ``n`` die
   realisations, evaluate the (batched) performance function once, return
@@ -11,8 +11,11 @@ Two entry points:
   against fresh die samples and processed in lane-bounded chunks so the
   peak stacked-matrix memory stays constant regardless of how many points
   are swept.
+* :func:`evaluate_sigma_batch` -- evaluate one design at explicit
+  sigma-unit process coordinates (the surrogate trainer's seed batch,
+  the rare-event estimator's levels and final run).
 
-Both consume evaluator callables rather than circuits, so the same engine
+All three consume evaluator callables rather than circuits, so the same engine
 drives transistor-level OTAs, behavioural filters, plain functions in
 tests -- or a trained surrogate bundle
 (:meth:`repro.surrogate.SurrogateBundle.as_evaluator`), which swaps every
@@ -52,7 +55,8 @@ from ..exec import Backend, resolve_backend
 from ..process.pdk import ProcessKit
 from .sampler import child_streams, stream
 
-__all__ = ["MCConfig", "monte_carlo", "monte_carlo_points"]
+__all__ = ["MCConfig", "monte_carlo", "monte_carlo_points",
+           "evaluate_sigma_batch"]
 
 
 @dataclass(frozen=True)
@@ -277,4 +281,63 @@ def monte_carlo_points(evaluator, n_points: int, pdk: ProcessKit,
     if not parts:
         return {}
     return {name: np.concatenate([part[name] for part in parts], axis=0)
+            for name in parts[0]}
+
+
+def evaluate_sigma_batch(evaluator, pdk: ProcessKit, x: np.ndarray, *,
+                         seed: int, stage: str,
+                         include_mismatch: bool = True,
+                         backend=None, workers: int = 0,
+                         chunk_lanes: int = 4000,
+                         progress=None) -> dict[str, np.ndarray]:
+    """Evaluate a design at explicit sigma-unit process coordinates.
+
+    Parameters
+    ----------
+    evaluator:
+        Same contract as :func:`monte_carlo`: callable
+        ``(ProcessSample) -> dict[name, (S,) array]``.
+    x:
+        Sigma-unit coordinates, shape ``(N, len(GLOBAL_DIMS))``
+        (:meth:`~repro.process.pdk.ProcessKit.sample_from_sigma`
+        validates it).
+    seed, stage:
+        Root seed and stage key of the per-chunk mismatch streams
+        (child ``i`` of ``(seed, stage)`` for chunk ``i``; unused
+        randomness when ``include_mismatch`` is false, but the chunk
+        geometry is identical either way).
+    backend, workers, chunk_lanes:
+        Chunking and execution exactly as in :class:`MCConfig`.
+    progress:
+        Optional callback ``(chunks_done, chunks_total)`` fired per
+        completed chunk.
+
+    Returns
+    -------
+    Mapping performance name -> ``(N,)`` array, in input-row order.
+    """
+    x = np.asarray(x, dtype=float)
+    total = x.shape[0]
+    lanes = max(1, chunk_lanes)
+    n_chunks = max(1, (total + lanes - 1) // lanes)
+    rngs = child_streams(seed, stage, n_chunks)
+    bounds = [(i * lanes, min((i + 1) * lanes, total), rngs[i])
+              for i in range(n_chunks)]
+
+    def run_chunk(task):
+        start, stop, rng = task
+        sample = pdk.sample_from_sigma(
+            x[start:stop], rng=rng if include_mismatch else None,
+            include_mismatch=include_mismatch)
+        performance = evaluator(sample)
+        return {name: np.asarray(values, dtype=float).reshape(-1)
+                for name, values in performance.items()}
+
+    on_done = None
+    if progress is not None:
+        def on_done(done, total_chunks, index):
+            progress(done, total_chunks)
+    parts = resolve_backend(backend, workers).run(run_chunk, bounds,
+                                                  progress=on_done)
+    return {name: np.concatenate([part[name] for part in parts])
             for name in parts[0]}

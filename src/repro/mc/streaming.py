@@ -53,7 +53,7 @@ from .statistics import (PopulationSummary, _cpk_from_moments,
                          _mean_is_degenerate)
 
 __all__ = [
-    "StreamingMoments", "P2Quantile", "QuantileSketch",
+    "StreamingMoments", "QuantileSketch",
     "StreamingAccumulator", "YieldCounter", "AdaptiveStop",
     "StreamingResult", "monte_carlo_streaming",
 ]
@@ -148,99 +148,6 @@ class StreamingMoments:
         moments.minimum = float(state[3])
         moments.maximum = float(state[4])
         return moments
-
-
-class P2Quantile:
-    """Single-quantile P² estimator (Jain & Chlamtac, 1985).
-
-    The classic constant-memory online quantile: five markers whose
-    heights are adjusted by a piecewise-parabolic interpolation as
-    samples stream in.  Use it when one quantile of an unbounded stream
-    must be tracked in O(1) memory and approximate answers suffice; the
-    engine's accumulators use the *mergeable* :class:`QuantileSketch`
-    instead (P² state cannot be combined across shards).
-
-    Below five observations the estimator simply interpolates the
-    sorted buffer, so small streams are exact.
-    """
-
-    __slots__ = ("q", "_heights", "_positions", "_desired", "_increment")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError("quantile must lie in (0, 1)")
-        self.q = q
-        self._heights: list[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q,
-                         3.0 + 2.0 * q, 5.0]
-        self._increment = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    def update(self, values) -> "P2Quantile":
-        """Fold samples into the estimate (scalar P² marker updates)."""
-        for value in np.asarray(values, dtype=float).reshape(-1):
-            if math.isnan(value):
-                raise ValueError(
-                    "samples contain NaN; repair failed lanes first")
-            self._observe(float(value))
-        return self
-
-    def _observe(self, x: float) -> None:
-        h = self._heights
-        if len(h) < 5:
-            h.append(x)
-            h.sort()
-            return
-        # Locate the cell and bump marker positions above it.
-        if x < h[0]:
-            h[0] = x
-            k = 0
-        elif x >= h[4]:
-            h[4] = x
-            k = 3
-        else:
-            k = next(i for i in range(4) if h[i] <= x < h[i + 1])
-        pos = self._positions
-        for i in range(k + 1, 5):
-            pos[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increment[i]
-        # Adjust the three interior markers toward their desired ranks.
-        for i in (1, 2, 3):
-            d = self._desired[i] - pos[i]
-            if (d >= 1.0 and pos[i + 1] - pos[i] > 1.0) or \
-               (d <= -1.0 and pos[i - 1] - pos[i] < -1.0):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:  # parabolic prediction left the bracket: linear
-                    j = i + int(step)
-                    h[i] += step * (h[j] - h[i]) / (pos[j] - pos[i])
-                pos[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, pos = self._heights, self._positions
-        return h[i] + step / (pos[i + 1] - pos[i - 1]) * (
-            (pos[i] - pos[i - 1] + step) * (h[i + 1] - h[i])
-            / (pos[i + 1] - pos[i])
-            + (pos[i + 1] - pos[i] - step) * (h[i] - h[i - 1])
-            / (pos[i] - pos[i - 1]))
-
-    @property
-    def n(self) -> int:
-        """Number of samples observed."""
-        if len(self._heights) < 5:
-            return len(self._heights)
-        return int(self._positions[4])
-
-    def value(self) -> float:
-        """Current quantile estimate."""
-        if not self._heights:
-            raise ValueError("no samples observed")
-        if len(self._heights) < 5:
-            return float(np.quantile(np.array(self._heights), self.q))
-        return self._heights[2]
 
 
 class QuantileSketch:

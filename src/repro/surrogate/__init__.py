@@ -29,14 +29,12 @@ from .estimator import (SurrogateConfig, SurrogateYieldEstimate,
                         SurrogateYieldEstimator, estimate_yield_surrogate)
 from .regression import (SURROGATE_KINDS, PolynomialSurrogate, RBFSurrogate,
                          fit_surrogate)
-from .train import (SurrogateBundle, evaluate_sigma_batch, load_surrogates,
-                    save_surrogates, surrogate_arrays, surrogates_from_arrays,
-                    train_surrogates)
+from .train import (SurrogateBundle, load_surrogates, save_surrogates,
+                    surrogate_arrays, surrogates_from_arrays, train_surrogates)
 
 __all__ = [
     "PolynomialSurrogate", "RBFSurrogate", "SURROGATE_KINDS", "fit_surrogate",
-    "SurrogateBundle", "train_surrogates", "evaluate_sigma_batch",
-    "save_surrogates", "load_surrogates",
+    "SurrogateBundle", "train_surrogates", "save_surrogates", "load_surrogates",
     "surrogate_arrays", "surrogates_from_arrays",
     "SurrogateConfig", "SurrogateYieldEstimate", "SurrogateYieldEstimator",
     "estimate_yield_surrogate",

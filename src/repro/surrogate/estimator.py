@@ -47,7 +47,7 @@ from ..measure.specs import SpecSet
 from ..process.pdk import GLOBAL_DIMS, ProcessKit
 from ..yieldmodel.estimator import (YieldEstimate, estimate_yield,
                                     normal_interval)
-from .train import SurrogateBundle, evaluate_sigma_batch, train_surrogates
+from .train import SurrogateBundle, _surrogate_batch, train_surrogates
 
 __all__ = ["SurrogateConfig", "SurrogateYieldEstimate",
            "SurrogateYieldEstimator", "estimate_yield_surrogate"]
@@ -311,7 +311,7 @@ class SurrogateYieldEstimator:
             picks = eligible[np.argsort(ambiguity[eligible],
                                         kind="stable")][:per_round]
             taken[picks] = True
-            truth = evaluate_sigma_batch(
+            truth = _surrogate_batch(
                 self.evaluator, self.pdk, xs[picks], seed=config.seed,
                 stage=f"surrogate-refine{round_no}",
                 include_mismatch=config.include_mismatch,

@@ -32,69 +32,33 @@ import numpy as np
 
 from .. import telemetry
 from ..errors import SurrogateError
-from ..exec import resolve_backend
-from ..mc.sampler import child_streams, latin_hypercube_normal, stream
+from ..mc.engine import evaluate_sigma_batch
+from ..mc.sampler import latin_hypercube_normal, stream
 from ..process.pdk import GLOBAL_DIMS, ProcessKit
 from .regression import (SURROGATE_KINDS, PolynomialSurrogate, RBFSurrogate,
                          fit_surrogate)
 
-__all__ = ["SurrogateBundle", "train_surrogates", "evaluate_sigma_batch",
-           "save_surrogates", "load_surrogates"]
+__all__ = ["SurrogateBundle", "train_surrogates", "save_surrogates",
+           "load_surrogates"]
 
 
-def evaluate_sigma_batch(evaluator, pdk: ProcessKit, x: np.ndarray, *,
-                         seed: int = 2008, stage: str = "surrogate-train",
-                         include_mismatch: bool = True,
-                         backend=None, workers: int = 0,
-                         chunk_lanes: int = 4000) -> dict[str, np.ndarray]:
-    """Evaluate a design at explicit sigma-unit process coordinates.
+def _surrogate_batch(evaluator, pdk: ProcessKit, x: np.ndarray, *,
+                     stage: str, chunk_lanes: int = 4000,
+                     **options) -> dict[str, np.ndarray]:
+    """Simulate surrogate training samples at sigma coordinates ``x``.
 
-    Parameters
-    ----------
-    evaluator:
-        Same contract as :func:`repro.mc.engine.monte_carlo`: callable
-        ``(ProcessSample) -> dict[name, (S,) array]``.
-    x:
-        Sigma-unit coordinates, shape ``(N, len(GLOBAL_DIMS))``.
-    seed, stage:
-        Root seed and stage key of the per-chunk mismatch streams
-        (unused randomness when ``include_mismatch`` is false, but the
-        chunk geometry is identical either way).
-    backend, workers, chunk_lanes:
-        Chunking and execution exactly as in
-        :class:`repro.mc.engine.MCConfig`.
-
-    Returns
-    -------
-    Mapping performance name -> ``(N,)`` array, in input-row order.
+    :func:`repro.mc.engine.evaluate_sigma_batch` (``options`` are its
+    ``seed``, ``include_mismatch``, ``backend`` and ``workers``) under
+    one ``surrogate.batch`` span, counting the lanes in
+    ``surrogate.evaluations``.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != len(GLOBAL_DIMS):
-        raise SurrogateError(
-            f"sigma batch must have shape (N, {len(GLOBAL_DIMS)}), "
-            f"got {x.shape}")
-    total = x.shape[0]
-    lanes = max(1, chunk_lanes)
-    n_chunks = max(1, (total + lanes - 1) // lanes)
-    rngs = child_streams(seed, stage, n_chunks)
-    bounds = [(i * lanes, min((i + 1) * lanes, total), rngs[i])
-              for i in range(n_chunks)]
-
-    def run_chunk(task):
-        start, stop, rng = task
-        sample = pdk.sample_from_sigma(
-            x[start:stop], rng=rng if include_mismatch else None,
-            include_mismatch=include_mismatch)
-        performance = evaluator(sample)
-        return {name: np.asarray(values, dtype=float).reshape(-1)
-                for name, values in performance.items()}
-
+    total = len(x)
+    chunks = max(1, -(-total // max(1, chunk_lanes)))
     with telemetry.span("surrogate.batch", stage=stage, samples=total,
-                        chunks=len(bounds)):
+                        chunks=chunks):
         telemetry.counter_add("surrogate.evaluations", total)
-        parts = resolve_backend(backend, workers).run(run_chunk, bounds)
-    return {name: np.concatenate([part[name] for part in parts])
-            for name in parts[0]}
+        return evaluate_sigma_batch(evaluator, pdk, x, stage=stage,
+                                    chunk_lanes=chunk_lanes, **options)
 
 
 class SurrogateBundle:
@@ -227,11 +191,11 @@ def train_surrogates(evaluator, pdk: ProcessKit, *, n_train: int = 96,
     with telemetry.span("surrogate.train", n_train=n_train, kind=kind):
         x = latin_hypercube_normal(stream(seed, "surrogate-lhs"), n_train,
                                    len(GLOBAL_DIMS))
-        y = evaluate_sigma_batch(evaluator, pdk, x, seed=seed,
-                                 stage="surrogate-train",
-                                 include_mismatch=include_mismatch,
-                                 backend=backend, workers=workers,
-                                 chunk_lanes=chunk_lanes)
+        y = _surrogate_batch(evaluator, pdk, x, seed=seed,
+                             stage="surrogate-train",
+                             include_mismatch=include_mismatch,
+                             backend=backend, workers=workers,
+                             chunk_lanes=chunk_lanes)
         models = {name: fit_surrogate(kind, x, values)
                   for name, values in y.items()}
     return SurrogateBundle(models, kind, x, y, pdk.name)

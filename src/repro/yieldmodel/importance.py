@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import telemetry
+from ..errors import YieldModelError
 from ..mc.sampler import stream
 from ..measure.specs import SpecSet
 from ..process.pdk import GLOBAL_DIMS, ProcessKit, ProcessSample
@@ -91,6 +92,17 @@ class ImportanceSamplingConfig:
     pilot_quantile: float = 0.10
     include_mismatch: bool = True
     confidence: float = 0.95
+
+    def __post_init__(self) -> None:
+        if self.pilot_samples < 2 or self.n_samples < 2:
+            raise YieldModelError(
+                "pilot_samples and n_samples must be >= 2")
+        if not self.max_shift_sigma > 0.0:
+            raise YieldModelError("max_shift_sigma must be positive")
+        if not 0.0 < self.pilot_quantile <= 1.0:
+            raise YieldModelError("pilot_quantile must lie in (0, 1]")
+        if not 0.0 < self.confidence < 1.0:
+            raise YieldModelError("confidence must lie in (0, 1)")
 
 
 @dataclass
@@ -166,20 +178,31 @@ class ImportanceSamplingEstimate:
                 f"  proposal shift: {shift}")
 
 
-def _draw_shifted(pdk: ProcessKit, size: int, rng: np.random.Generator,
-                  shift: np.ndarray, include_mismatch: bool
-                  ) -> tuple[ProcessSample, np.ndarray, np.ndarray]:
-    """Proposal draw returning ``(sample, weights, x)``.
+def _draw_shifted(rng: np.random.Generator, size: int,
+                  shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Proposal draw ``(x, weights)``: sigma coordinates from
+    ``N(shift, I)`` and their exact likelihood ratios
+    ``N(x; 0, I) / N(x; shift, I)``.
 
     ``x`` are the raw standard-normal-frame draws (sigma units, before
     the PDK's -4-sigma positivity clip), which the pilot stage feeds to
     the mean-shift construction without a lossy round-trip through the
-    clipped natural-unit values.
+    clipped natural-unit values.  The rare-event walk
+    (:mod:`repro.yieldmodel.rare`) draws its levels and final run here
+    too.
     """
     x = shift[None, :] + rng.normal(size=(size, len(GLOBAL_DIMS)))
     # log[N(x;0,I)/N(x;mu,I)] = sum_j mu_j * (mu_j - 2 x_j) / 2
     log_weights = 0.5 * np.sum(shift * (shift - 2.0 * x), axis=1)
-    weights = np.exp(log_weights)
+    return x, np.exp(log_weights)
+
+
+def _draw_sample(pdk: ProcessKit, size: int, rng: np.random.Generator,
+                 shift: np.ndarray, include_mismatch: bool
+                 ) -> tuple[ProcessSample, np.ndarray, np.ndarray]:
+    """:func:`_draw_shifted` realised as dies: ``(sample, weights, x)``,
+    with any local mismatch drawn from the same ``rng``."""
+    x, weights = _draw_shifted(rng, size, shift)
     sample = pdk.sample_from_sigma(x, rng=rng,
                                    include_mismatch=include_mismatch)
     return sample, weights, x
@@ -205,8 +228,8 @@ def shifted_sample(pdk: ProcessKit, size: int, rng: np.random.Generator,
     shift = np.asarray(shift_sigma, dtype=float)
     if shift.shape != (len(GLOBAL_DIMS),):
         raise ValueError(f"shift must have shape ({len(GLOBAL_DIMS)},)")
-    sample, weights, _ = _draw_shifted(pdk, size, rng, shift,
-                                       include_mismatch)
+    sample, weights, _ = _draw_sample(pdk, size, rng, shift,
+                                      include_mismatch)
     return sample, weights
 
 
@@ -286,9 +309,6 @@ def estimate_yield_importance_stacked(evaluate, specs: SpecSet,
         One :class:`ImportanceSamplingConfig` per design.
     """
     configs = list(configs)
-    for config in configs:
-        if config.pilot_samples < 2 or config.n_samples < 2:
-            raise ValueError("pilot_samples and n_samples must be >= 2")
     telemetry.counter_add("estimator.simulations", sum(
         config.pilot_samples + config.n_samples for config in configs))
 
@@ -296,9 +316,9 @@ def estimate_yield_importance_stacked(evaluate, specs: SpecSet,
     zero = np.zeros(len(GLOBAL_DIMS))
     with telemetry.span("yield.importance.pilot", samples=sum(
             config.pilot_samples for config in configs)):
-        pilots = [_draw_shifted(pdk, config.pilot_samples,
-                                stream(config.seed, "is-pilot"), zero,
-                                config.include_mismatch)
+        pilots = [_draw_sample(pdk, config.pilot_samples,
+                               stream(config.seed, "is-pilot"), zero,
+                               config.include_mismatch)
                   for config in configs]
         pilot_perfs = _split(evaluate([sample for sample, _, _ in pilots]),
                              [config.pilot_samples for config in configs])
@@ -312,9 +332,9 @@ def estimate_yield_importance_stacked(evaluate, specs: SpecSet,
     # Main run: shifted proposals + likelihood-ratio reweighting.
     with telemetry.span("yield.importance.main", samples=sum(
             config.n_samples for config in configs)):
-        mains = [_draw_shifted(pdk, config.n_samples,
-                               stream(config.seed, "is-main"), shift,
-                               config.include_mismatch)
+        mains = [_draw_sample(pdk, config.n_samples,
+                              stream(config.seed, "is-main"), shift,
+                              config.include_mismatch)
                  for config, shift in zip(configs, shifts, strict=True)]
         main_perfs = _split(evaluate([sample for sample, _, _ in mains]),
                             [config.n_samples for config in configs])
@@ -340,14 +360,7 @@ def _reduce(config: ImportanceSamplingConfig, shift: np.ndarray,
             weights: np.ndarray, fail: np.ndarray,
             pilot_fail: np.ndarray) -> ImportanceSamplingEstimate:
     """The weighted estimate of one design's main run."""
-    contributions = weights * fail
-    failure_probability = float(np.mean(contributions))
-    std_error = float(np.std(contributions, ddof=1)
-                      / np.sqrt(config.n_samples))
-    weight_sum = float(np.sum(weights))
-    weight_sq = float(np.sum(weights * weights))
-    ess = (weight_sum * weight_sum / weight_sq) if weight_sq > 0 else 0.0
-
+    failure_probability, std_error, ess = _weighted_failure(weights, fail)
     return ImportanceSamplingEstimate(
         yield_estimate=1.0 - failure_probability,
         std_error=std_error,
@@ -359,3 +372,22 @@ def _reduce(config: ImportanceSamplingConfig, shift: np.ndarray,
         weighted_failure=failure_probability,
         confidence=config.confidence,
     )
+
+
+def _weighted_failure(weights: np.ndarray, fail: np.ndarray
+                      ) -> tuple[float, float, float]:
+    """``(p, std_error, ess)`` of a weighted proposal run.
+
+    ``p = mean(w * fail)`` is the unbiased failure-probability estimate,
+    ``std_error`` the sample deviation of ``w * fail`` over ``sqrt(n)``,
+    and ``ess`` the Kish effective sample size ``(sum w)^2 / sum w^2``.
+    Shared by the importance sampler's main run and the rare-event
+    estimator's final run.
+    """
+    contributions = weights * fail
+    std_error = float(np.std(contributions, ddof=1)
+                      / np.sqrt(contributions.size))
+    weight_sum = float(np.sum(weights))
+    weight_sq = float(np.sum(weights * weights))
+    ess = (weight_sum * weight_sum / weight_sq) if weight_sq > 0 else 0.0
+    return float(np.mean(contributions)), std_error, ess

@@ -40,11 +40,13 @@ die (negative = failing); the failure region is ``{g < 0}``.
 Every level is evaluated **lane-stacked** through the
 :mod:`repro.exec` backends: the level's sigma coordinates are drawn
 centrally from a dedicated stream (``(seed, "rare-level-k")``), then
-split into ``chunk_lanes``-bounded chunks whose evaluation -- and,
-when enabled, whose per-chunk local-mismatch stream -- is independent
-of where it runs.  Results are therefore **bit-identical across
-serial/thread/process backends and worker counts**, like every other
-estimator in the library.
+split by :func:`repro.mc.engine.evaluate_sigma_batch` into
+``chunk_lanes``-bounded chunks whose evaluation -- and, when enabled,
+whose per-chunk local-mismatch stream (child ``i`` of ``(seed,
+"rare-level-k-mismatch")``) -- is independent of where it runs.
+Results are therefore **bit-identical across serial/thread/process
+backends and worker counts**, like every other estimator in the
+library.
 
 The returned :class:`RareEventResult` carries the failure probability
 with a confidence interval, the equivalent sigma level
@@ -58,17 +60,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .. import telemetry
 from ..errors import YieldModelError
-from ..exec import resolve_backend
-from ..mc.sampler import child_streams, stream
+from ..mc.engine import evaluate_sigma_batch
+from ..mc.sampler import stream
 from ..measure.specs import SpecSet
 from ..process.pdk import GLOBAL_DIMS, ProcessKit
 from .estimator import _erfinv, normal_interval, z_value
-from .importance import _aggregate_margin
+from .importance import _aggregate_margin, _draw_shifted, _weighted_failure
 
 __all__ = ["RareEventConfig", "RareLevel", "RareEventResult",
            "estimate_yield_rare", "equivalent_sigma",
@@ -271,8 +274,12 @@ class RareEventResult:
     @property
     def sigma_level(self) -> float:
         """Equivalent sigma of the failure probability
-        (``-Phi^-1(p_fail)``)."""
-        return equivalent_sigma(self.p_fail)
+        (``-Phi^-1(p_fail)``).
+
+        The weighted estimate is unbiased but not bounded, so a noisy
+        one can exceed 1; it is clamped to ``[0, 1]`` here only.
+        """
+        return equivalent_sigma(min(max(self.p_fail, 0.0), 1.0))
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -330,58 +337,6 @@ class RareEventResult:
         return "\n".join(lines)
 
 
-def _chunk_margins(evaluator, specs: SpecSet, pdk: ProcessKit,
-                   x: np.ndarray, *, config: RareEventConfig,
-                   stage: str, progress=None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate margins + fail mask of sigma coordinates ``x``, chunked.
-
-    The chunk sweep runs on the configured :mod:`repro.exec` backend;
-    with mismatch enabled each chunk owns a private derived stream
-    (``(seed, "<stage>-mismatch")`` child ``i``), so results are
-    bit-identical across backends and worker counts -- the mismatch
-    draw never crosses a chunk boundary.
-    """
-    total = x.shape[0]
-    lanes = config.chunk_lanes
-    n_chunks = max(1, (total + lanes - 1) // lanes)
-    if config.include_mismatch:
-        rngs = child_streams(config.seed, f"{stage}-mismatch", n_chunks)
-    else:
-        rngs = [None] * n_chunks
-    bounds = [(i * lanes, min((i + 1) * lanes, total), rngs[i])
-              for i in range(n_chunks)]
-
-    def run_chunk(task):
-        start, stop, rng = task
-        sample = pdk.sample_from_sigma(
-            x[start:stop], rng=rng,
-            include_mismatch=config.include_mismatch)
-        performance = {name: np.asarray(values, dtype=float).reshape(-1)
-                       for name, values in evaluator(sample).items()}
-        fail = ~specs.pass_mask(performance)
-        margins = _aggregate_margin(performance, specs)
-        return margins, fail
-
-    backend = resolve_backend(config.backend, config.workers)
-    on_done = None
-    if progress is not None:
-        def on_done(done, total_tasks, index):
-            progress(stage, done, total_tasks)
-    parts = backend.run(run_chunk, bounds, progress=on_done)
-    return (np.concatenate([part[0] for part in parts]),
-            np.concatenate([part[1] for part in parts]))
-
-
-def _draw_level(rng: np.random.Generator, size: int,
-                shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Draw sigma coordinates from ``N(shift, I)`` with their exact
-    likelihood ratios ``N(x; 0, I) / N(x; shift, I)``."""
-    x = shift[None, :] + rng.normal(size=(size, len(GLOBAL_DIMS)))
-    log_weights = 0.5 * np.sum(shift * (shift - 2.0 * x), axis=1)
-    return x, np.exp(log_weights)
-
-
 def estimate_yield_rare(evaluator, specs: SpecSet, pdk: ProcessKit,
                         config: RareEventConfig | None = None, *,
                         progress=None) -> RareEventResult:
@@ -407,22 +362,38 @@ def estimate_yield_rare(evaluator, specs: SpecSet, pdk: ProcessKit,
     """
     config = config or RareEventConfig()
 
+    def margins_and_fails(stage: str, x: np.ndarray):
+        # Chunk i draws its mismatch from child i of (seed,
+        # "<stage>-mismatch"), so results are bit-identical across
+        # backends and worker counts.
+        performance = evaluate_sigma_batch(
+            evaluator, pdk, x, seed=config.seed, stage=f"{stage}-mismatch",
+            include_mismatch=config.include_mismatch,
+            backend=config.backend, workers=config.workers,
+            chunk_lanes=config.chunk_lanes,
+            progress=None if progress is None else partial(progress, stage))
+        return (_aggregate_margin(performance, specs),
+                ~specs.pass_mask(performance))
+
     # Phase 1: multilevel splitting walk toward the failure region.
     shift = np.zeros(len(GLOBAL_DIMS))
     levels: list[RareLevel] = []
     converged = False
     for index in range(config.max_levels):
-        rng = stream(config.seed, f"rare-level-{index}")
-        x, _ = _draw_level(rng, config.n_per_level, shift)
+        stage = f"rare-level-{index}"
+        x, _ = _draw_shifted(stream(config.seed, stage),
+                             config.n_per_level, shift)
         with telemetry.span("rare.level", index=index,
                             samples=config.n_per_level):
             telemetry.counter_add("estimator.simulations",
                                   config.n_per_level)
-            margins, fail = _chunk_margins(
-                evaluator, specs, pdk, x, config=config,
-                stage=f"rare-level-{index}", progress=progress)
-        threshold = max(
-            float(np.quantile(margins, config.level_quantile)), 0.0)
+            margins, fail = margins_and_fails(stage, x)
+        # An unmeasurable lane has margin -inf, and a quantile
+        # interpolated from a -inf margin can be NaN: treat it as having
+        # reached the failure region, or the walk would never stop.
+        with np.errstate(invalid="ignore"):
+            quantile = float(np.quantile(margins, config.level_quantile))
+        threshold = 0.0 if math.isnan(quantile) else max(quantile, 0.0)
         elite = margins <= threshold
         if not np.any(elite):
             # Degenerate margins (all identical, above the quantile):
@@ -449,21 +420,13 @@ def estimate_yield_rare(evaluator, specs: SpecSet, pdk: ProcessKit,
     # proposal.  The final stream is independent of every level stream,
     # so the shift is fixed by independent randomness and the weighted
     # estimator below is exactly unbiased.
-    rng = stream(config.seed, "rare-final")
-    x, weights = _draw_level(rng, config.n_final, shift)
+    x, weights = _draw_shifted(stream(config.seed, "rare-final"),
+                               config.n_final, shift)
     with telemetry.span("rare.final", samples=config.n_final,
                         levels=len(levels)):
         telemetry.counter_add("estimator.simulations", config.n_final)
-        _, fail = _chunk_margins(
-            evaluator, specs, pdk, x, config=config,
-            stage="rare-final", progress=progress)
-    contributions = weights * fail
-    p_fail = float(np.mean(contributions))
-    std_error = float(np.std(contributions, ddof=1)
-                      / math.sqrt(config.n_final))
-    weight_sum = float(np.sum(weights))
-    weight_sq = float(np.sum(weights * weights))
-    ess = (weight_sum * weight_sum / weight_sq) if weight_sq > 0 else 0.0
+        _, fail = margins_and_fails("rare-final", x)
+    p_fail, std_error, ess = _weighted_failure(weights, fail)
 
     return RareEventResult(
         p_fail=p_fail,

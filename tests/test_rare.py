@@ -20,8 +20,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import YieldModelError
-from repro.mc import MCConfig, monte_carlo
-from repro.process import C35
+from repro.mc import MCConfig, child_streams, monte_carlo, stream
+from repro.measure import Spec, SpecSet
+from repro.process import C35, GLOBAL_DIMS
 from repro.yieldmodel import (ImportanceSamplingConfig, RareEventConfig,
                               RareEventResult, RareLevel,
                               direct_mc_samples_for_halfwidth,
@@ -121,6 +122,76 @@ class TestGroundTruth:
         assert result.yield_estimate == 1.0 - result.p_fail
 
 
+class TestUnmeasurableLanes:
+    """A NaN performance (no UGF, no -3 dB point) is a failing die with
+    margin -inf; the walk must still converge on it."""
+
+    @staticmethod
+    def _problem_with_nan_tail(beta, cut):
+        problem = linear_gaussian_problem(beta)
+        measurable = problem.evaluator
+
+        def evaluator(sample):
+            z = measurable(sample)["margin_sigma"]
+            return {"margin_sigma": np.where(z > cut, np.nan, z)}
+
+        return problem, evaluator
+
+    def test_walk_converges_through_nan_margins(self):
+        # The metric is unmeasurable beyond beta + 0.3, so the true
+        # failure probability is still exactly Phi(-beta).  A quantile
+        # landing among the -inf margins used to be NaN, which
+        # max(nan, 0) kept: the walk burned every level unconverged.
+        problem, evaluator = self._problem_with_nan_tail(4.0, 4.3)
+        budgets = dict(n_per_level=400, n_final=800, max_levels=8)
+        finite = _rare(problem, **budgets)
+        result = estimate_yield_rare(
+            evaluator, problem.specs, problem.pdk,
+            RareEventConfig(include_mismatch=False, confidence=0.999,
+                            chunk_lanes=1000, **budgets))
+        assert result.levels_converged
+        assert result.n_levels == finite.n_levels
+        assert result.total_simulations == finite.total_simulations
+        assert all(np.isfinite(level.threshold) for level in result.levels)
+        lo, hi = result.interval
+        assert lo <= problem.p_fail <= hi
+
+
+class TestStreamKeys:
+    """Level 0 recomputed test-side from the documented streams."""
+
+    def test_level_zero_uses_its_mismatch_stage_key(self):
+        # The linear-Gaussian fixture ignores mismatch, so this
+        # evaluator reads the local threshold-voltage draw instead.
+        sigma_vto = float(C35.global_sigmas()[0])
+        beta, seed, lanes, chunks = 1.0, 11, 100, 3
+
+        def evaluator(sample):
+            dvt, _ = sample.device_variation(C35.nmos, 1e-6, 1e-6)
+            return {"metric": dvt / sigma_vto}
+
+        specs = SpecSet([Spec("metric", "le", beta)])
+        config = RareEventConfig(n_per_level=lanes * chunks, n_final=100,
+                                 max_levels=1, chunk_lanes=lanes,
+                                 include_mismatch=True, seed=seed)
+        level = estimate_yield_rare(evaluator, specs, C35, config).levels[0]
+
+        x = stream(seed, "rare-level-0").normal(
+            size=(lanes * chunks, len(GLOBAL_DIMS)))
+        rngs = child_streams(seed, "rare-level-0-mismatch", chunks)
+        metric = np.concatenate([
+            evaluator(C35.sample_from_sigma(
+                x[i * lanes:(i + 1) * lanes], rng=rngs[i],
+                include_mismatch=True))["metric"]
+            for i in range(chunks)])
+        margins = (beta - metric) / beta
+        assert level.threshold == max(
+            float(np.quantile(margins, config.level_quantile)), 0.0)
+        assert level.failure_fraction == \
+            np.count_nonzero(metric > beta) / metric.size
+        assert 0.0 < level.failure_fraction < config.level_quantile
+
+
 class TestBitReproducibility:
     """The exec determinism contract, extended to the rare estimator."""
 
@@ -203,6 +274,32 @@ class TestDiagnostics:
                        n_per_level=300, n_final=300)
         assert not result.levels_converged
         assert "max_levels" in result.describe()
+
+    def test_sigma_level_clamps_an_estimate_above_one(self):
+        # The weighted estimate is unbiased but unbounded: a noisy final
+        # run can report p_fail > 1, which must not make the sigma
+        # readout (or describe()) raise.
+        result = RareEventResult(p_fail=1.016, std_error=0.5)
+        assert result.sigma_level == equivalent_sigma(1.0)
+        assert result.p_fail == 1.016
+        assert "p_fail 1.016e+00" in result.describe()
+        with pytest.raises(YieldModelError):
+            equivalent_sigma(result.p_fail)
+
+    def test_progress_fires_once_per_chunk(self):
+        calls = []
+        problem = linear_gaussian_problem(3.0)
+        result = estimate_yield_rare(
+            problem.evaluator, problem.specs, problem.pdk,
+            RareEventConfig(n_per_level=200, n_final=100, chunk_lanes=50,
+                            include_mismatch=False),
+            progress=lambda *args: calls.append(args))
+        expected = []
+        for index in range(result.n_levels):
+            expected += [(f"rare-level-{index}", done, 4)
+                         for done in range(1, 5)]
+        expected += [("rare-final", 1, 2), ("rare-final", 2, 2)]
+        assert calls == expected
 
     def test_progress_reports_every_stage(self):
         stages = []

@@ -277,6 +277,21 @@ class TestRequests:
             with pytest.raises(WorkloadError, match=match):
                 workload_from_request(request)
 
+    def test_rare_request_with_estimate_above_one_completes(self):
+        # A design that fails almost every die: the unbiased weighted
+        # estimate overshoots 1, and the sigma readout in the result's
+        # metadata used to raise "p_fail must lie in [0, 1]".
+        design = [4.509053750751453e-05, 2.1045708921051414e-06,
+                  3.2346603520669236e-05, 2.0600673736482e-06,
+                  3.8116403744904865e-05, 9.576846458965628e-07,
+                  2.4582118024797017e-05, 2.126314984422653e-06]
+        result = workload_from_request(
+            {"kind": "rare", "design": design, "n_per_level": 200,
+             "n_final": 400, "chunk_lanes": 200, "seed": 7000}).run()
+        assert result.value.p_fail > 1.0
+        assert result.meta["sigma_level"] == result.value.sigma_level
+        assert "p_fail" in result.meta["describe"]
+
     def test_rare_request_round_trips_through_cache(self, tmp_path):
         from repro.cache import ResultCache
         request = {"kind": "rare", "design": DESIGN, "n_per_level": 48,

@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.mc import (AdaptiveStop, MCConfig, P2Quantile, QuantileSketch,
+from repro.mc import (AdaptiveStop, MCConfig, QuantileSketch,
                       StreamingAccumulator, StreamingMoments, YieldCounter,
                       cpk, monte_carlo, monte_carlo_streaming, summarize)
 from repro.measure.specs import Spec, SpecSet
 from repro.process import C35
 from repro.yieldmodel import estimate_yield, estimate_yield_streaming
-from statcheck import normal_quantile_halfwidth
 
 
 def metric_evaluator(sample):
@@ -74,35 +73,6 @@ class TestStreamingMoments:
         moments = StreamingMoments().update([1.0, 4.0, -2.0])
         clone = StreamingMoments.from_state(moments.state())
         np.testing.assert_array_equal(clone.state(), moments.state())
-
-
-class TestP2Quantile:
-    def test_small_stream_is_exact(self):
-        p2 = P2Quantile(0.5).update([3.0, 1.0, 2.0])
-        assert p2.value() == 2.0
-
-    def test_converges_on_normal_stream(self):
-        # The P^2 marker error must stay below one sampling half-width
-        # of the corresponding exact quantile at this stream length --
-        # the scale at which the approximation is statistically free.
-        rng = np.random.default_rng(2)
-        data = rng.normal(0.0, 1.0, 20000)
-        for q in (0.25, 0.5, 0.9):
-            estimate = P2Quantile(q).update(data).value()
-            assert estimate == pytest.approx(
-                np.quantile(data, q),
-                abs=normal_quantile_halfwidth(q, len(data)))
-
-    def test_counts_samples(self):
-        assert P2Quantile(0.5).update(np.arange(100.0)).n == 100
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError, match="NaN"):
-            P2Quantile(0.5).update([np.nan])
-        with pytest.raises(ValueError, match="no samples"):
-            P2Quantile(0.5).value()
 
 
 class TestQuantileSketch:

@@ -8,13 +8,13 @@ from repro.designs.filter2 import (FilterCaps, build_filter_transistor,
                                    evaluate_filter)
 from repro.errors import ReproError, SurrogateError
 from repro.flow import FlowConfig, run_model_build_flow, save_flow_artifacts
-from repro.mc import MCConfig, monte_carlo
+from repro.mc import MCConfig, evaluate_sigma_batch, monte_carlo
 from repro.measure import Spec, SpecSet
 from repro.process import C35, GLOBAL_DIMS
 from repro.surrogate import (PolynomialSurrogate, RBFSurrogate,
                              SurrogateConfig, SurrogateYieldEstimator,
-                             estimate_yield_surrogate, evaluate_sigma_batch,
-                             fit_surrogate, load_surrogates, save_surrogates,
+                             estimate_yield_surrogate, fit_surrogate,
+                             load_surrogates, save_surrogates,
                              train_surrogates)
 from repro.yieldmodel import estimate_yield
 
@@ -132,10 +132,11 @@ def _synthetic_evaluator(pdk):
 class TestTrainingAndBundle:
     def test_backend_invariance_of_training_batches(self):
         x = np.random.default_rng(4).normal(size=(64, 5))
+        options = dict(seed=2008, stage="surrogate-train", chunk_lanes=16)
         serial = evaluate_sigma_batch(_synthetic_evaluator(C35), C35, x,
-                                      backend="serial", chunk_lanes=16)
+                                      backend="serial", **options)
         threaded = evaluate_sigma_batch(_synthetic_evaluator(C35), C35, x,
-                                        backend="thread:3", chunk_lanes=16)
+                                        backend="thread:3", **options)
         for name in serial:
             np.testing.assert_array_equal(serial[name], threaded[name])
 
