@@ -1,11 +1,10 @@
 """Tour of the circuit-simulation substrate with SPICE-style netlists.
 
 The paper's flow sits on a full analogue simulator; this example drives
-it the classic way -- text netlists -- and exercises every analysis:
+it the classic way -- text netlists -- through its DC and AC analyses:
 
 * DC operating point of a two-stage amplifier described in SPICE,
 * AC transfer function of an RLC bandpass,
-* transient step response of an RC network,
 * a subcircuit-based R-2R ladder DAC sanity check.
 
 Run:  python examples/spice_netlist_tour.py
@@ -13,9 +12,7 @@ Run:  python examples/spice_netlist_tour.py
 
 import numpy as np
 
-from repro.analysis import (ac_analysis, dc_operating_point,
-                            log_frequencies, transient_analysis)
-from repro.circuit import Pulse
+from repro.analysis import ac_analysis, dc_operating_point, log_frequencies
 from repro.circuit.parser import parse_netlist
 from repro.process import C35
 
@@ -76,19 +73,6 @@ def main() -> None:
     print(f"\nRLC bandpass: analytic f0 = {f0 / 1e6:.3f} MHz, "
           f"measured peak = {peak / 1e6:.3f} MHz, "
           f"|Z| at peak = {impedance.max():.1f} ohm (R = 1k)")
-
-    # -- transient ---------------------------------------------------------------
-    rc = parse_netlist("""
-    V1 in 0 DC 0
-    R1 in out 1k
-    C1 out 0 100n
-    """)
-    rc.element("V1").waveform = Pulse(0.0, 1.0, rise=1e-9, width=1.0)
-    tran = transient_analysis(rc, t_stop=5e-4, dt=1e-6)
-    v_end = tran.v("out")[0][-1]
-    tau_samples = tran.v("out")[0][100]  # t = 1e-4 s = 1 tau
-    print(f"\nRC step response: v(tau) = {tau_samples:.3f} V "
-          f"(analytic 0.632), v(5 tau) = {v_end:.3f} V")
 
     # -- R-2R ladder ---------------------------------------------------------------
     ladder = parse_netlist(R2R_LADDER)

@@ -123,7 +123,6 @@ class OperatingPoint:
 
 def _newton_attempt(assembler: Assembler, x0: np.ndarray, options: NewtonOptions,
                     *, gmin: float, source_scale: float,
-                    time: float | None = None,
                     lanes: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray, int]:
     """One damped-Newton run; returns ``(x, converged, iterations)``.
@@ -146,7 +145,7 @@ def _newton_attempt(assembler: Assembler, x0: np.ndarray, options: NewtonOptions
         subset = moving if lanes is None else lanes[moving]
         G, rhs = assembler.newton_system(
             x_moving, gmin=gmin + GMIN_FLOOR, source_scale=source_scale,
-            time=time, lanes=None if whole else subset)
+            lanes=None if whole else subset)
         try:
             x_new = solve_batched(G, rhs)
         except SingularMatrixError as exc:
@@ -172,19 +171,18 @@ def _newton_attempt(assembler: Assembler, x0: np.ndarray, options: NewtonOptions
 
 
 def _continuation(assembler: Assembler, x: np.ndarray, lanes: np.ndarray,
-                  steps, options: NewtonOptions, *, source_scale: float,
-                  time: float | None) -> tuple[np.ndarray, np.ndarray, int]:
+                  steps, options: NewtonOptions
+                  ) -> tuple[np.ndarray, np.ndarray, int]:
     """Walk ``lanes`` (starting at rows ``x``) through the continuation
     ``steps`` (``(gmin, source_scale)`` pairs), then a clean solve at
-    full ``source_scale``.  A lane that fails any step drops out; returns
+    full source scale.  A lane that fails any step drops out; returns
     ``(x, lanes, iterations)`` of the lanes that converged."""
     iterations = 0
-    for gmin, scale in [*steps, (0.0, source_scale)]:
+    for gmin, scale in [*steps, (0.0, 1.0)]:
         if not lanes.size:
             break
         x, ok, used = _newton_attempt(assembler, x, options, gmin=gmin,
-                                      source_scale=scale, time=time,
-                                      lanes=lanes)
+                                      source_scale=scale, lanes=lanes)
         iterations += used
         x, lanes = x[ok], lanes[ok]
     return x, lanes, iterations
@@ -192,8 +190,6 @@ def _continuation(assembler: Assembler, x: np.ndarray, lanes: np.ndarray,
 
 def dc_operating_point(circuit, *, options: NewtonOptions | None = None,
                        x0: np.ndarray | None = None,
-                       source_scale: float = 1.0,
-                       time: float | None = None,
                        assembler: Assembler | None = None) -> OperatingPoint:
     """Solve the DC operating point of ``circuit``.
 
@@ -209,12 +205,6 @@ def dc_operating_point(circuit, *, options: NewtonOptions | None = None,
         The circuit to solve; may be batched.
     x0:
         Optional initial guess ``(B, N)`` (warm start).
-    source_scale:
-        Fraction of the independent sources to apply (used internally by
-        source stepping; exposed for ramp studies).
-    time:
-        When set, sources take their transient value at ``time`` (used by
-        the transient integrator).
 
     Raises
     ------
@@ -232,16 +222,16 @@ def dc_operating_point(circuit, *, options: NewtonOptions | None = None,
 
     # Strategy 1: plain Newton from the initial guess.
     x_sol, converged, total_iterations = _newton_attempt(
-        assembler, x, options, gmin=0.0, source_scale=source_scale, time=time)
+        assembler, x, options, gmin=0.0, source_scale=1.0)
     strategy = "newton"
 
     # Strategy 2: gmin stepping from the initial guess; strategy 3:
     # source stepping from zero (with a light gmin safety net removed
     # at the final full-scale clean solve).
-    gmin_steps = [(10.0 ** exponent, source_scale) for exponent in
+    gmin_steps = [(10.0 ** exponent, 1.0) for exponent in
                   np.linspace(-options.gmin_start_exponent, -12,
                               options.gmin_steps)]
-    source_steps = [(1e-9, scale * source_scale) for scale in
+    source_steps = [(1e-9, scale) for scale in
                     np.linspace(1.0 / options.source_steps, 1.0,
                                 options.source_steps)]
     for name, steps in (("gmin", gmin_steps), ("source", source_steps)):
@@ -250,8 +240,7 @@ def dc_operating_point(circuit, *, options: NewtonOptions | None = None,
             break
         start = x[pending] if name == "gmin" else np.zeros((pending.size, n))
         x_lanes, solved, used = _continuation(
-            assembler, start, pending, steps, options,
-            source_scale=source_scale, time=time)
+            assembler, start, pending, steps, options)
         total_iterations += used
         x_sol[solved] = x_lanes
         converged[solved] = True

@@ -33,15 +33,10 @@ class StampContext:
     (index ``-1``), which keeps element stamping code branch-free.
     """
 
-    def __init__(self, n_unknowns: int, batch: int, *, time: float | None = None,
-                 source_scale: float = 1.0) -> None:
+    def __init__(self, n_unknowns: int, batch: int) -> None:
         self.G = np.zeros((batch, n_unknowns, n_unknowns))
         self.C = np.zeros((batch, n_unknowns, n_unknowns))
         self.rhs = np.zeros((batch, n_unknowns))
-        #: Multiplier applied by independent sources (source stepping).
-        self.source_scale = source_scale
-        #: Transient time; ``None`` outside transient analysis.
-        self.time = time
 
     def add_g(self, i: int, j: int, value) -> None:
         """Add ``value`` to the conductance matrix entry ``(i, j)``."""
@@ -292,16 +287,14 @@ class Assembler:
             element.bind_control(branch)
 
     # -- linear part ---------------------------------------------------------
-    def linear(self, *, time: float | None = None) -> StampContext:
-        """Linear stamps at unit source scale (cached for ``time is None``)."""
-        if time is None and self._linear_cache is not None:
-            return self._linear_cache
-        ctx = StampContext(self.n, self.batch, time=time, source_scale=1.0)
-        for element in self.circuit:
-            element.stamp(ctx)
-        if time is None:
+    def linear(self) -> StampContext:
+        """Linear stamps at unit source scale (cached)."""
+        if self._linear_cache is None:
+            ctx = StampContext(self.n, self.batch)
+            for element in self.circuit:
+                element.stamp(ctx)
             self._linear_cache = ctx
-        return ctx
+        return self._linear_cache
 
     def devices(self) -> DeviceStamps:
         """The compiled nonlinear devices (built on first use)."""
@@ -312,7 +305,6 @@ class Assembler:
     # -- Newton iteration ---------------------------------------------------------
     def newton_system(self, voltages: np.ndarray, *, gmin: float = 0.0,
                       source_scale: float = 1.0,
-                      time: float | None = None,
                       lanes: np.ndarray | None = None
                       ) -> tuple[np.ndarray, np.ndarray]:
         """Jacobian and right-hand side linearised at ``voltages``.
@@ -323,7 +315,7 @@ class Assembler:
         hold those lanes only, and every lane is stamped exactly as in
         the full batch.
         """
-        lin = self.linear(time=time)
+        lin = self.linear()
         system = self.devices().system(
             "newton", voltages, {"G": lin.G, "rhs": lin.rhs}, lanes=lanes,
             source_scale=source_scale, gmin=gmin)

@@ -1,7 +1,7 @@
 """Circuit representation: netlists, elements, devices, parser."""
 
-from .elements import (CCCS, CCVS, PWL, VCCS, VCVS, Capacitor, CurrentSource,
-                       Diode, Inductor, Pulse, Resistor, Sine, VoltageSource)
+from .elements import (CCCS, CCVS, VCCS, VCVS, Capacitor, CurrentSource, Diode,
+                       Inductor, Resistor, VoltageSource)
 from .mosfet import Mosfet, MOSModel
 from .netlist import Circuit, Element, is_ground
 
@@ -10,6 +10,6 @@ __all__ = [
     "Resistor", "Capacitor", "Inductor",
     "VoltageSource", "CurrentSource",
     "VCVS", "VCCS", "CCCS", "CCVS",
-    "Diode", "Pulse", "Sine", "PWL",
+    "Diode",
     "MOSModel", "Mosfet",
 ]

@@ -6,8 +6,8 @@ Stamp conventions (standard MNA):
   diagonal entries ``(a, a)``/``(b, b)`` and ``-g`` on ``(a, b)``/``(b, a)``.
 * Elements with branch-current unknowns (voltage sources, inductors, VCVS,
   CCVS) receive auxiliary rows from :meth:`Circuit.compile`.
-* Independent sources honour ``ctx.source_scale`` so the DC solver can
-  perform source stepping.
+* Independent sources are the only elements that stamp the right-hand
+  side, so the DC solver performs source stepping by scaling it.
 
 All element values accept scalars or 1-D batch arrays (see
 :mod:`repro.circuit.netlist`), and SPICE-style engineering strings such as
@@ -17,7 +17,6 @@ All element values accept scalars or 1-D batch arrays (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "VoltageSource", "CurrentSource",
     "VCVS", "VCCS", "CCCS", "CCVS",
     "Diode",
-    "Pulse", "Sine", "PWL",
 ]
 
 
@@ -40,68 +38,6 @@ def _value(x):
         return parse_si(x)
     arr = np.asarray(x, dtype=float)
     return float(arr) if arr.ndim == 0 else arr
-
-
-# ---------------------------------------------------------------------------
-# transient waveforms
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Pulse:
-    """SPICE PULSE waveform: ``v1 -> v2`` trapezoid, optionally periodic."""
-
-    v1: float
-    v2: float
-    delay: float = 0.0
-    rise: float = 1e-9
-    fall: float = 1e-9
-    width: float = 1e-6
-    period: float | None = None
-
-    def __call__(self, t: float) -> float:
-        if t < self.delay:
-            return self.v1
-        t = t - self.delay
-        if self.period is not None:
-            t = math.fmod(t, self.period)
-        if t < self.rise:
-            return self.v1 + (self.v2 - self.v1) * t / self.rise
-        t -= self.rise
-        if t < self.width:
-            return self.v2
-        t -= self.width
-        if t < self.fall:
-            return self.v2 + (self.v1 - self.v2) * t / self.fall
-        return self.v1
-
-
-@dataclass(frozen=True)
-class Sine:
-    """SPICE SIN waveform: ``vo + va*sin(2*pi*freq*(t-td))`` after ``td``."""
-
-    vo: float
-    va: float
-    freq: float
-    delay: float = 0.0
-
-    def __call__(self, t: float) -> float:
-        if t < self.delay:
-            return self.vo
-        return self.vo + self.va * math.sin(2.0 * math.pi * self.freq * (t - self.delay))
-
-
-class PWL:
-    """Piece-wise linear waveform through ``(time, value)`` points."""
-
-    def __init__(self, points) -> None:
-        pts = sorted((float(t), float(v)) for t, v in points)
-        if len(pts) < 2:
-            raise NetlistError("PWL waveform needs at least two points")
-        self.times = np.array([p[0] for p in pts])
-        self.values = np.array([p[1] for p in pts])
-
-    def __call__(self, t: float) -> float:
-        return float(np.interp(t, self.times, self.values))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +121,7 @@ class Inductor(Element):
 # ---------------------------------------------------------------------------
 
 class VoltageSource(Element):
-    """Independent voltage source with DC, AC and transient values.
+    """Independent voltage source with DC and AC values.
 
     Parameters
     ----------
@@ -193,19 +129,14 @@ class VoltageSource(Element):
         DC value (volts).
     ac_mag, ac_phase_deg:
         Small-signal excitation magnitude and phase for AC analysis.
-    waveform:
-        Optional callable ``t -> volts`` for transient analysis; when absent
-        the DC value is used.
     """
 
     def __init__(self, name: str, plus: str, minus: str, dc=0.0, *,
-                 ac_mag: float = 0.0, ac_phase_deg: float = 0.0,
-                 waveform=None) -> None:
+                 ac_mag: float = 0.0, ac_phase_deg: float = 0.0) -> None:
         super().__init__(name, (plus, minus))
         self.dc = _value(dc)
         self.ac_mag = float(ac_mag)
         self.ac_phase_deg = float(ac_phase_deg)
-        self.waveform = waveform
 
     def aux_count(self) -> int:
         return 1
@@ -225,9 +156,7 @@ class VoltageSource(Element):
         ctx.add_g(b, k, -1.0)
         ctx.add_g(k, a, 1.0)
         ctx.add_g(k, b, -1.0)
-        time = getattr(ctx, "time", None)
-        value = self.dc if time is None else self.value_at(time)
-        ctx.add_rhs(k, np.asarray(value, dtype=float) * ctx.source_scale)
+        ctx.add_rhs(k, np.asarray(self.dc, dtype=float))
 
     def ac_rhs(self, ctx) -> None:
         if self.ac_mag == 0.0:
@@ -236,34 +165,24 @@ class VoltageSource(Element):
         phase = math.radians(self.ac_phase_deg)
         ctx.add_rhs(k, self.ac_mag * complex(math.cos(phase), math.sin(phase)))
 
-    def value_at(self, t: float):
-        """Transient value at time ``t``."""
-        if self.waveform is not None:
-            return self.waveform(t)
-        return self.dc
-
 
 class CurrentSource(Element):
     """Independent current source; positive current flows ``plus -> minus``
     through the source (SPICE convention)."""
 
     def __init__(self, name: str, plus: str, minus: str, dc=0.0, *,
-                 ac_mag: float = 0.0, ac_phase_deg: float = 0.0,
-                 waveform=None) -> None:
+                 ac_mag: float = 0.0, ac_phase_deg: float = 0.0) -> None:
         super().__init__(name, (plus, minus))
         self.dc = _value(dc)
         self.ac_mag = float(ac_mag)
         self.ac_phase_deg = float(ac_phase_deg)
-        self.waveform = waveform
 
     def batch_size(self) -> int:
         return _param_batch(self.dc)
 
     def stamp(self, ctx) -> None:
         a, b = self._node_idx
-        time = getattr(ctx, "time", None)
-        value = self.dc if time is None else self.value_at(time)
-        dc = np.asarray(value, dtype=float) * ctx.source_scale
+        dc = np.asarray(self.dc, dtype=float)
         ctx.add_rhs(a, -dc)
         ctx.add_rhs(b, dc)
 
@@ -275,12 +194,6 @@ class CurrentSource(Element):
         excitation = self.ac_mag * complex(math.cos(phase), math.sin(phase))
         ctx.add_rhs(a, -excitation)
         ctx.add_rhs(b, excitation)
-
-    def value_at(self, t: float):
-        """Transient value at time ``t``."""
-        if self.waveform is not None:
-            return self.waveform(t)
-        return self.dc
 
 
 # ---------------------------------------------------------------------------

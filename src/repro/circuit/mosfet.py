@@ -365,10 +365,6 @@ class Mosfet(Element):
     def batch_size(self) -> int:
         return _param_batch(self.w, self.l, self.delta_vto, self.beta_scale)
 
-    def gate_area(self) -> np.ndarray:
-        """``W * Leff`` -- the area entering the Pelgrom mismatch law."""
-        return np.asarray(self.w, dtype=float) * self.leff
-
     # -- single-device evaluation ----------------------------------------------
     def _single(self, method, vgs, vds, vbs) -> list[np.ndarray]:
         """Run a :class:`MosfetBank` method for this device alone (D=1)."""

@@ -91,7 +91,7 @@ class LintGateError(LintError):
 
 
 class AnalysisError(ReproError):
-    """A circuit analysis (DC / AC / transient) failed."""
+    """A circuit analysis (DC / AC / noise) failed."""
 
 
 class ConvergenceError(AnalysisError):

@@ -2,7 +2,7 @@
 
 Turns AC sweep data into the scalar performance numbers the paper's flow
 optimises: low-frequency open-loop gain [dB], phase margin [deg],
-unity-gain frequency, -3 dB bandwidth, gain margin, plus the filter-mask
+unity-gain frequency and -3 dB bandwidth, plus the filter-mask
 measures (passband ripple, stopband attenuation) used by the section-5
 application example.
 
@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "dc_gain_db", "unity_gain_frequency", "phase_margin", "gain_margin_db",
-    "f3db", "value_at_frequency", "passband_ripple_db",
+    "dc_gain_db", "unity_gain_frequency", "phase_margin", "f3db",
+    "value_at_frequency", "passband_ripple_db",
     "stopband_attenuation_db", "crossing_frequency",
 ]
 
@@ -115,17 +115,6 @@ def phase_margin(freqs: np.ndarray, mag_db: np.ndarray,
     phase_at_unity = value_at_frequency(freqs, phase_deg, f_unity)
     lag = phase_deg[:, 0] - phase_at_unity
     return 180.0 - lag
-
-
-def gain_margin_db(freqs: np.ndarray, mag_db: np.ndarray,
-                   phase_deg: np.ndarray) -> np.ndarray:
-    """Gain margin: ``-|H|`` dB at the 180-degree phase-lag frequency."""
-    mag_db = np.atleast_2d(mag_db)
-    phase_deg = np.atleast_2d(phase_deg)
-    lag = phase_deg[:, :1] - phase_deg  # accumulated lag, (B, F)
-    f_180 = crossing_frequency(freqs, -lag, -180.0)
-    mag_at_180 = value_at_frequency(freqs, mag_db, f_180)
-    return -mag_at_180
 
 
 def f3db(freqs: np.ndarray, mag_db: np.ndarray) -> np.ndarray:

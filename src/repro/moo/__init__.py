@@ -6,7 +6,7 @@ from .hypervolume import hypervolume, hypervolume_2d
 from .nsga2 import NSGA2Result, run_nsga2
 from .pareto import (crowding_distance, dominates, fast_non_dominated_sort,
                      non_dominated_mask, pareto_front_indices)
-from .problem import FunctionProblem, Objective, OptimizationProblem
+from .problem import Objective, OptimizationProblem
 from .wbga import WBGAResult, normalise_weights, run_wbga
 
 __all__ = [
@@ -14,6 +14,6 @@ __all__ = [
     "NSGA2Result", "run_nsga2",
     "crowding_distance", "dominates", "fast_non_dominated_sort",
     "non_dominated_mask", "pareto_front_indices",
-    "FunctionProblem", "Objective", "OptimizationProblem",
+    "Objective", "OptimizationProblem",
     "WBGAResult", "normalise_weights", "run_wbga",
 ]

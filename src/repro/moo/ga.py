@@ -5,7 +5,7 @@ the paper's WBGA (:mod:`repro.moo.wbga`) and the NSGA-II reference
 implementation (:mod:`repro.moo.nsga2`):
 
 * binary tournament selection,
-* uniform and blend (BLX-alpha) crossover,
+* uniform crossover,
 * simulated binary crossover (SBX) and polynomial mutation (Deb's
   operators, used by NSGA-II),
 * Gaussian mutation with reflection at the bounds.
@@ -23,8 +23,8 @@ import numpy as np
 from ..errors import OptimizationError
 
 __all__ = ["GAConfig", "tournament_select", "uniform_crossover",
-           "blend_crossover", "sbx_crossover", "gaussian_mutation",
-           "polynomial_mutation", "reflect_into_bounds"]
+           "sbx_crossover", "gaussian_mutation", "polynomial_mutation",
+           "reflect_into_bounds"]
 
 
 @dataclass(frozen=True)
@@ -87,21 +87,6 @@ def uniform_crossover(parents_a: np.ndarray, parents_b: np.ndarray,
     skip = rng.random(parents_a.shape[0]) >= rate
     children[skip] = parents_a[skip]
     return children
-
-
-def blend_crossover(parents_a: np.ndarray, parents_b: np.ndarray,
-                    rate: float, rng: np.random.Generator,
-                    alpha: float = 0.35) -> np.ndarray:
-    """BLX-alpha crossover: children drawn uniformly from the per-gene
-    interval stretched by ``alpha`` beyond both parents."""
-    low = np.minimum(parents_a, parents_b)
-    high = np.maximum(parents_a, parents_b)
-    span = high - low
-    samples = rng.random(parents_a.shape)
-    children = low - alpha * span + samples * (1.0 + 2.0 * alpha) * span
-    skip = rng.random(parents_a.shape[0]) >= rate
-    children[skip] = parents_a[skip]
-    return reflect_into_bounds(children)
 
 
 def sbx_crossover(parents_a: np.ndarray, parents_b: np.ndarray,

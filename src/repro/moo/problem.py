@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import OptimizationError
 
-__all__ = ["Objective", "OptimizationProblem", "FunctionProblem"]
+__all__ = ["Objective", "OptimizationProblem"]
 
 
 @dataclass(frozen=True)
@@ -112,22 +112,3 @@ class OptimizationProblem:
     def objective_names(self) -> tuple[str, ...]:
         return tuple(obj.name for obj in self.objectives)
 
-
-class FunctionProblem(OptimizationProblem):
-    """Wrap a plain vectorised function as a problem (used heavily in
-    tests and by the filter-design example).
-
-    Parameters
-    ----------
-    function:
-        Callable ``(B, P) -> (B, M)`` over normalised parameters.
-    """
-
-    def __init__(self, function, parameter_names, objectives) -> None:
-        self.parameter_names = tuple(parameter_names)
-        self.objectives = tuple(objectives)
-        self._function = function
-        super().__init__()
-
-    def evaluate_batch(self, unit_params: np.ndarray) -> np.ndarray:
-        return self._function(unit_params)

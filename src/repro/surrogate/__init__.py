@@ -26,7 +26,7 @@ importance sampling, and corner bounding.
 """
 
 from .estimator import (SurrogateConfig, SurrogateYieldEstimate,
-                        SurrogateYieldEstimator, estimate_yield_surrogate)
+                        SurrogateYieldEstimator)
 from .regression import (SURROGATE_KINDS, PolynomialSurrogate, RBFSurrogate,
                          fit_surrogate)
 from .train import (SurrogateBundle, load_surrogates, save_surrogates,
@@ -37,5 +37,4 @@ __all__ = [
     "SurrogateBundle", "train_surrogates", "save_surrogates", "load_surrogates",
     "surrogate_arrays", "surrogates_from_arrays",
     "SurrogateConfig", "SurrogateYieldEstimate", "SurrogateYieldEstimator",
-    "estimate_yield_surrogate",
 ]

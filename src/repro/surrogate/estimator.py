@@ -50,7 +50,7 @@ from ..yieldmodel.estimator import (YieldEstimate, estimate_yield,
 from .train import SurrogateBundle, _surrogate_batch, train_surrogates
 
 __all__ = ["SurrogateConfig", "SurrogateYieldEstimate",
-           "SurrogateYieldEstimator", "estimate_yield_surrogate"]
+           "SurrogateYieldEstimator"]
 
 
 @dataclass(frozen=True)
@@ -386,13 +386,3 @@ class SurrogateYieldEstimator:
         estimate.consistent_with_control = consistent
         return estimate
 
-
-def estimate_yield_surrogate(evaluator, specs: SpecSet, pdk: ProcessKit,
-                             config: SurrogateConfig | None = None
-                             ) -> SurrogateYieldEstimate:
-    """One-call convenience wrapper around :class:`SurrogateYieldEstimator`.
-
-    Same evaluator contract as :func:`repro.mc.engine.monte_carlo`;
-    returns the cross-checked :class:`SurrogateYieldEstimate`.
-    """
-    return SurrogateYieldEstimator(evaluator, specs, pdk, config).estimate()

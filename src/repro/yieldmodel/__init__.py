@@ -6,7 +6,7 @@ from .estimator import (YieldEstimate, estimate_yield,
                         wilson_interval, z_value)
 from .importance import (ImportanceSamplingConfig, ImportanceSamplingEstimate,
                          estimate_yield_importance,
-                         estimate_yield_importance_stacked, shifted_sample)
+                         estimate_yield_importance_stacked)
 from .rare import (RareEventConfig, RareEventResult, RareLevel,
                    direct_mc_samples_for_halfwidth, equivalent_sigma,
                    estimate_yield_rare)
@@ -20,7 +20,6 @@ __all__ = [
     "wilson_interval", "normal_interval", "z_value",
     "ImportanceSamplingConfig", "ImportanceSamplingEstimate",
     "estimate_yield_importance", "estimate_yield_importance_stacked",
-    "shifted_sample",
     "RareEventConfig", "RareEventResult", "RareLevel",
     "estimate_yield_rare", "equivalent_sigma",
     "direct_mc_samples_for_halfwidth",

@@ -53,8 +53,7 @@ from ..process.pdk import GLOBAL_DIMS, ProcessKit, ProcessSample
 from .estimator import YieldEstimate, normal_interval
 
 __all__ = ["ImportanceSamplingConfig", "ImportanceSamplingEstimate",
-           "estimate_yield_importance", "estimate_yield_importance_stacked",
-           "shifted_sample"]
+           "estimate_yield_importance", "estimate_yield_importance_stacked"]
 
 
 @dataclass(frozen=True)
@@ -206,31 +205,6 @@ def _draw_sample(pdk: ProcessKit, size: int, rng: np.random.Generator,
     sample = pdk.sample_from_sigma(x, rng=rng,
                                    include_mismatch=include_mismatch)
     return sample, weights, x
-
-
-def shifted_sample(pdk: ProcessKit, size: int, rng: np.random.Generator,
-                   shift_sigma: np.ndarray, *,
-                   include_mismatch: bool = True
-                   ) -> tuple[ProcessSample, np.ndarray]:
-    """Draw dies from the mean-shifted proposal with their weights.
-
-    Parameters
-    ----------
-    shift_sigma:
-        Proposal mean in sigma units, :data:`GLOBAL_DIMS` order.  The
-        zero vector reproduces the nominal distribution (weights all 1).
-
-    Returns
-    -------
-    ``(sample, weights)``: a :class:`ProcessSample` of ``size`` dies and
-    the per-die likelihood ratios ``N(x; 0, I) / N(x; shift, I)``.
-    """
-    shift = np.asarray(shift_sigma, dtype=float)
-    if shift.shape != (len(GLOBAL_DIMS),):
-        raise ValueError(f"shift must have shape ({len(GLOBAL_DIMS)},)")
-    sample, weights, _ = _draw_sample(pdk, size, rng, shift,
-                                      include_mismatch)
-    return sample, weights
 
 
 def _aggregate_margin(performance: dict[str, np.ndarray],

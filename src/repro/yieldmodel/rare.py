@@ -225,7 +225,9 @@ class RareEventResult:
     Attributes
     ----------
     p_fail:
-        Unbiased importance-sampled failure-probability estimate.
+        Unbiased importance-sampled failure-probability estimate.  A
+        weighted mean is not bounded, so a noisy one can leave
+        ``[0, 1]``; the derived quantities use :attr:`probability`.
     std_error:
         Standard error of ``p_fail`` (weighted-population variance of
         the final run).
@@ -257,9 +259,14 @@ class RareEventResult:
     confidence: float = 0.95
 
     @property
+    def probability(self) -> float:
+        """``p_fail`` clamped to ``[0, 1]``."""
+        return min(max(self.p_fail, 0.0), 1.0)
+
+    @property
     def yield_estimate(self) -> float:
-        """The complementary yield ``1 - p_fail``."""
-        return 1.0 - self.p_fail
+        """The complementary yield ``1 - probability``."""
+        return 1.0 - self.probability
 
     @property
     def n_levels(self) -> int:
@@ -274,17 +281,14 @@ class RareEventResult:
     @property
     def sigma_level(self) -> float:
         """Equivalent sigma of the failure probability
-        (``-Phi^-1(p_fail)``).
-
-        The weighted estimate is unbiased but not bounded, so a noisy
-        one can exceed 1; it is clamped to ``[0, 1]`` here only.
-        """
-        return equivalent_sigma(min(max(self.p_fail, 0.0), 1.0))
+        (``-Phi^-1(probability)``)."""
+        return equivalent_sigma(self.probability)
 
     @property
     def interval(self) -> tuple[float, float]:
-        """Confidence interval on the true failure probability."""
-        return normal_interval(self.p_fail, self.std_error,
+        """Confidence interval on the true failure probability, around
+        :attr:`probability`."""
+        return normal_interval(self.probability, self.std_error,
                                self.confidence)
 
     @property
@@ -303,11 +307,15 @@ class RareEventResult:
 
         What a plain Monte-Carlo estimate of the same precision would
         have cost; the savings factor is this divided by
-        :attr:`total_simulations`.
+        :attr:`total_simulations`.  At a probability of 0 or 1 the
+        binomial variance vanishes, so the cost is 0.
         """
+        p = self.probability
+        if p in (0.0, 1.0):
+            return 0
         lo, hi = self.interval
         return direct_mc_samples_for_halfwidth(
-            self.p_fail, max((hi - lo) / 2.0, 1e-300), self.confidence)
+            p, max((hi - lo) / 2.0, 1e-300), self.confidence)
 
     def describe(self) -> str:
         """Multi-line report: p_fail, sigma level, CI, level ledger."""

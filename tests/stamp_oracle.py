@@ -117,9 +117,9 @@ def oracle_stamp_ac(device, op, ctx):
 
 
 def oracle_newton_system(assembler, voltages, *, gmin=0.0, source_scale=1.0,
-                  time=None, lanes=None):
+                         lanes=None):
     """:meth:`Assembler.newton_system`, stamped device by device."""
-    lin = assembler.linear(time=time)
+    lin = assembler.linear()
     devices = assembler.circuit.nonlinear_elements()
     if lanes is None:
         G, rhs = lin.G.copy(), lin.rhs * source_scale

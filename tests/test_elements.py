@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import ac_analysis, dc_operating_point
-from repro.circuit import (CCCS, CCVS, PWL, VCCS, VCVS, Capacitor,
-                           CurrentSource, Diode, Inductor, Pulse, Resistor,
-                           Sine, VoltageSource)
+from repro.circuit import (CCCS, CCVS, VCCS, VCVS, Capacitor, CurrentSource,
+                           Diode, Inductor, Resistor, VoltageSource)
 from repro.circuit.netlist import Circuit
 
 
@@ -67,29 +66,6 @@ class TestSources:
         c.add(Resistor("R1", "b", "0", 1e3))
         op = solve(c)
         assert op.v("b")[0] == pytest.approx(5.0)
-
-    def test_waveform_value_at(self):
-        src = VoltageSource("V1", "a", "0", 1.0,
-                            waveform=Pulse(0.0, 5.0, delay=1e-6,
-                                           rise=1e-7, fall=1e-7, width=1e-6))
-        assert src.value_at(0.0) == 0.0
-        assert src.value_at(1.05e-7 + 1e-6) == pytest.approx(5.0, abs=0.5)
-        assert src.value_at(1.5e-6) == 5.0
-
-    def test_sine_waveform(self):
-        wave = Sine(vo=1.0, va=0.5, freq=1e3)
-        assert wave(0.0) == pytest.approx(1.0)
-        assert wave(0.25e-3) == pytest.approx(1.5)
-
-    def test_pwl_waveform(self):
-        wave = PWL([(0, 0), (1e-6, 1.0), (2e-6, 0.5)])
-        assert wave(0.5e-6) == pytest.approx(0.5)
-        assert wave(5e-6) == pytest.approx(0.5)  # holds last value
-
-    def test_pwl_needs_two_points(self):
-        from repro.errors import NetlistError
-        with pytest.raises(NetlistError):
-            PWL([(0, 1)])
 
 
 class TestReactiveElements:

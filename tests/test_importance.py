@@ -21,7 +21,8 @@ from repro.process import C35
 from repro.yieldmodel import (ImportanceSamplingConfig,
                               ImportanceSamplingEstimate,
                               estimate_yield, estimate_yield_importance,
-                              normal_interval, shifted_sample, z_value)
+                              normal_interval, z_value)
+from repro.yieldmodel.importance import _draw_sample
 from statcheck import DEFAULT_CONFIDENCE, assert_mean_close, mean_halfwidth
 
 SIGMA = C35.global_variation.sigma_vto_n
@@ -59,10 +60,11 @@ class TestHelpers:
 
 
 class TestShiftedSample:
+    """The mean-shifted proposal draw every IS run and rare level uses."""
+
     def test_zero_shift_has_unit_weights(self):
         rng = np.random.default_rng(0)
-        sample, weights = shifted_sample(C35, 50, rng, np.zeros(5),
-                                         include_mismatch=False)
+        sample, weights, _ = _draw_sample(C35, 50, rng, np.zeros(5), False)
         np.testing.assert_allclose(weights, 1.0)
         assert sample.size == 50
 
@@ -71,8 +73,7 @@ class TestShiftedSample:
         # interval of the shifted population mean.
         rng = np.random.default_rng(1)
         shift = np.array([2.0, 0.0, 0.0, 0.0, 0.0])
-        sample, _ = shifted_sample(C35, 4000, rng, shift,
-                                   include_mismatch=False)
+        sample, _, _ = _draw_sample(C35, 4000, rng, shift, False)
         assert np.mean(sample.dvto_n) == pytest.approx(
             2.0 * SIGMA, abs=mean_halfwidth(SIGMA, 4000))
 
@@ -80,15 +81,10 @@ class TestShiftedSample:
         # E_q[w * f(x)] must equal E_p[f(x)]; take f = indicator(x > 2s).
         rng = np.random.default_rng(2)
         shift = np.array([2.0, 0.0, 0.0, 0.0, 0.0])
-        sample, weights = shifted_sample(C35, 20000, rng, shift,
-                                         include_mismatch=False)
+        sample, weights, _ = _draw_sample(C35, 20000, rng, shift, False)
         indicator = sample.dvto_n > 2.0 * SIGMA
         assert_mean_close(weights * indicator, 1.0 - _phi(2.0),
                           label="weighted tail expectation")
-
-    def test_bad_shift_shape_rejected(self):
-        with pytest.raises(ValueError):
-            shifted_sample(C35, 10, np.random.default_rng(0), np.zeros(3))
 
 
 class TestEstimator:

@@ -103,47 +103,3 @@ class TestHypervolume:
 
     def test_reference_offset(self):
         assert hypervolume_2d([[2.0, 3.0]], (1.0, 1.0)) == pytest.approx(2.0)
-
-
-class TestSweepUtilities:
-    """Coverage for analysis.sweep (dc_sweep, with_element_values)."""
-
-    def test_dc_sweep_of_divider(self):
-        from repro.analysis import dc_sweep
-        from repro.circuit import Circuit, Resistor, VoltageSource
-        c = Circuit("div")
-        c.add(VoltageSource("V1", "in", "0", 1.0))
-        c.add(Resistor("R1", "in", "out", 1e3))
-        c.add(Resistor("R2", "out", "0", 1e3))
-        op = dc_sweep(c, "V1", [1.0, 2.0, 4.0])
-        np.testing.assert_allclose(op.v("out"), [0.5, 1.0, 2.0])
-        # Original value restored.
-        assert c.element("V1").dc == 1.0
-
-    def test_with_element_values_restores_on_exception(self):
-        from repro.analysis import with_element_values
-        from repro.circuit import Circuit, Resistor, VoltageSource
-        c = Circuit("t")
-        c.add(VoltageSource("V1", "a", "0", 1.0))
-        c.add(Resistor("R1", "a", "0", 1e3))
-        with pytest.raises(RuntimeError):
-            with with_element_values(c, {("R1", "resistance"): 2e3}):
-                assert c.element("R1").resistance == 2e3
-                raise RuntimeError("boom")
-        assert c.element("R1").resistance == 1e3
-
-    def test_mosfet_transfer_sweep(self):
-        from repro.analysis import dc_sweep
-        from repro.circuit import Circuit, Mosfet, Resistor, VoltageSource
-        c = Circuit("cs")
-        c.add(VoltageSource("VDD", "vdd", "0", 3.3))
-        c.add(VoltageSource("VG", "g", "0", 0.9))
-        c.add(Resistor("RD", "vdd", "d", 1e4))
-        c.add(Mosfet("M1", "d", "g", "0", "0", C35.nmos, 10e-6, 1e-6))
-        gate_voltages = np.linspace(0.3, 1.5, 7)
-        op = dc_sweep(c, "VG", gate_voltages)
-        drain = op.v("d")
-        # Monotone falling transfer characteristic.
-        assert np.all(np.diff(drain) < 1e-9)
-        assert drain[0] > 3.2      # device off
-        assert drain[-1] < 1.0     # device strongly on

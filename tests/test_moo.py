@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import OptimizationError
-from repro.moo import (FunctionProblem, GAConfig, Objective, normalise_weights,
-                       run_nsga2, run_wbga)
-from repro.moo.ga import (blend_crossover, gaussian_mutation,
-                          polynomial_mutation, reflect_into_bounds,
-                          sbx_crossover, tournament_select, uniform_crossover)
+from repro.moo import GAConfig, Objective, normalise_weights, run_nsga2, run_wbga
+from repro.moo.ga import (gaussian_mutation, polynomial_mutation,
+                          reflect_into_bounds, sbx_crossover,
+                          tournament_select, uniform_crossover)
 from repro.moo.wbga import _equation5_fitness
+from function_problem import FunctionProblem
 
 
 def make_problem(fn, n_params, objectives):
@@ -81,13 +81,6 @@ class TestOperators:
         b = np.ones((8, 3))
         children = uniform_crossover(a, b, 0.0, rng)
         np.testing.assert_array_equal(children, a)
-
-    def test_blend_crossover_in_bounds(self):
-        rng = np.random.default_rng(2)
-        a = rng.random((32, 4))
-        b = rng.random((32, 4))
-        children = blend_crossover(a, b, 1.0, rng)
-        assert np.all(children >= 0) and np.all(children <= 1)
 
     def test_sbx_children_in_bounds_and_symmetric(self):
         rng = np.random.default_rng(3)

@@ -16,7 +16,7 @@ from repro import telemetry
 from repro.errors import OptimizationError
 from repro.exec import SerialBackend
 from repro.measure import Spec, SpecSet
-from repro.moo.problem import FunctionProblem, Objective
+from repro.moo.problem import Objective
 from repro.optimize import (EstimatorLadder, LadderConfig,
                             YieldAugmentedProblem, YieldSearchConfig,
                             format_guardband_comparison,
@@ -27,6 +27,7 @@ from repro.process import C35
 from repro.telemetry import load_events
 from repro.yieldmodel import (ImportanceSamplingConfig,
                               estimate_yield_importance)
+from function_problem import FunctionProblem
 
 COEFS = np.array([1.0, 0.5, -0.8, 0.3, 0.2])
 NORM = float(np.linalg.norm(COEFS))

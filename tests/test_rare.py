@@ -286,6 +286,22 @@ class TestDiagnostics:
         with pytest.raises(YieldModelError):
             equivalent_sigma(result.p_fail)
 
+    @pytest.mark.parametrize("p_fail, clamped", [(1.0132, 1.0),
+                                                 (-0.004, 0.0)])
+    def test_derived_readouts_use_the_clamped_estimate(self, p_fail,
+                                                       clamped):
+        # The service-mix set-0 rare request reported p_fail 1.0132.
+        result = RareEventResult(p_fail=p_fail, std_error=0.01)
+        assert result.yield_estimate == 1.0 - clamped
+        lo, hi = result.yield_interval
+        assert 0.0 <= lo <= 1.0 - clamped <= hi <= 1.0
+        # Binomial variance p(1 - p) is 0 at the bounds.
+        assert result.direct_mc_equivalent() == 0
+        assert result.probability == clamped
+        assert result.p_fail == p_fail
+        with pytest.raises(YieldModelError):
+            direct_mc_samples_for_halfwidth(p_fail, 0.01)
+
     def test_progress_fires_once_per_chunk(self):
         calls = []
         problem = linear_gaussian_problem(3.0)

@@ -13,9 +13,8 @@ from repro.measure import Spec, SpecSet
 from repro.process import C35, GLOBAL_DIMS
 from repro.surrogate import (PolynomialSurrogate, RBFSurrogate,
                              SurrogateConfig, SurrogateYieldEstimator,
-                             estimate_yield_surrogate, fit_surrogate,
-                             load_surrogates, save_surrogates,
-                             train_surrogates)
+                             fit_surrogate, load_surrogates,
+                             save_surrogates, train_surrogates)
 from repro.yieldmodel import estimate_yield
 
 
@@ -193,11 +192,11 @@ class TestSurrogateYieldEstimator:
                      Spec("pm_deg", "ge", 68.5, "deg")])
 
     def test_agrees_with_direct_mc_on_synthetic_design(self):
-        estimate = estimate_yield_surrogate(
+        estimate = SurrogateYieldEstimator(
             _synthetic_evaluator(C35), self.SPECS, C35,
             SurrogateConfig(n_train=64, n_mc=4000, control_samples=80,
                             refine_budget=40, include_mismatch=False,
-                            seed=5))
+                            seed=5)).estimate()
         perf = monte_carlo(_synthetic_evaluator(C35), C35,
                            MCConfig(n_samples=4000, seed=77,
                                     include_mismatch=False))
@@ -243,11 +242,11 @@ class TestSurrogateYieldEstimator:
                     + rng.normal(0.0, 0.5, x.shape[0])}
 
         specs = SpecSet([Spec("gain_db", "ge", 59.0, "dB")])
-        estimate = estimate_yield_surrogate(
+        estimate = SurrogateYieldEstimator(
             noisy, specs, C35,
             SurrogateConfig(n_train=64, n_mc=1000, control_samples=0,
                             refine_rounds=2, refine_budget=32,
-                            include_mismatch=False, seed=7))
+                            include_mismatch=False, seed=7)).estimate()
         assert estimate.n_refined == 32
         assert estimate.simulator_evals == 64 + 32
 
@@ -265,10 +264,10 @@ class TestSeedDesignAgreement:
 
         specs = SpecSet([Spec("gain_db", "ge", 41.0, "dB"),
                          Spec("pm_deg", "ge", 86.8, "deg")])
-        estimate = estimate_yield_surrogate(
+        estimate = SurrogateYieldEstimator(
             evaluator, specs, C35,
             SurrogateConfig(n_train=96, n_mc=2000, control_samples=60,
-                            refine_budget=96, seed=2008))
+                            refine_budget=96, seed=2008)).estimate()
         perf = monte_carlo(evaluator, C35, MCConfig(n_samples=2000,
                                                     seed=2008))
         direct = estimate_yield(perf, specs)
@@ -289,10 +288,10 @@ class TestSeedDesignAgreement:
 
         specs = SpecSet([Spec("ripple_db", "le", 2.3, "dB"),
                          Spec("atten_db", "ge", 37.0, "dB")])
-        estimate = estimate_yield_surrogate(
+        estimate = SurrogateYieldEstimator(
             evaluator, specs, C35,
             SurrogateConfig(n_train=80, n_mc=1500, control_samples=60,
-                            refine_budget=64, seed=2008))
+                            refine_budget=64, seed=2008)).estimate()
         perf = monte_carlo(evaluator, C35, MCConfig(n_samples=1500,
                                                     seed=2008))
         direct = estimate_yield(perf, specs)
