@@ -19,7 +19,7 @@ from repro.process import C35
 TWO_STAGE_AMP = """
 * two-stage NMOS amplifier on the C35 process models
 VDD vdd 0 3.3
-VIN in 0 DC 0.9 AC 1
+VIN in 0 DC 0.75 AC 1
 RD1 vdd d1 20k
 M1 d1 in 0 0 nmos W=20u L=1u
 RD2 vdd out 20k
@@ -63,6 +63,12 @@ def main() -> None:
     mag = ac.magnitude_db("out")[0]
     print(f"  low-frequency gain: {mag[0]:.1f} dB "
           f"(two inverting stages => positive net gain)")
+    gain = ac.v("out")[0][0].real
+    if gain <= 1.0:
+        # VIN sits where both stages are saturated; a gain that is not
+        # a positive amplification means one stage has left saturation.
+        raise SystemExit(f"two-stage amplifier is mis-biased: "
+                         f"low-frequency gain {gain:+.3g} V/V")
 
     # -- RLC bandpass ---------------------------------------------------------
     rlc = parse_netlist(RLC_BANDPASS)

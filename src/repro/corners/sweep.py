@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ReproError
-from ..exec import resolve_backend
+from ..exec import chunk_bounds, resolve_backend, run_chunks
 from ..measure.specs import SpecSet
 from ..process.pdk import ProcessKit
 from .grid import CornerGrid
@@ -77,12 +77,6 @@ class CornerSweepResult:
         return format_corner_table(self.grid, self.performance, specs)
 
 
-def _chunk_bounds(total: int, chunk: int) -> list[tuple[int, int]]:
-    chunk = max(1, chunk)
-    return [(start, min(start + chunk, total))
-            for start in range(0, total, chunk)]
-
-
 def corner_sweep(evaluator, pdk: ProcessKit, grid: CornerGrid, *,
                  backend=None, workers: int = 0,
                  chunk_lanes: int = 0) -> CornerSweepResult:
@@ -107,7 +101,6 @@ def corner_sweep(evaluator, pdk: ProcessKit, grid: CornerGrid, *,
     A :class:`CornerSweepResult` in grid lane order.
     """
     sample = grid.realize(pdk)
-    bounds = _chunk_bounds(grid.size, chunk_lanes or grid.size)
 
     def run_chunk(bound):
         start, stop = bound
@@ -115,9 +108,9 @@ def corner_sweep(evaluator, pdk: ProcessKit, grid: CornerGrid, *,
         return {name: np.asarray(values, dtype=float).reshape(-1)
                 for name, values in performance.items()}
 
-    parts = resolve_backend(backend, workers).run(run_chunk, bounds)
-    performance = {name: np.concatenate([part[name] for part in parts])
-                   for name in parts[0]}
+    performance = run_chunks(
+        resolve_backend(backend, workers), run_chunk,
+        chunk_bounds(grid.size, chunk_lanes or grid.size))
     for name, values in performance.items():
         if values.size != grid.size:
             raise ReproError(
@@ -157,8 +150,6 @@ def corner_sweep_points(evaluator, n_points: int, pdk: ProcessKit,
     """
     sample = grid.realize(pdk)
     lanes = chunk_lanes or n_points * grid.size
-    points_per_chunk = max(1, lanes // grid.size)
-    bounds = _chunk_bounds(n_points, points_per_chunk)
 
     def run_chunk(bound):
         start, stop = bound
@@ -169,21 +160,9 @@ def corner_sweep_points(evaluator, n_points: int, pdk: ProcessKit,
                     indices.size, grid.size)
                 for name, values in performance.items()}
 
-    on_done = None
-    if progress is not None:
-        sizes = [stop - start for start, stop in bounds]
-        state = {"points": 0}
-
-        def on_done(done, total, index):
-            state["points"] += sizes[index]
-            progress(state["points"], n_points)
-
-    parts = resolve_backend(backend, workers).run(run_chunk, bounds,
-                                                  progress=on_done)
-    if not parts:
-        return {}
-    return {name: np.concatenate([part[name] for part in parts], axis=0)
-            for name in parts[0]}
+    return run_chunks(resolve_backend(backend, workers), run_chunk,
+                      chunk_bounds(n_points, max(1, lanes // grid.size)),
+                      progress)
 
 
 def corner_sweep_sequential(evaluator, pdk: ProcessKit,

@@ -22,6 +22,10 @@ Backends are selected by name -- ``"serial"``, ``"thread"``,
 -> ``"serial"``, so a whole pipeline can be parallelised from the shell
 without touching code.
 
+The chunked sweeps (Monte-Carlo and corner engines, sigma-coordinate
+batches, the yield ladder's escalation rungs) plan, dispatch, report
+progress and gather through :func:`chunk_bounds` and :func:`run_chunks`.
+
 Determinism contract
 --------------------
 A backend never influences numeric results.  It receives fully-formed
@@ -39,20 +43,25 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from typing import Protocol, runtime_checkable
 
+import numpy as np
+
 from .. import telemetry
 from ..errors import ReproError
 
 __all__ = [
     "BACKEND_ENV_VAR", "Backend", "SerialBackend", "ThreadBackend",
-    "ProcessBackend", "available_backends", "default_workers",
-    "resolve_backend",
+    "ProcessBackend", "available_backends", "chunk_bounds",
+    "default_workers", "resolve_backend", "run_chunks",
 ]
 
 #: Environment variable consulted when no backend is selected explicitly.
 BACKEND_ENV_VAR = "REPRO_EXEC_BACKEND"
 
-#: Progress callback: ``(completed_count, total_count, task_index)``.
-ProgressFn = Callable[[int, int, int], None]
+#: Progress callback: ``(task_index)`` of each finished task.
+ProgressFn = Callable[[int], None]
+
+#: Result sink of a worker mapping: ``(task_index, result)``.
+_Sink = Callable[[int, object], None]
 
 
 def default_workers() -> int:
@@ -65,9 +74,9 @@ class Backend(Protocol):
     """Strategy for executing independent chunk tasks.
 
     Implementations must return results in task order and call
-    ``progress(done, total, index)`` once per completed task (in
-    completion order).  They must not reorder, duplicate, or drop tasks:
-    the caller owns all randomness and result assembly.
+    ``progress(index)`` once per completed task (in completion order).
+    They must not reorder, duplicate, or drop tasks: the caller owns all
+    randomness and result assembly.
     """
 
     name: str
@@ -79,18 +88,57 @@ class Backend(Protocol):
         ...  # pragma: no cover
 
 
-def _run_serial(fn: Callable, tasks: Sequence,
-                progress: ProgressFn | None) -> list:
-    results = []
-    total = len(tasks)
+def _map_serial(fn: Callable, tasks: list, workers: int,
+                sink: _Sink) -> None:
     for index, task in enumerate(tasks):
-        results.append(fn(task))
-        if progress is not None:
-            progress(index + 1, total, index)
-    return results
+        sink(index, fn(task))
 
 
-class SerialBackend:
+class _Backend:
+    """The ``run`` body every backend shares: one ``exec.run`` span, the
+    ``exec.tasks`` counter, the telemetry-bound task and the serial
+    fallback for one task or one worker.  Backends differ only in
+    ``_map``, which spreads tasks over ``workers`` and hands each result
+    to a sink as it finishes."""
+
+    name: str
+    _map = staticmethod(_map_serial)
+
+    def __init__(self, workers: int = 0) -> None:
+        self.workers = int(workers) if workers else default_workers()
+        if self.workers < 1:
+            raise ReproError(f"{self.name} backend needs at least one worker")
+
+    def run(self, fn: Callable, tasks: Sequence,
+            progress: ProgressFn | None = None) -> list:
+        tasks = list(tasks)
+        total = len(tasks)
+        workers = min(self.workers, total)
+        results: list = [None] * total
+
+        def sink(index: int, value) -> None:
+            results[index] = value
+            if progress is not None:
+                progress(index)
+
+        with telemetry.span("exec.run", backend=self.name, workers=workers,
+                            tasks=total):
+            telemetry.counter_add("exec.tasks", total)
+            # Captured *here*, inside the exec.run span: pool threads run
+            # tasks in an empty contextvar context, and forked workers
+            # inherit the bound callable's serialisable SpanContext, so
+            # chunk spans re-parent onto this span instead of becoming
+            # roots.
+            fn = telemetry.bind_task(fn)
+            mapper = self._map if workers > 1 else _map_serial
+            mapper(fn, tasks, workers, sink)
+        return results
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"{type(self).__name__}(workers={self.workers})"
+
+
+class SerialBackend(_Backend):
     """Single-process, in-order execution (the reference backend)."""
 
     name = "serial"
@@ -98,19 +146,19 @@ class SerialBackend:
     def __init__(self) -> None:
         self.workers = 1
 
-    def run(self, fn: Callable, tasks: Sequence,
-            progress: ProgressFn | None = None) -> list:
-        tasks = list(tasks)
-        with telemetry.span("exec.run", backend=self.name, workers=1,
-                            tasks=len(tasks)):
-            telemetry.counter_add("exec.tasks", len(tasks))
-            return _run_serial(telemetry.bind_task(fn), tasks, progress)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "SerialBackend()"
+def _map_threads(fn: Callable, tasks: list, workers: int,
+                 sink: _Sink) -> None:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = {pool.submit(fn, task): index
+                   for index, task in enumerate(tasks)}
+        while pending:
+            finished, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for future in finished:
+                sink(pending.pop(future), future.result())
 
 
-class ThreadBackend:
+class ThreadBackend(_Backend):
     """Thread-pool execution.
 
     Chunk evaluation is dominated by NumPy batched linear algebra, which
@@ -121,43 +169,7 @@ class ThreadBackend:
     """
 
     name = "thread"
-
-    def __init__(self, workers: int = 0) -> None:
-        self.workers = int(workers) if workers else default_workers()
-        if self.workers < 1:
-            raise ReproError("thread backend needs at least one worker")
-
-    def run(self, fn: Callable, tasks: Sequence,
-            progress: ProgressFn | None = None) -> list:
-        tasks = list(tasks)
-        total = len(tasks)
-        workers = min(self.workers, total)
-        with telemetry.span("exec.run", backend=self.name, workers=workers,
-                            tasks=total):
-            telemetry.counter_add("exec.tasks", total)
-            # Captured *here*, inside the exec.run span: pool threads run
-            # tasks in an empty contextvar context, so without this bind
-            # every chunk span would become a parentless root.
-            fn = telemetry.bind_task(fn)
-            if workers <= 1 or total <= 1:
-                return _run_serial(fn, tasks, progress)
-            results: list = [None] * total
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                pending = {pool.submit(fn, task): index
-                           for index, task in enumerate(tasks)}
-                done_count = 0
-                while pending:
-                    finished, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        index = pending.pop(future)
-                        results[index] = future.result()
-                        done_count += 1
-                        if progress is not None:
-                            progress(done_count, total, index)
-            return results
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ThreadBackend(workers={self.workers})"
+    _map = staticmethod(_map_threads)
 
 
 # The fork-inheritance channel of ProcessBackend: the parent stashes the
@@ -180,67 +192,44 @@ def _invoke_inherited(index: int):
     return index, fn(tasks[index])
 
 
-class ProcessBackend:
+def _map_forked(fn: Callable, tasks: list, workers: int,
+                sink: _Sink) -> None:
+    global _FORK_PAYLOAD, _FORK_OWNER
+    if "fork" not in multiprocessing.get_all_start_methods():
+        _map_threads(fn, tasks, workers, sink)
+        return
+    if _FORK_PAYLOAD is not None and os.getpid() != _FORK_OWNER:
+        # Nested parallel region: this process is itself a forked worker
+        # (it inherited another pool's payload), so run the inner level
+        # serially rather than oversubscribing.  A sibling pool in the
+        # same process instead queues on the lock below and keeps its
+        # parallelism.
+        _map_serial(fn, tasks, workers, sink)
+        return
+    context = multiprocessing.get_context("fork")
+    with _FORK_LOCK:
+        _FORK_OWNER = os.getpid()
+        _FORK_PAYLOAD = (fn, tasks)
+        try:
+            with context.Pool(processes=workers) as pool:
+                for index, value in pool.imap_unordered(
+                        _invoke_inherited, range(len(tasks))):
+                    sink(index, value)
+        finally:
+            _FORK_PAYLOAD = None
+
+
+class ProcessBackend(_Backend):
     """Multiprocessing execution via a ``fork``-started pool.
 
-    Falls back to :class:`ThreadBackend` where the ``fork`` start method
-    is unavailable (non-POSIX platforms), and to serial execution for
+    Falls back to a thread pool where the ``fork`` start method is
+    unavailable (non-POSIX platforms), and to serial execution for
     degenerate work loads (one task or one worker) where a pool would be
     pure overhead.
     """
 
     name = "process"
-
-    def __init__(self, workers: int = 0) -> None:
-        self.workers = int(workers) if workers else default_workers()
-        if self.workers < 1:
-            raise ReproError("process backend needs at least one worker")
-
-    def run(self, fn: Callable, tasks: Sequence,
-            progress: ProgressFn | None = None) -> list:
-        global _FORK_PAYLOAD, _FORK_OWNER
-        tasks = list(tasks)
-        total = len(tasks)
-        workers = min(self.workers, total)
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return ThreadBackend(workers).run(fn, tasks, progress)
-        with telemetry.span("exec.run", backend=self.name, workers=workers,
-                            tasks=total):
-            telemetry.counter_add("exec.tasks", total)
-            # The bound callable carries a serialisable SpanContext into
-            # the forked workers (closures cross the fork as inherited
-            # memory), so child-side chunk spans re-parent onto this
-            # exec.run span across the process boundary.
-            fn = telemetry.bind_task(fn)
-            if workers <= 1 or total <= 1:
-                return _run_serial(fn, tasks, progress)
-            if _FORK_PAYLOAD is not None and os.getpid() != _FORK_OWNER:
-                # Nested parallel region: this process is itself a forked
-                # worker (it inherited another pool's payload), so run the
-                # inner level serially rather than oversubscribing.  A
-                # sibling pool in the same process instead queues on the
-                # lock below and keeps its parallelism.
-                return _run_serial(fn, tasks, progress)
-            context = multiprocessing.get_context("fork")
-            results: list = [None] * total
-            with _FORK_LOCK:
-                _FORK_OWNER = os.getpid()
-                _FORK_PAYLOAD = (fn, tasks)
-                try:
-                    with context.Pool(processes=workers) as pool:
-                        done_count = 0
-                        for index, value in pool.imap_unordered(
-                                _invoke_inherited, range(total)):
-                            results[index] = value
-                            done_count += 1
-                            if progress is not None:
-                                progress(done_count, total, index)
-                finally:
-                    _FORK_PAYLOAD = None
-            return results
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ProcessBackend(workers={self.workers})"
+    _map = staticmethod(_map_forked)
 
 
 def available_backends() -> dict[str, type]:
@@ -307,3 +296,50 @@ def resolve_backend(spec: "str | Backend | None" = None,
                 "did you mean thread or process?")
         return SerialBackend()
     return cls(workers)
+
+
+def chunk_bounds(total: int, size: int) -> list[tuple[int, int]]:
+    """``[start, stop)`` rows splitting ``total`` rows into chunks of at
+    most ``size`` rows (none when ``total`` is 0).
+
+    >>> chunk_bounds(5, 2)
+    [(0, 2), (2, 4), (4, 5)]
+    """
+    if size < 1:
+        raise ReproError(f"chunk size must be >= 1, got {size}")
+    return [(start, min(start + size, total))
+            for start in range(0, total, size)]
+
+
+def run_chunks(backend: Backend, run_chunk: Callable, tasks: Sequence,
+               progress: Callable[[int, int], None] | None = None
+               ) -> dict[str, np.ndarray]:
+    """Run chunk tasks on ``backend`` and gather their rows.
+
+    Every task starts with its ``start, stop`` rows; ``run_chunk(task)``
+    returns a mapping name -> array with ``stop - start`` leading rows.
+    ``progress`` (if given) is called with ``(rows_done, rows_total)`` as
+    chunks finish -- monotone whatever order they finish in.
+
+    Returns
+    -------
+    Mapping name -> the chunks' arrays concatenated row-wise in task
+    order (``{}`` when there are no tasks).
+    """
+    tasks = list(tasks)
+    on_done = None
+    if progress is not None:
+        sizes = [task[1] - task[0] for task in tasks]
+        total = sum(sizes)
+        done = 0
+
+        def on_done(index: int) -> None:
+            nonlocal done
+            done += sizes[index]
+            progress(done, total)
+
+    parts = backend.run(run_chunk, tasks, progress=on_done)
+    if not parts:
+        return {}
+    return {name: np.concatenate([part[name] for part in parts])
+            for name in parts[0]}

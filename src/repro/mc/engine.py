@@ -51,7 +51,7 @@ import numpy as np
 
 from .. import telemetry
 from ..errors import ReproError
-from ..exec import Backend, resolve_backend
+from ..exec import Backend, chunk_bounds, resolve_backend, run_chunks
 from ..process.pdk import ProcessKit
 from .sampler import child_streams, stream
 
@@ -138,15 +138,13 @@ def _plan_single_chunks(config: MCConfig, stage: str = "mc-single"):
     ``(seed, stage)`` stream as ever, so historical seeds keep producing
     identical populations.
     """
-    total = config.n_samples
-    lanes = config.chunk_lanes
-    n_chunks = max(1, (total + lanes - 1) // lanes)
-    if n_chunks == 1:
+    bounds = chunk_bounds(config.n_samples, config.chunk_lanes)
+    if len(bounds) == 1:
         rngs = [stream(config.seed, stage)]
     else:
-        rngs = child_streams(config.seed, stage, n_chunks)
-    return [(i * lanes, min((i + 1) * lanes, total), rngs[i])
-            for i in range(n_chunks)]
+        rngs = child_streams(config.seed, stage, len(bounds))
+    return [(start, stop, rng)
+            for (start, stop), rng in zip(bounds, rngs, strict=True)]
 
 
 def _single_chunk_runner(evaluator, pdk: ProcessKit, config: MCConfig):
@@ -166,25 +164,6 @@ def _single_chunk_runner(evaluator, pdk: ProcessKit, config: MCConfig):
                     for name, values in performance.items()}
 
     return run_chunk
-
-
-def _run_chunks(backend, run_chunk, chunk_bounds, progress, total_units):
-    """Execute chunk tasks on ``backend``; adapt progress to work units.
-
-    ``progress`` (if given) is called with cumulative completed units
-    (points or samples) out of ``total_units``, monotonically, whatever
-    order chunks finish in.
-    """
-    on_done = None
-    if progress is not None:
-        sizes = [stop - start for start, stop, _ in chunk_bounds]
-        state = {"units": 0}
-
-        def on_done(done, total, index):
-            state["units"] += sizes[index]
-            progress(state["units"], total_units)
-
-    return backend.run(run_chunk, chunk_bounds, progress=on_done)
 
 
 def monte_carlo(evaluator, pdk: ProcessKit,
@@ -213,14 +192,12 @@ def monte_carlo(evaluator, pdk: ProcessKit,
     keep producing identical populations.
     """
     config = config or MCConfig()
-    total = config.n_samples
     bounds = _plan_single_chunks(config)
     run_chunk = _single_chunk_runner(evaluator, pdk, config)
     backend = resolve_backend(config.backend, config.workers)
-    with telemetry.span("mc.single", samples=total, chunks=len(bounds)):
-        parts = _run_chunks(backend, run_chunk, bounds, progress, total)
-    return {name: np.concatenate([part[name] for part in parts])
-            for name in parts[0]}
+    with telemetry.span("mc.single", samples=config.n_samples,
+                        chunks=len(bounds)):
+        return run_chunks(backend, run_chunk, bounds, progress)
 
 
 def monte_carlo_points(evaluator, n_points: int, pdk: ProcessKit,
@@ -252,13 +229,10 @@ def monte_carlo_points(evaluator, n_points: int, pdk: ProcessKit,
     """
     config = config or MCConfig()
     samples = config.n_samples
-    points_per_chunk = max(1, config.chunk_lanes // samples)
-    n_chunks = (n_points + points_per_chunk - 1) // points_per_chunk
-    streams = child_streams(config.seed, stage, n_chunks)
-    bounds = [(start, min(start + points_per_chunk, n_points),
-               streams[index])
-              for index, start in enumerate(
-                  range(0, n_points, points_per_chunk))]
+    bounds = chunk_bounds(n_points, max(1, config.chunk_lanes // samples))
+    streams = child_streams(config.seed, stage, len(bounds))
+    tasks = [(start, stop, rng)
+             for (start, stop), rng in zip(bounds, streams, strict=True)]
 
     def run_chunk(task):
         start, stop, rng = task
@@ -276,12 +250,8 @@ def monte_carlo_points(evaluator, n_points: int, pdk: ProcessKit,
 
     backend = resolve_backend(config.backend, config.workers)
     with telemetry.span("mc.points", points=n_points, samples=samples,
-                        stage=stage, chunks=len(bounds)):
-        parts = _run_chunks(backend, run_chunk, bounds, progress, n_points)
-    if not parts:
-        return {}
-    return {name: np.concatenate([part[name] for part in parts], axis=0)
-            for name in parts[0]}
+                        stage=stage, chunks=len(tasks)):
+        return run_chunks(backend, run_chunk, tasks, progress)
 
 
 def evaluate_sigma_batch(evaluator, pdk: ProcessKit, x: np.ndarray, *,
@@ -309,7 +279,7 @@ def evaluate_sigma_batch(evaluator, pdk: ProcessKit, x: np.ndarray, *,
     backend, workers, chunk_lanes:
         Chunking and execution exactly as in :class:`MCConfig`.
     progress:
-        Optional callback ``(chunks_done, chunks_total)`` fired per
+        Optional callback ``(lanes_done, lanes_total)`` fired per
         completed chunk.
 
     Returns
@@ -317,12 +287,10 @@ def evaluate_sigma_batch(evaluator, pdk: ProcessKit, x: np.ndarray, *,
     Mapping performance name -> ``(N,)`` array, in input-row order.
     """
     x = np.asarray(x, dtype=float)
-    total = x.shape[0]
-    lanes = max(1, chunk_lanes)
-    n_chunks = max(1, (total + lanes - 1) // lanes)
-    rngs = child_streams(seed, stage, n_chunks)
-    bounds = [(i * lanes, min((i + 1) * lanes, total), rngs[i])
-              for i in range(n_chunks)]
+    bounds = chunk_bounds(x.shape[0], chunk_lanes)
+    rngs = child_streams(seed, stage, len(bounds))
+    tasks = [(start, stop, rng)
+             for (start, stop), rng in zip(bounds, rngs, strict=True)]
 
     def run_chunk(task):
         start, stop, rng = task
@@ -333,11 +301,5 @@ def evaluate_sigma_batch(evaluator, pdk: ProcessKit, x: np.ndarray, *,
         return {name: np.asarray(values, dtype=float).reshape(-1)
                 for name, values in performance.items()}
 
-    on_done = None
-    if progress is not None:
-        def on_done(done, total_chunks, index):
-            progress(done, total_chunks)
-    parts = resolve_backend(backend, workers).run(run_chunk, bounds,
-                                                  progress=on_done)
-    return {name: np.concatenate([part[name] for part in parts])
-            for name in parts[0]}
+    return run_chunks(resolve_backend(backend, workers), run_chunk, tasks,
+                      progress)

@@ -21,7 +21,8 @@ only resolve designs far from the specification limits.  The
 * **Fidelity 1 -- surrogate classification** (:mod:`repro.surrogate`).
   Candidates near the boundary get a small per-candidate
   Latin-hypercube training batch (all escalated candidates stacked into
-  lane-bounded chunks through the same backends), a per-performance
+  lane-bounded chunks through the same backends, each candidate on its
+  own streams), a per-performance
   response surface, and a calibrated classification of a large
   synthetic population -- exactly the
   :class:`~repro.surrogate.estimator.SurrogateYieldEstimator` maths,
@@ -43,10 +44,15 @@ current fidelity cannot confidently place its yield on one side of
 escalation -- when the budget runs dry the most ambiguous candidates are
 escalated first and the rest keep their best estimate so far.
 
-Determinism: every random stream is derived from ``(seed, candidate
-uid)`` or per-chunk child streams, so batch results are bit-identical
-across execution backends and worker counts for a fixed configuration --
-the same contract as :mod:`repro.mc.engine`.
+Determinism: every random stream (training coordinates and mismatch,
+surrogate population, importance-sampling pilot and main runs) is
+derived from ``(seed, candidate uid)``, and both escalation rungs stack
+candidates through one chunk planner
+(:meth:`EstimatorLadder._evaluate_stacked`).  A candidate's estimate
+therefore depends neither on ``chunk_lanes`` nor on the execution
+backend, worker count or which other candidates share its batch --
+stronger than :mod:`repro.mc.engine`, which is bit-stable only for a
+fixed ``chunk_lanes``.
 
 Per-fidelity costs are recorded in a
 :class:`~repro.flow.accounting.SimulationLedger` (stages ``"yield
@@ -60,16 +66,17 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from ..corners.grid import CornerGrid
 from ..corners.sweep import corner_sweep_points
 from ..errors import OptimizationError
-from ..exec import resolve_backend
+from ..exec import chunk_bounds, resolve_backend, run_chunks
 from ..flow.accounting import SimulationLedger
-from ..mc.sampler import (_key_to_int, child_streams,
-                          latin_hypercube_normal, normal_cdf, stream)
+from ..mc.sampler import (_key_to_int, latin_hypercube_normal, normal_cdf,
+                          stream)
 from ..measure.specs import SpecSet
 from ..process.pdk import GLOBAL_DIMS, ProcessKit, ProcessSample
 from ..surrogate.regression import SURROGATE_KINDS, fit_surrogate
@@ -203,6 +210,9 @@ class LadderConfig:
                 f"(known: {', '.join(SURROGATE_KINDS)})")
         if not 0.0 < self.yield_target < 1.0:
             raise OptimizationError("yield_target must lie in (0, 1)")
+        if self.chunk_lanes < 1:
+            raise OptimizationError(
+                f"ladder chunk_lanes must be >= 1, got {self.chunk_lanes}")
 
     def corner_grid(self, pdk: ProcessKit) -> CornerGrid:
         """The fidelity-0 grid: named corners x nominal-only V/T unless
@@ -336,7 +346,6 @@ class EstimatorLadder:
         self._nominal_lane = self._find_nominal_lane()
         self._spent = 0
         self._next_uid = 0
-        self._batch_no = 0
 
     # -- helpers -------------------------------------------------------------
     def _find_nominal_lane(self) -> int:
@@ -370,16 +379,29 @@ class EstimatorLadder:
         order = np.argsort(ambiguity[candidates], kind="stable")
         return candidates[order[:n_afford]]
 
-    def _chunks(self, count: int, lanes_each: int,
-                parts: int = 1) -> list[tuple[int, int]]:
-        """``[lo, hi)`` ranges splitting ``count`` candidates of
-        ``lanes_each`` lanes into chunks of at most ``chunk_lanes`` lanes
-        (at least one candidate each), and into at least ``parts``
-        chunks when there are that many candidates."""
-        per_chunk = max(1, min(self.config.chunk_lanes // lanes_each,
-                               -(-count // parts)))
-        return [(lo, min(lo + per_chunk, count))
-                for lo in range(0, count, per_chunk)]
+    def _evaluate_stacked(self, evaluator, indices: np.ndarray,
+                          samples: list[ProcessSample]
+                          ) -> dict[str, np.ndarray]:
+        """Evaluate candidate ``indices[i]`` under ``samples[i]`` (all of
+        one size), stacked through the execution backends in chunks of
+        whole candidates: at most ``chunk_lanes`` lanes each, and at
+        least one chunk per worker when there are that many candidates.
+        Returns name -> ``(len(samples), repeats)``."""
+        backend = resolve_backend(self.config.backend, self.config.workers)
+        count, repeats = len(samples), samples[0].size
+        per_chunk = max(1, min(self.config.chunk_lanes // repeats,
+                               -(-count // backend.workers)))
+
+        def run_chunk(chunk):
+            lo, hi = chunk
+            performance = evaluator(
+                indices[lo:hi], repeats,
+                ProcessSample.concatenate(samples[lo:hi]))
+            return {name: np.asarray(values, dtype=float).reshape(
+                        hi - lo, repeats)
+                    for name, values in performance.items()}
+
+        return run_chunks(backend, run_chunk, chunk_bounds(count, per_chunk))
 
     def _pass_probability(self, predicted: dict[str, np.ndarray],
                           scales: dict[str, float]) -> np.ndarray:
@@ -429,38 +451,6 @@ class EstimatorLadder:
         return yield0, std0, np.clip(z_min, -_Z_CLAMP, _Z_CLAMP), decisive
 
     # -- fidelity 1: surrogate classification -------------------------------
-    def _sigma_sweep(self, evaluator, indices: np.ndarray,
-                     xs: np.ndarray) -> dict[str, np.ndarray]:
-        """Evaluate escalated candidates at per-candidate sigma-unit
-        coordinates, stacked into lane-bounded chunks through the
-        execution backends (per-chunk mismatch child streams, so results
-        are backend-invariant).  ``xs`` is ``(E, T, len(GLOBAL_DIMS))``;
-        returns name -> ``(E, T)``."""
-        config = self.config
-        n_escalated, n_train, _ = xs.shape
-        chunks = self._chunks(n_escalated, n_train)
-        rngs = child_streams(config.seed, f"ladder-train-mm-{self._batch_no}",
-                             len(chunks))
-        bounds = [(lo, hi, rng)
-                  for (lo, hi), rng in zip(chunks, rngs, strict=True)]
-
-        def run_chunk(task):
-            chunk_start, chunk_stop, rng = task
-            coords = xs[chunk_start:chunk_stop].reshape(-1, len(GLOBAL_DIMS))
-            sample = self.pdk.sample_from_sigma(
-                coords, rng=rng if config.include_mismatch else None,
-                include_mismatch=config.include_mismatch)
-            performance = evaluator(indices[chunk_start:chunk_stop],
-                                    n_train, sample)
-            return {name: np.asarray(values, dtype=float).reshape(
-                        chunk_stop - chunk_start, n_train)
-                    for name, values in performance.items()}
-
-        parts = resolve_backend(config.backend, config.workers).run(
-            run_chunk, bounds)
-        return {name: np.concatenate([part[name] for part in parts], axis=0)
-                for name in parts[0]}
-
     def _surrogate_stage(self, evaluator, indices: np.ndarray,
                          uids: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -470,12 +460,15 @@ class EstimatorLadder:
         config = self.config
         start = time.perf_counter()
         dims = len(GLOBAL_DIMS)
-        xs = np.stack([
-            latin_hypercube_normal(
-                stream(config.seed, f"ladder-train-{uids[row]}"),
-                config.surrogate_train, dims)
-            for row in range(indices.size)])
-        responses = self._sigma_sweep(evaluator, indices, xs)
+        xs = [latin_hypercube_normal(
+                  stream(config.seed, f"ladder-train-{uid}"),
+                  config.surrogate_train, dims) for uid in uids]
+        responses = self._evaluate_stacked(evaluator, indices, [
+            self.pdk.sample_from_sigma(
+                x, rng=stream(config.seed, f"ladder-train-mm-{uid}")
+                if config.include_mismatch else None,
+                include_mismatch=config.include_mismatch)
+            for x, uid in zip(xs, uids, strict=True)])
 
         yield1 = np.empty(indices.size)
         std1 = np.empty(indices.size)
@@ -524,26 +517,9 @@ class EstimatorLadder:
         backend worker) through the execution backends."""
         config = self.config
         start = time.perf_counter()
-        backend = resolve_backend(config.backend, config.workers)
-
-        def evaluate(samples: list[ProcessSample]) -> dict[str, np.ndarray]:
-            repeats = samples[0].size
-
-            def run_chunk(chunk):
-                lo, hi = chunk
-                performance = evaluator(indices[lo:hi], repeats,
-                                        ProcessSample.concatenate(
-                                            samples[lo:hi]))
-                return {name: np.asarray(values, dtype=float).reshape(-1)
-                        for name, values in performance.items()}
-
-            parts = backend.run(run_chunk, self._chunks(
-                len(samples), repeats, backend.workers))
-            return {name: np.concatenate([part[name] for part in parts])
-                    for name in parts[0]}
-
         estimates = estimate_yield_importance_stacked(
-            evaluate, self.specs, self.pdk,
+            partial(self._evaluate_stacked, evaluator, indices),
+            self.specs, self.pdk,
             [ImportanceSamplingConfig(
                 n_samples=config.is_samples,
                 pilot_samples=config.is_pilot,
@@ -576,7 +552,6 @@ class EstimatorLadder:
         evaluator = self.evaluator_factory(unit_params)
         uids = self._next_uid + np.arange(n_points)
         self._next_uid += n_points
-        self._batch_no += 1
 
         yield_est = np.full(n_points, np.nan)
         std_err = np.full(n_points, np.nan)

@@ -114,6 +114,11 @@ class SurrogateConfig:
     workers: int = 0
     chunk_lanes: int = 4000
 
+    def __post_init__(self) -> None:
+        if self.chunk_lanes < 1:
+            raise SurrogateError(
+                f"chunk_lanes must be >= 1, got {self.chunk_lanes}")
+
 
 @dataclass
 class SurrogateYieldEstimate:

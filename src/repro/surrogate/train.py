@@ -32,6 +32,7 @@ import numpy as np
 
 from .. import telemetry
 from ..errors import SurrogateError
+from ..exec import chunk_bounds
 from ..mc.engine import evaluate_sigma_batch
 from ..mc.sampler import latin_hypercube_normal, stream
 from ..process.pdk import GLOBAL_DIMS, ProcessKit
@@ -53,9 +54,8 @@ def _surrogate_batch(evaluator, pdk: ProcessKit, x: np.ndarray, *,
     ``surrogate.evaluations``.
     """
     total = len(x)
-    chunks = max(1, -(-total // max(1, chunk_lanes)))
     with telemetry.span("surrogate.batch", stage=stage, samples=total,
-                        chunks=chunks):
+                        chunks=len(chunk_bounds(total, chunk_lanes))):
         telemetry.counter_add("surrogate.evaluations", total)
         return evaluate_sigma_batch(evaluator, pdk, x, stage=stage,
                                     chunk_lanes=chunk_lanes, **options)

@@ -13,6 +13,7 @@ from typing import ClassVar
 import numpy as np
 
 from ..corners.sweep import corner_sweep_points
+from ..errors import WorkloadError
 from ..lint import preflight_lint
 from ..mc.engine import MCConfig, monte_carlo, monte_carlo_points
 from ..surrogate import (surrogate_arrays, surrogates_from_arrays,
@@ -168,6 +169,9 @@ class CornerSweepWorkload(Workload):
     def __init__(self, evaluator, n_points: int, pdk, grid, *,
                  backend=None, workers: int = 0, chunk_lanes: int = 0,
                  evaluator_id: str = "") -> None:
+        if chunk_lanes < 0:
+            raise WorkloadError(
+                f"chunk_lanes must be >= 0 (0 = one stack), got {chunk_lanes}")
         self.evaluator = evaluator
         self.n_points = n_points
         self.pdk = pdk
@@ -401,6 +405,8 @@ class SurrogateTrainWorkload(Workload):
                  include_mismatch: bool = True, backend=None,
                  workers: int = 0, chunk_lanes: int = 4000,
                  evaluator_id: str = "") -> None:
+        if chunk_lanes < 1:
+            raise WorkloadError(f"chunk_lanes must be >= 1, got {chunk_lanes}")
         self.evaluator = evaluator
         self.pdk = pdk
         self.n_train = n_train

@@ -360,7 +360,7 @@ def estimate_yield_rare(evaluator, specs: SpecSet, pdk: ProcessKit,
         The specification set defining pass/fail (and, through the
         aggregate normalised margin, the splitting levels).
     progress:
-        Optional callback ``(stage, chunks_done, chunks_total)`` fired
+        Optional callback ``(stage, lanes_done, lanes_total)`` fired
         per completed evaluation chunk.
 
     Returns

@@ -8,8 +8,8 @@ import pytest
 from repro.designs import OTAParameters, evaluate_ota
 from repro.errors import ReproError
 from repro.exec import (BACKEND_ENV_VAR, ProcessBackend, SerialBackend,
-                        ThreadBackend, available_backends, default_workers,
-                        resolve_backend)
+                        ThreadBackend, available_backends, chunk_bounds,
+                        default_workers, resolve_backend, run_chunks)
 from repro.mc import MCConfig, monte_carlo, monte_carlo_points
 from repro.process import C35
 
@@ -92,17 +92,51 @@ class TestRunContract:
                              ids=lambda b: b.name)
     def test_progress_counts_every_task(self, backend):
         seen = []
-        backend.run(lambda t: t, list(range(5)),
-                    progress=lambda done, total, index:
-                    seen.append((done, total, index)))
-        assert [done for done, _, _ in seen] == [1, 2, 3, 4, 5]
-        assert all(total == 5 for _, total, _ in seen)
-        assert sorted(index for _, _, index in seen) == list(range(5))
+        backend.run(lambda t: t, list(range(5)), progress=seen.append)
+        assert sorted(seen) == list(range(5))
 
     @pytest.mark.parametrize("backend", backends,
                              ids=lambda b: b.name)
     def test_empty_task_list(self, backend):
         assert backend.run(lambda t: t, []) == []
+
+    @pytest.mark.parametrize("backend", backends,
+                             ids=lambda b: b.name)
+    def test_run_chunks_gathers_rows_in_task_order(self, backend):
+        def run_chunk(task):
+            start, stop, scale = task
+            rows = np.arange(start, stop, dtype=float)
+            return {"row": rows * scale, "pair": np.c_[rows, -rows]}
+
+        tasks = [(start, stop, 2.0)
+                 for start, stop in chunk_bounds(10, 3)]
+        seen = []
+        result = run_chunks(backend, run_chunk, tasks,
+                            progress=lambda done, total:
+                            seen.append((done, total)))
+        np.testing.assert_array_equal(result["row"], 2.0 * np.arange(10))
+        assert result["pair"].shape == (10, 2)
+        np.testing.assert_array_equal(result["pair"][:, 0], np.arange(10))
+        done = [rows for rows, _ in seen]
+        assert len(seen) == len(tasks)
+        assert done == sorted(done) and seen[-1] == (10, 10)
+        assert all(total == 10 for _, total in seen)
+
+    @pytest.mark.parametrize("backend", backends,
+                             ids=lambda b: b.name)
+    def test_run_chunks_without_tasks(self, backend):
+        seen = []
+        assert run_chunks(backend, lambda task: {"x": np.zeros(1)}, [],
+                          progress=lambda *args: seen.append(args)) == {}
+        assert seen == []
+
+    def test_chunk_bounds(self):
+        assert chunk_bounds(7, 3) == [(0, 3), (3, 6), (6, 7)]
+        assert chunk_bounds(3, 10) == [(0, 3)]
+        assert chunk_bounds(0, 4) == []
+        for size in (0, -5):
+            with pytest.raises(ReproError):
+                chunk_bounds(4, size)
 
     def test_single_task_runs_serially(self):
         # A one-element work load must not pay pool overhead (and must

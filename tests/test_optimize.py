@@ -93,6 +93,10 @@ class TestLadderConfig:
         with pytest.raises(OptimizationError):
             LadderConfig(yield_target=1.5)
 
+    def test_chunk_lanes_validated(self):
+        with pytest.raises(OptimizationError, match="chunk_lanes"):
+            LadderConfig(chunk_lanes=0)
+
     def test_default_grid_is_nominal_only(self):
         grid = LadderConfig().corner_grid(C35)
         assert grid.vdds == (C35.supply,)
@@ -250,6 +254,31 @@ def per_candidate_oracle(factory, specs, unit, config):
         yields.append(estimate.yield_estimate)
         errors.append(estimate.std_error)
     return np.clip(yields, 0.0, 1.0), np.array(errors)
+
+
+class TestSurrogateRungInvariance:
+    """The fidelity-1 rung draws every candidate's training mismatch
+    from its own stream, so its estimates do not depend on the chunk
+    geometry, the backend or which candidates share a chunk."""
+
+    def test_equal_across_chunk_lanes_and_backends(self):
+        unit = spread_unit_params(6)
+        unit[:, 0] = np.linspace(0.0, 1.0, 6)
+        results = [EstimatorLadder(
+            mismatch_factory, SPECS, C35,
+            fast_config(min_fidelity=1, max_fidelity=1,
+                        include_mismatch=True, backend=backend,
+                        chunk_lanes=chunk_lanes)).estimate_batch(unit)
+            # None: the environment's backend (a fork pool in the CI
+            # backend smoke), compared against explicit ones.
+            for backend, chunk_lanes in [(None, 4000), ("serial", 24),
+                                         ("serial", 48), ("thread:2", 48)]]
+        assert np.all(results[0].fidelity == 1)
+        for other in results[1:]:
+            assert np.array_equal(other.yield_estimate,
+                                  results[0].yield_estimate)
+            assert np.array_equal(other.std_error, results[0].std_error)
+            assert np.array_equal(other.refused, results[0].refused)
 
 
 class TestStackedImportanceRung:

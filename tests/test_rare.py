@@ -310,11 +310,12 @@ class TestDiagnostics:
             RareEventConfig(n_per_level=200, n_final=100, chunk_lanes=50,
                             include_mismatch=False),
             progress=lambda *args: calls.append(args))
+        # Progress counts lanes, one call per 50-lane chunk.
         expected = []
         for index in range(result.n_levels):
-            expected += [(f"rare-level-{index}", done, 4)
-                         for done in range(1, 5)]
-        expected += [("rare-final", 1, 2), ("rare-final", 2, 2)]
+            expected += [(f"rare-level-{index}", done, 200)
+                         for done in range(50, 201, 50)]
+        expected += [("rare-final", 50, 100), ("rare-final", 100, 100)]
         assert calls == expected
 
     def test_progress_reports_every_stage(self):

@@ -277,6 +277,14 @@ class TestRequests:
             with pytest.raises(WorkloadError, match=match):
                 workload_from_request(request)
 
+    @pytest.mark.parametrize("kind,chunk_lanes", [
+        ("surrogate", 0), ("surrogate", -5), ("corners", -5)])
+    def test_chunk_lanes_below_bound_rejected(self, kind, chunk_lanes):
+        # corners keeps its documented 0 = one stack.
+        with pytest.raises(WorkloadError, match="chunk_lanes"):
+            workload_from_request({"kind": kind, "design": DESIGN,
+                                   "chunk_lanes": chunk_lanes})
+
     def test_rare_request_with_estimate_above_one_completes(self):
         # A design that fails almost every die: the unbiased weighted
         # estimate overshoots 1, and the sigma readout in the result's

@@ -139,6 +139,13 @@ class TestTrainingAndBundle:
         for name in serial:
             np.testing.assert_array_equal(serial[name], threaded[name])
 
+    def test_chunk_lanes_below_one_rejected(self):
+        with pytest.raises(ReproError, match="chunk size"):
+            train_surrogates(_synthetic_evaluator(C35), C35, n_train=16,
+                             kind="linear", chunk_lanes=0)
+        with pytest.raises(SurrogateError, match="chunk_lanes"):
+            SurrogateConfig(chunk_lanes=0)
+
     def test_bundle_is_a_monte_carlo_evaluator(self):
         bundle = train_surrogates(_synthetic_evaluator(C35), C35,
                                   n_train=64, seed=1, kind="quadratic",
