@@ -140,7 +140,8 @@ def corner_sweep_points(evaluator, n_points: int, pdk: ProcessKit,
         Upper bound on simultaneous lanes (points x grid size) per
         stacked solve; ``0`` solves everything in one stack.  Each
         point's grid block is atomic, so the effective bound is
-        ``max(chunk_lanes, grid.size)``.
+        ``max(chunk_lanes, grid.size)``.  Negative values raise
+        :class:`~repro.errors.ReproError`.
     progress:
         Optional callback ``(points_done, n_points)``.
 
@@ -148,6 +149,9 @@ def corner_sweep_points(evaluator, n_points: int, pdk: ProcessKit,
     -------
     Mapping performance name -> ``(n_points, grid.size)`` array.
     """
+    if chunk_lanes < 0:
+        raise ReproError(
+            f"chunk_lanes must be >= 0 (0 = one stack), got {chunk_lanes}")
     sample = grid.realize(pdk)
     lanes = chunk_lanes or n_points * grid.size
 

@@ -103,7 +103,9 @@ def build_miller_ota(params: MillerParameters, *, pdk: ProcessKit = C35,
         return {"delta_vto": dvto, "beta_scale": beta_scale}
 
     c = Circuit("miller OTA testbench")
-    c.add(VoltageSource("VDD", "vdd", "0", pdk.supply))
+    supply = pdk.supply if variations is None or variations.vdd is None \
+        else variations.vdd
+    c.add(VoltageSource("VDD", "vdd", "0", supply))
     c.add(VoltageSource("VINP", "inp", "0", vcm, ac_mag=1.0))
     c.add(CurrentSource("IBIAS", "nbias", "0", ibias))
 

@@ -39,14 +39,14 @@ from ..designs.filter2 import (FilterCaps, FilterSpec,
 from ..designs.ota import OTAParameters
 from ..designs.problems import BehavioralFilterProblem
 from ..errors import YieldModelError
-from ..mc.engine import MCConfig
+from ..lint import preflight_lint
+from ..mc.engine import MCConfig, monte_carlo
 from ..mc.sampler import stream
 from ..measure.specs import Spec, SpecSet
 from ..moo.ga import GAConfig
 from ..moo.nsga2 import run_nsga2
 from ..process import C35, ProcessKit
-from ..workload import BatchYieldWorkload, LintWorkload, design_digest
-from ..yieldmodel.estimator import YieldEstimate
+from ..yieldmodel.estimator import YieldEstimate, estimate_yield
 from ..yieldmodel.targeting import CombinedYieldModel, YieldTargetedDesign
 from .accounting import SimulationLedger
 
@@ -70,7 +70,7 @@ class FilterFlowConfig:
     #: ``"off"`` skips the checks.
     lint: str = "strict"
     #: Telemetry events file (JSONL) of this run; "" leaves telemetry in
-    #: its ambient state.  Never part of any workload fingerprint.
+    #: its ambient state.  Never part of any checkpoint fingerprint.
     telemetry: str = ""
 
     def ga_config(self) -> GAConfig:
@@ -248,9 +248,9 @@ def _filter_flow(model: CombinedYieldModel, config: FilterFlowConfig, *,
             caps, ota_gain_db=ota_gain_db, ota_ro=ota_ro,
             parasitic_pole_hz=parasitic_pole)
         if config.lint != "off":
-            LintWorkload(chosen_circuit, config.lint,
-                         stage="filter-flow lint (behavioural)").run(
-                progress=progress)
+            preflight_lint(chosen_circuit, config.lint,
+                           stage="filter-flow lint (behavioural)",
+                           progress=progress)
         nominal = {key: float(value[0]) for key, value in
                    evaluate_filter(chosen_circuit, spec=spec).items()}
     say(f"capacitors: C1={caps.c1 * 1e12:.1f}pF C2={caps.c2 * 1e12:.1f}pF "
@@ -263,9 +263,9 @@ def _filter_flow(model: CombinedYieldModel, config: FilterFlowConfig, *,
     with ledger.timed("transistor verification (nominal)", 1):
         nominal_circuit = build_filter_transistor(caps, ota_params, pdk=pdk)
         if config.lint != "off":
-            LintWorkload(nominal_circuit, config.lint,
-                         stage="filter-flow lint (transistor)").run(
-                progress=progress)
+            preflight_lint(nominal_circuit, config.lint,
+                           stage="filter-flow lint (transistor)",
+                           progress=progress)
         transistor = {key: float(value[0]) for key, value in
                       evaluate_filter(nominal_circuit, spec=spec).items()}
 
@@ -281,13 +281,11 @@ def _filter_flow(model: CombinedYieldModel, config: FilterFlowConfig, *,
 
     with ledger.timed("transistor verification (monte carlo)",
                       config.verification_samples):
-        yield_estimate, _ = BatchYieldWorkload(
-            verification_evaluator, pdk, mask_specs,
-            MCConfig(n_samples=config.verification_samples,
-                     seed=config.seed),
-            evaluator_id=design_digest(
-                ota=ota_params.to_array(), caps=caps.to_array(),
-                pdk=pdk.name)).run().value
+        yield_estimate = estimate_yield(
+            monte_carlo(verification_evaluator, pdk,
+                        MCConfig(n_samples=config.verification_samples,
+                                 seed=config.seed)),
+            mask_specs)
     say(yield_estimate.describe())
 
     return FilterFlowResult(

@@ -61,26 +61,26 @@ if TYPE_CHECKING:  # pragma: no cover - type-only (avoids a cycle:
     from ..optimize import YieldSearchConfig, YieldSearchResult
 
 from .. import telemetry
-from ..corners import CornerGrid, CornerVerification
+from ..corners import CornerGrid, CornerVerification, corner_sweep_points
 from ..designs.filter2 import DEFAULT_FILTER_SPEC
 from ..designs.ota import (OTA_DESIGN_SPACE, OTAParameters, build_ota,
                            evaluate_ota)
 from ..designs.problems import OTAProblem, TransistorFilterProblem
 from ..errors import YieldModelError
-from ..mc.engine import MCConfig
+from ..lint import preflight_lint
+from ..mc.engine import MCConfig, monte_carlo_points
 from ..mc.sampler import stream
 from ..mc.streaming import AdaptiveStop
 from ..measure.specs import Spec, SpecSet
 from ..moo.ga import GAConfig
 from ..moo.wbga import WBGAResult, run_wbga
 from ..process import C35, ProcessKit
+from ..surrogate import train_surrogates
 from ..tablemodel.pareto_table import ParetoTableModel
-from ..workload import (CornerSweepWorkload, LintWorkload, MCPointsWorkload,
-                        RareEventWorkload, StreamingYieldWorkload,
-                        SurrogateTrainWorkload, YieldSearchWorkload,
-                        design_digest, ota_points_evaluator,
-                        ota_reference_evaluator)
-from ..yieldmodel.rare import RareEventConfig, RareEventResult
+from ..workload import ota_points_evaluator, ota_reference_evaluator
+from ..yieldmodel.estimator import estimate_yield_streaming
+from ..yieldmodel.rare import (RareEventConfig, RareEventResult,
+                               estimate_yield_rare)
 from ..yieldmodel.targeting import CombinedYieldModel
 from ..yieldmodel.variation import DEFAULT_K_SIGMA, variation_columns
 from .accounting import SimulationLedger
@@ -181,7 +181,7 @@ class FlowConfig:
     yield_population: int = 16
     #: Telemetry events file (JSONL) of this run; "" leaves telemetry in
     #: its ambient state (off, or whatever ``REPRO_TELEMETRY`` enabled).
-    #: Never part of any workload fingerprint -- telemetry observes the
+    #: Never part of any checkpoint fingerprint -- telemetry observes the
     #: computation, it does not shape it.
     telemetry: str = ""
 
@@ -408,9 +408,12 @@ def _model_build_flow(config: FlowConfig, *, pdk: ProcessKit,
         say(f"pre-flight lint ({config.lint}): OTA testbench")
         testbench = build_ota(OTAParameters(), pdk=pdk, cl=config.cl,
                               ibias=config.ibias)
-        LintWorkload(testbench, config.lint,
-                     stage="model-build pre-flight lint").run(
-            progress=progress)
+        # Spanned but not timed: the ledger (Table 5) counts simulator
+        # work, and the lint simulates nothing.
+        with telemetry.span("flow.stage", stage="pre-flight lint"):
+            preflight_lint(testbench, config.lint,
+                           stage="model-build pre-flight lint",
+                           progress=progress)
 
     # Stages 1+2: objective setup and WBGA optimisation.
     say(f"WBGA optimisation: {config.generations} generations x "
@@ -453,9 +456,6 @@ def _model_build_flow(config: FlowConfig, *, pdk: ProcessKit,
     ro_ohms = gain_lin / gm
 
     # Stage 4: Monte-Carlo variation analysis on every front point.
-    # From here on every stage is a Workload: the same entry points with
-    # the same arguments (artifacts stay bit-identical), but each unit
-    # now carries a fingerprint the cache and service layer can key on.
     say(f"Monte Carlo: {config.mc_samples} samples x {k_points} points")
     mc_config = MCConfig(n_samples=config.mc_samples,
                          seed=config.seed,
@@ -464,17 +464,14 @@ def _model_build_flow(config: FlowConfig, *, pdk: ProcessKit,
                          workers=config.mc_workers)
     front_evaluator = ota_points_evaluator(natural_params, pdk=pdk,
                                            cl=config.cl, ibias=config.ibias)
-    front_id = design_digest(points=natural_params, pdk=pdk.name,
-                             cl=config.cl, ibias=config.ibias)
 
     with ledger.timed("monte-carlo variation analysis",
                       k_points * config.mc_samples):
-        mc_samples = MCPointsWorkload(
+        mc_samples = monte_carlo_points(
             front_evaluator, k_points, pdk, mc_config,
-            evaluator_id=front_id).run(
             progress=(lambda done, total:
                       say(f"  MC {done}/{total} points"))
-            if progress else None).value
+            if progress else None)
 
     # Stage 4b: deterministic PVT corner verification of the whole front.
     corner_check = None
@@ -482,11 +479,10 @@ def _model_build_flow(config: FlowConfig, *, pdk: ProcessKit,
     if grid is not None:
         say(f"corner verification: {grid.describe()} x {k_points} points")
         with ledger.timed("corner verification", k_points * grid.size):
-            corner_samples = CornerSweepWorkload(
+            corner_samples = corner_sweep_points(
                 front_evaluator, k_points, pdk, grid,
                 backend=config.mc_backend, workers=config.mc_workers,
-                chunk_lanes=config.mc_chunk_lanes,
-                evaluator_id=front_id).run().value
+                chunk_lanes=config.mc_chunk_lanes)
         corner_check = CornerVerification(grid=grid, samples=corner_samples,
                                           specs=config.corner_specs())
         corner_check.attach_mc_check(mc_samples, k_sigma=config.k_sigma)
@@ -515,18 +511,15 @@ def _model_build_flow(config: FlowConfig, *, pdk: ProcessKit,
             chunk_lanes=config.adaptive_chunk_lanes,
             backend=config.mc_backend, workers=config.mc_workers)
         with ledger.timed("streaming yield verification"):
-            estimate, streaming_verification = StreamingYieldWorkload(
+            estimate, streaming_verification = estimate_yield_streaming(
                 ota_reference_evaluator(reference, pdk=pdk, cl=config.cl,
                                         ibias=config.ibias),
                 pdk, config.corner_specs(), streaming_config,
                 adaptive=AdaptiveStop(
                     metric="yield", ci_width=config.adaptive_ci,
                     check_every=config.adaptive_check_every),
-                stage=f"mc-verify-{digest}",
-                evaluator_id=design_digest(
-                    reference=reference, pdk=pdk.name,
-                    cl=config.cl, ibias=config.ibias)).run(
-                checkpoint=config.streaming_checkpoint or None).value
+                checkpoint=config.streaming_checkpoint or None,
+                stage=f"mc-verify-{digest}")
         # Only the work this invocation simulated counts: a resumed
         # run's checkpointed samples were paid for by the earlier run.
         ledger.record("streaming yield verification",
@@ -555,13 +548,10 @@ def _model_build_flow(config: FlowConfig, *, pdk: ProcessKit,
             chunk_lanes=config.mc_chunk_lanes,
             backend=config.mc_backend, workers=config.mc_workers)
         with ledger.timed("high-sigma verification"):
-            high_sigma = RareEventWorkload(
+            high_sigma = estimate_yield_rare(
                 ota_reference_evaluator(reference, pdk=pdk, cl=config.cl,
                                         ibias=config.ibias),
-                pdk, config.corner_specs(), rare_config,
-                evaluator_id=design_digest(
-                    reference=reference, pdk=pdk.name,
-                    cl=config.cl, ibias=config.ibias)).run().value
+                config.corner_specs(), pdk, rare_config)
         ledger.record("high-sigma verification",
                       high_sigma.total_simulations, 0.0)
         for line in high_sigma.describe().splitlines():
@@ -595,16 +585,13 @@ def _model_build_flow(config: FlowConfig, *, pdk: ProcessKit,
         say(f"surrogate training: {config.surrogate_budget} samples "
             f"({config.surrogate_kind}) at the mid-front design")
         with ledger.timed("surrogate training", config.surrogate_budget):
-            surrogate = SurrogateTrainWorkload(
+            surrogate = train_surrogates(
                 ota_reference_evaluator(reference, pdk=pdk, cl=config.cl,
                                         ibias=config.ibias),
                 pdk, n_train=config.surrogate_budget, seed=config.seed,
-                surrogate_kind=config.surrogate_kind,
+                kind=config.surrogate_kind,
                 backend=config.mc_backend, workers=config.mc_workers,
-                chunk_lanes=config.mc_chunk_lanes,
-                evaluator_id=design_digest(
-                    reference=reference, pdk=pdk.name,
-                    cl=config.cl, ibias=config.ibias)).run().value
+                chunk_lanes=config.mc_chunk_lanes)
         surrogate_reference = reference
         for line in surrogate.describe().splitlines():
             say(f"  {line}")
@@ -614,16 +601,20 @@ def _model_build_flow(config: FlowConfig, *, pdk: ProcessKit,
     yield_search = None
     filter_yield_search = None
     if config.yield_objective != "none":
-        from ..optimize import filter_evaluator_factory, ota_evaluator_factory
+        from ..optimize import (filter_evaluator_factory,
+                                ota_evaluator_factory, run_yield_search)
         search_config = config.yield_search_config()
         say(f"in-loop yield search (OTA): {config.yield_generations} "
             f"generations x {config.yield_population} individuals, "
             f"mode {config.yield_objective}")
-        yield_search = YieldSearchWorkload(
-            OTAProblem(pdk=pdk, cl=config.cl, ibias=config.ibias),
-            ota_evaluator_factory(pdk=pdk, cl=config.cl, ibias=config.ibias),
-            config.corner_specs(), pdk, search_config,
-            ledger=ledger).run().value
+        # Spanned, not timed: the search records its own per-fidelity
+        # rows into the shared ledger.
+        with telemetry.span("flow.stage", stage="yield search (OTA)"):
+            yield_search = run_yield_search(
+                OTAProblem(pdk=pdk, cl=config.cl, ibias=config.ibias),
+                ota_evaluator_factory(pdk=pdk, cl=config.cl,
+                                      ibias=config.ibias),
+                config.corner_specs(), pdk, search_config, ledger=ledger)
         for line in yield_search.describe().splitlines():
             say(f"  {line}")
 
@@ -634,10 +625,11 @@ def _model_build_flow(config: FlowConfig, *, pdk: ProcessKit,
             Spec("atten_db", "ge", DEFAULT_FILTER_SPEC.min_atten_db, "dB"),
         ])
         say("in-loop yield search (filter2) at the mid-front OTA design")
-        filter_yield_search = YieldSearchWorkload(
-            TransistorFilterProblem(reference_ota, pdk=pdk),
-            filter_evaluator_factory(reference_ota, pdk=pdk),
-            filter_specs, pdk, search_config, ledger=ledger).run().value
+        with telemetry.span("flow.stage", stage="yield search (filter2)"):
+            filter_yield_search = run_yield_search(
+                TransistorFilterProblem(reference_ota, pdk=pdk),
+                filter_evaluator_factory(reference_ota, pdk=pdk),
+                filter_specs, pdk, search_config, ledger=ledger)
         for line in filter_yield_search.describe().splitlines():
             say(f"  {line}")
 

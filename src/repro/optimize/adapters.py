@@ -26,8 +26,9 @@ import numpy as np
 from ..designs.filter2 import (DEFAULT_FILTER_SPEC, FilterCaps, FilterSpec,
                                build_filter_transistor, evaluate_filter,
                                filter_frequency_grid)
-from ..designs.ota import OTAParameters, evaluate_ota
+from ..designs.ota import OTAParameters
 from ..process import C35, ProcessKit
+from ..workload.designs import ota_points_evaluator
 
 __all__ = ["ota_evaluator_factory", "filter_evaluator_factory"]
 
@@ -44,18 +45,10 @@ def ota_evaluator_factory(*, pdk: ProcessKit = C35, cl: float = 10e-12,
     """
 
     def factory(unit_params: np.ndarray):
-        natural = np.atleast_2d(
-            OTAParameters.from_normalized(unit_params).to_array())
-
-        def evaluate(point_indices, repeats, die_sample):
-            tiled = OTAParameters.from_array(
-                np.repeat(natural[point_indices], repeats, axis=0))
-            performance = evaluate_ota(tiled, pdk=pdk,
-                                       variations=die_sample,
-                                       cl=cl, ibias=ibias)
-            return {name: performance[name] for name in names}
-
-        return evaluate
+        return ota_points_evaluator(
+            np.atleast_2d(OTAParameters.from_normalized(unit_params)
+                          .to_array()),
+            pdk=pdk, cl=cl, ibias=ibias, names=names)
 
     return factory
 

@@ -79,6 +79,7 @@ from ..mc.sampler import (_key_to_int, latin_hypercube_normal, normal_cdf,
                           stream)
 from ..measure.specs import SpecSet
 from ..process.pdk import GLOBAL_DIMS, ProcessKit, ProcessSample
+from ..surrogate.estimator import calibrated_yield
 from ..surrogate.regression import SURROGATE_KINDS, fit_surrogate
 from ..yieldmodel.importance import (ImportanceSamplingConfig,
                                      estimate_yield_importance_stacked)
@@ -403,16 +404,6 @@ class EstimatorLadder:
 
         return run_chunks(backend, run_chunk, chunk_bounds(count, per_chunk))
 
-    def _pass_probability(self, predicted: dict[str, np.ndarray],
-                          scales: dict[str, float]) -> np.ndarray:
-        """Calibrated pass probability of surrogate-predicted lanes
-        (independent residuals per spec -> product of per-spec CDFs)."""
-        probability = np.ones(next(iter(predicted.values())).size)
-        for spec in self.specs:
-            z = spec.margin(predicted[spec.name]) / scales[spec.name]
-            probability = probability * normal_cdf(z)
-        return probability
-
     # -- fidelity 0: corner bounds ------------------------------------------
     def _corner_stage(self, evaluator, n_points: int
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -489,15 +480,9 @@ class EstimatorLadder:
                 config.surrogate_population, dims)
             predicted = {name: model.predict(population)
                          for name, model in models.items()}
-            probability = self._pass_probability(predicted, scales)
-            point = float(np.mean(probability))
-            sampling_var = point * (1.0 - point) / config.surrogate_population
-            classification_var = float(
-                np.sum(probability * (1.0 - probability))
-            ) / config.surrogate_population ** 2
-            yield1[row] = point
-            std1[row] = max(np.sqrt(sampling_var + classification_var),
-                            config.surrogate_floor)
+            yield1[row], std_error = calibrated_yield(predicted, self.specs,
+                                                      scales)
+            std1[row] = max(std_error, config.surrogate_floor)
         self._record(1, indices.size * config.fidelity_cost(1, self.pdk),
                      time.perf_counter() - start)
         decisive = (~refused

@@ -50,7 +50,33 @@ from ..yieldmodel.estimator import (YieldEstimate, estimate_yield,
 from .train import SurrogateBundle, _surrogate_batch, train_surrogates
 
 __all__ = ["SurrogateConfig", "SurrogateYieldEstimate",
-           "SurrogateYieldEstimator"]
+           "SurrogateYieldEstimator", "calibrated_yield"]
+
+
+def calibrated_yield(predicted: dict[str, np.ndarray], specs: SpecSet,
+                     scales: dict[str, float], *,
+                     resolved=None) -> tuple[float, float]:
+    """Yield and standard error of a surrogate-classified population.
+
+    Each lane passes with probability ``prod_s Phi(margin_s / scale_s)``
+    (independent residuals per spec, ``scales`` the per-spec residual
+    scale); ``resolved = (lanes, passed)`` overrides those lanes with
+    simulated 0/1 outcomes.  The error adds the binomial sampling
+    variance of the mean to the lanes' own classification variance.
+    """
+    probability = np.ones(next(iter(predicted.values())).size)
+    for spec in specs:
+        z = spec.margin(predicted[spec.name]) / scales[spec.name]
+        probability = probability * normal_cdf(z)
+    if resolved is not None:
+        lanes, passed = resolved
+        probability[lanes] = passed
+    n = probability.size
+    point = float(np.mean(probability))
+    sampling_var = point * (1.0 - point) / n
+    classification_var = float(
+        np.sum(probability * (1.0 - probability))) / n ** 2
+    return point, float(np.sqrt(sampling_var + classification_var))
 
 
 @dataclass(frozen=True)
@@ -269,17 +295,6 @@ class SurrogateYieldEstimator:
             worst = z if worst is None else np.minimum(worst, z)
         return worst
 
-    def _pass_probability(self, predicted: dict[str, np.ndarray],
-                          bundle: SurrogateBundle) -> np.ndarray:
-        """Calibrated per-lane pass probability (independent residuals
-        per spec, so the joint probability is the product)."""
-        scales = self._spec_scales(bundle)
-        probability = np.ones(next(iter(predicted.values())).size)
-        for spec in self.specs:
-            z = spec.margin(predicted[spec.name]) / scales[spec.name]
-            probability = probability * normal_cdf(z)
-        return probability
-
     # -- the pipeline --------------------------------------------------------
     def estimate(self) -> SurrogateYieldEstimate:
         """Run the full pipeline and return the cross-checked estimate.
@@ -344,19 +359,14 @@ class SurrogateYieldEstimator:
 
         # Final classification of the population.
         predicted = bundle.predict(xs)
-        probability = self._pass_probability(predicted, bundle)
+        point, std_error = calibrated_yield(
+            predicted, self.specs, self._spec_scales(bundle),
+            resolved=((np.asarray(resolved_index),
+                       np.concatenate(resolved_pass).astype(float))
+                      if resolved_index else None))
         ambiguity = self._ambiguity(predicted, bundle)
-        if resolved_index:
-            probability[np.asarray(resolved_index)] = \
-                np.concatenate(resolved_pass).astype(float)
         ambiguous = int(np.count_nonzero(
             (ambiguity <= config.band_sigma) & ~taken))
-
-        point = float(np.mean(probability))
-        sampling_var = point * (1.0 - point) / config.n_mc
-        classification_var = float(
-            np.sum(probability * (1.0 - probability))) / config.n_mc ** 2
-        std_error = float(np.sqrt(sampling_var + classification_var))
 
         # Direct-MC control batch (the cross-check).
         control = None

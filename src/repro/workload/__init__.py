@@ -1,16 +1,13 @@
-"""Workloads: the flow's stages as first-class, fingerprintable units.
+"""Workloads: the service's fingerprintable, cacheable units of work.
 
-The model-build and filter flows (:mod:`repro.flow`) grew as monoliths:
-each stage body built its configuration, called an engine entry point
-(:func:`repro.mc.engine.monte_carlo_points`,
+The model-build and filter flows (:mod:`repro.flow`) call the engine
+entry points (:func:`repro.mc.engine.monte_carlo_points`,
 :func:`repro.corners.corner_sweep_points`,
-:func:`repro.yieldmodel.estimator.estimate_yield_streaming`, ...), and
-interpreted the result inline.  That shape cannot be cached, queued, or
-served: the unit of work has no name, no identity, and no serialisable
-result.
-
-This package carves each stage into a :class:`Workload` object with a
-canonical contract:
+:func:`repro.yieldmodel.estimator.estimate_yield_streaming`, ...)
+directly.  A service job needs more than the call: a name, an identity
+and a serialisable result, so the result cache can key it and the job
+queue can run it.  This package wraps each engine a service request
+can reach in a :class:`Workload` object with a canonical contract:
 
 * ``config()`` -- the complete canonical configuration of the unit
   (everything that shapes its numbers; never the execution backend or
@@ -26,9 +23,8 @@ canonical contract:
 * ``run_cached()`` -- cache-first execution: serve a hit, or run and
   store.
 
-The flows compose these workloads (their artifacts are bit-identical to
-the pre-refactor stage bodies, enforced by the flow tests), and the
-service layer (:mod:`repro.service`) queues them.
+The service layer (:mod:`repro.service`) builds these from JSON
+requests (:mod:`.designs`) and queues them.
 """
 
 from .base import Workload, WorkloadResult, guarded_progress
@@ -36,16 +32,13 @@ from .designs import (design_digest, lint_workload_from_source,
                       ota_corner_workload, ota_estimate_workload,
                       ota_points_evaluator, ota_rare_workload,
                       ota_reference_evaluator, ota_surrogate_workload)
-from .units import (BatchYieldWorkload, CornerSweepWorkload, LintWorkload,
-                    MCPointsWorkload, RareEventWorkload,
-                    StreamingYieldWorkload, SurrogateTrainWorkload,
-                    YieldSearchWorkload)
+from .units import (CornerSweepWorkload, LintWorkload, RareEventWorkload,
+                    StreamingYieldWorkload, SurrogateTrainWorkload)
 
 __all__ = [
     "Workload", "WorkloadResult", "guarded_progress",
-    "LintWorkload", "MCPointsWorkload", "CornerSweepWorkload",
-    "StreamingYieldWorkload", "BatchYieldWorkload", "RareEventWorkload",
-    "SurrogateTrainWorkload", "YieldSearchWorkload",
+    "LintWorkload", "CornerSweepWorkload", "StreamingYieldWorkload",
+    "RareEventWorkload", "SurrogateTrainWorkload",
     "design_digest", "ota_reference_evaluator", "ota_points_evaluator",
     "ota_estimate_workload", "ota_rare_workload", "ota_corner_workload",
     "ota_surrogate_workload", "lint_workload_from_source",

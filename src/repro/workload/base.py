@@ -54,7 +54,7 @@ class WorkloadResult:
         stores, and reconstructing ``value`` from it must be
         bit-identical to a fresh run.
     value:
-        The rich in-memory object the flows consume (a
+        The rich in-memory object a caller consumes (a
         :class:`~repro.yieldmodel.estimator.YieldEstimate`, a
         :class:`~repro.surrogate.SurrogateBundle`, a samples dict...).
         Never serialised directly -- always rebuilt from ``arrays`` +

@@ -23,9 +23,10 @@ from .units import (CornerSweepWorkload, LintWorkload, RareEventWorkload,
                     StreamingYieldWorkload, SurrogateTrainWorkload)
 
 __all__ = ["design_digest", "ota_reference_evaluator",
-           "ota_estimate_workload", "ota_rare_workload",
-           "ota_corner_workload", "ota_surrogate_workload",
-           "lint_workload_from_source", "DEFAULT_OTA_SPECS"]
+           "ota_points_evaluator", "ota_estimate_workload",
+           "ota_rare_workload", "ota_corner_workload",
+           "ota_surrogate_workload", "lint_workload_from_source",
+           "DEFAULT_OTA_SPECS"]
 
 #: The paper's section-5 OTA requirement -- the default spec set of a
 #: service ``estimate`` request.
@@ -65,20 +66,12 @@ def ota_reference_evaluator(reference, *, pdk=C35, cl: float = 10e-12,
 
     ``reference`` is the natural-unit parameter vector ``(8,)``
     (W1 L1 ... W4 L4).  The returned callable follows the
-    :func:`repro.mc.engine.monte_carlo` contract; the flow's stage-4c /
-    stage-6 closures and the service's ``estimate`` jobs share it.
+    :func:`repro.mc.engine.monte_carlo` contract: every die lane runs
+    :func:`ota_points_evaluator`'s one-point stack.
     """
-    from ..designs.ota import OTAParameters, evaluate_ota
-    reference = np.asarray(reference, dtype=float)
-
-    def evaluator(die_sample):
-        tiled = OTAParameters.from_array(
-            np.repeat(reference[None, :], die_sample.size, axis=0))
-        performance = evaluate_ota(tiled, pdk=pdk, variations=die_sample,
-                                   cl=cl, ibias=ibias)
-        return {name: performance[name] for name in names}
-
-    return evaluator
+    points = ota_points_evaluator(np.asarray(reference, dtype=float)[None, :],
+                                  pdk=pdk, cl=cl, ibias=ibias, names=names)
+    return lambda die_sample: points([0], die_sample.size, die_sample)
 
 
 def ota_points_evaluator(natural_params, *, pdk=C35, cl: float = 10e-12,
@@ -88,8 +81,9 @@ def ota_points_evaluator(natural_params, *, pdk=C35, cl: float = 10e-12,
 
     Follows the :func:`repro.mc.engine.monte_carlo_points` contract
     (``(point_indices, repeats, die_sample) -> dict``); the same
-    callable also serves :func:`repro.corners.corner_sweep_points`,
-    which is why the flow's MC and corner stages share one closure.
+    callable also serves :func:`repro.corners.corner_sweep_points`, and
+    it is the one OTA closure behind :func:`ota_reference_evaluator` and
+    :func:`repro.optimize.ota_evaluator_factory`.
     """
     from ..designs.ota import OTAParameters, evaluate_ota
     natural_params = np.asarray(natural_params, dtype=float)

@@ -1,9 +1,9 @@
 """Concrete workloads wrapping the engine entry points.
 
 Each class binds one existing entry point -- nothing here re-implements
-numerics.  ``run()`` delegates with exactly the arguments the flow
-stages used to pass, which is what keeps the refactored flows'
-artifacts bit-identical to the monolithic stage bodies they replaced.
+numerics.  ``run()`` delegates with exactly the arguments a direct
+engine call passes, which is what keeps a service job's result
+bit-identical to the same call made from a flow.
 """
 
 from __future__ import annotations
@@ -15,36 +15,16 @@ import numpy as np
 from ..corners.sweep import corner_sweep_points
 from ..errors import WorkloadError
 from ..lint import preflight_lint
-from ..mc.engine import MCConfig, monte_carlo, monte_carlo_points
+from ..mc.engine import MCConfig
 from ..surrogate import (surrogate_arrays, surrogates_from_arrays,
                          train_surrogates)
-from ..yieldmodel.estimator import (YieldEstimate, estimate_yield,
-                                    estimate_yield_streaming)
+from ..yieldmodel.estimator import YieldEstimate, estimate_yield_streaming
 from ..yieldmodel.rare import (RareEventConfig, RareEventResult, RareLevel,
                                estimate_yield_rare)
 from .base import Workload, WorkloadResult
 
-__all__ = ["LintWorkload", "MCPointsWorkload", "CornerSweepWorkload",
-           "StreamingYieldWorkload", "BatchYieldWorkload",
-           "RareEventWorkload", "SurrogateTrainWorkload",
-           "YieldSearchWorkload"]
-
-
-def _mc_config_payload(config: MCConfig) -> dict:
-    """The fingerprint-relevant fields of an :class:`MCConfig`.
-
-    Deliberately excludes ``backend``/``workers`` (the :mod:`repro.exec`
-    determinism contract keeps them out of results) while keeping
-    ``chunk_lanes``, which fixes the chunk geometry and therefore the
-    per-chunk random streams.
-    """
-    return {
-        "n_samples": config.n_samples,
-        "seed": config.seed,
-        "include_global": config.include_global,
-        "include_mismatch": config.include_mismatch,
-        "chunk_lanes": config.chunk_lanes,
-    }
+__all__ = ["LintWorkload", "CornerSweepWorkload", "StreamingYieldWorkload",
+           "RareEventWorkload", "SurrogateTrainWorkload"]
 
 
 def _yield_arrays(estimate: YieldEstimate) -> tuple[dict, dict]:
@@ -124,41 +104,10 @@ class LintWorkload(Workload):
         return None  # the verdict lives in meta; the report object does not
 
 
-class MCPointsWorkload(Workload):
-    """Monte-Carlo variation analysis across many design points
-    (stage 4 of the model-build flow;
-    :func:`repro.mc.engine.monte_carlo_points`)."""
-
-    kind: ClassVar[str] = "mc-points"
-
-    def __init__(self, evaluator, n_points: int, pdk, config: MCConfig, *,
-                 stage: str = "mc-points", evaluator_id: str = "") -> None:
-        self.evaluator = evaluator
-        self.n_points = n_points
-        self.pdk = pdk
-        self.mc_config = config
-        self.stage = stage
-        self.evaluator_id = evaluator_id
-
-    def config(self) -> dict:
-        payload = _mc_config_payload(self.mc_config)
-        payload.update({"pdk": self.pdk.name, "n_points": self.n_points,
-                        "stage": self.stage})
-        return payload
-
-    def _execute(self, *, checkpoint, progress) -> WorkloadResult:
-        samples = monte_carlo_points(self.evaluator, self.n_points, self.pdk,
-                                     self.mc_config, progress=progress,
-                                     stage=self.stage)
-        meta = {"n_points": self.n_points,
-                "n_samples": self.mc_config.n_samples,
-                "names": sorted(samples)}
-        return self._result(meta=meta, arrays=samples, value=samples)
-
-
 class CornerSweepWorkload(Workload):
     """Deterministic PVT corner sweep of many design points
-    (stage 4b; :func:`repro.corners.corner_sweep_points`).
+    (the service's ``corners`` jobs;
+    :func:`repro.corners.corner_sweep_points`).
 
     ``chunk_lanes`` stays out of the fingerprint: the sweep draws no
     random streams, so chunk geometry cannot change its numbers.
@@ -167,8 +116,7 @@ class CornerSweepWorkload(Workload):
     kind: ClassVar[str] = "corner-sweep"
 
     def __init__(self, evaluator, n_points: int, pdk, grid, *,
-                 backend=None, workers: int = 0, chunk_lanes: int = 0,
-                 evaluator_id: str = "") -> None:
+                 chunk_lanes: int = 0, evaluator_id: str = "") -> None:
         if chunk_lanes < 0:
             raise WorkloadError(
                 f"chunk_lanes must be >= 0 (0 = one stack), got {chunk_lanes}")
@@ -176,8 +124,6 @@ class CornerSweepWorkload(Workload):
         self.n_points = n_points
         self.pdk = pdk
         self.grid = grid
-        self.backend = backend
-        self.workers = workers
         # reprolint: disable=fingerprint-completeness -- the sweep draws no random streams, so chunk geometry provably cannot change its numbers (see class docstring)
         self.chunk_lanes = chunk_lanes
         self.evaluator_id = evaluator_id
@@ -189,7 +135,6 @@ class CornerSweepWorkload(Workload):
     def _execute(self, *, checkpoint, progress) -> WorkloadResult:
         samples = corner_sweep_points(
             self.evaluator, self.n_points, self.pdk, self.grid,
-            backend=self.backend, workers=self.workers,
             chunk_lanes=self.chunk_lanes, progress=progress)
         meta = {"n_points": self.n_points, "grid": self.grid.describe(),
                 "names": sorted(samples)}
@@ -198,7 +143,7 @@ class CornerSweepWorkload(Workload):
 
 class StreamingYieldWorkload(Workload):
     """Streaming (optionally adaptive) Monte-Carlo yield estimation
-    (stage 4c, and the service layer's ``estimate`` jobs;
+    (the service's ``estimate`` jobs;
     :func:`repro.yieldmodel.estimator.estimate_yield_streaming`).
 
     ``run()`` returns ``value = (estimate, streaming)``; a cache hit
@@ -210,41 +155,40 @@ class StreamingYieldWorkload(Workload):
     kind: ClassVar[str] = "yield-streaming"
 
     def __init__(self, evaluator, pdk, specs, config: MCConfig, *,
-                 adaptive=None, sketch_capacity: int | None = None,
-                 confidence: float | None = None, stage: str = "mc-single",
-                 evaluator_id: str = "") -> None:
+                 adaptive=None, evaluator_id: str = "") -> None:
         self.evaluator = evaluator
         self.pdk = pdk
         self.specs = specs
         self.mc_config = config
         self.adaptive = adaptive
-        self.sketch_capacity = sketch_capacity
-        self.confidence = confidence
-        self.stage = stage
         self.evaluator_id = evaluator_id
 
     def config(self) -> dict:
         adaptive = self.adaptive
-        payload = _mc_config_payload(self.mc_config)
-        payload.update({
+        mc = self.mc_config
+        return {
+            # MCConfig minus its backend/workers execution fields;
+            # chunk_lanes stays: it fixes the per-chunk random streams.
+            "n_samples": mc.n_samples, "seed": mc.seed,
+            "include_global": mc.include_global,
+            "include_mismatch": mc.include_mismatch,
+            "chunk_lanes": mc.chunk_lanes,
             "pdk": self.pdk.name,
-            "stage": self.stage,
             "specs": self.specs.describe(),
             "adaptive": ([adaptive.metric, adaptive.ci_width,
                           adaptive.confidence, adaptive.min_samples,
                           adaptive.check_every, adaptive.k_sigma]
                          if adaptive is not None else []),
-            "sketch_capacity": self.sketch_capacity,
-            "confidence": self.confidence,
-        })
-        return payload
+            # The engine defaults every service job has always run with;
+            # kept as literals so existing cache keys stay valid.
+            "stage": "mc-single", "sketch_capacity": None,
+            "confidence": None,
+        }
 
     def _execute(self, *, checkpoint, progress) -> WorkloadResult:
         estimate, streaming = estimate_yield_streaming(
             self.evaluator, self.pdk, self.specs, self.mc_config,
-            adaptive=self.adaptive, checkpoint=checkpoint,
-            sketch_capacity=self.sketch_capacity,
-            confidence=self.confidence, stage=self.stage, progress=progress)
+            adaptive=self.adaptive, checkpoint=checkpoint, progress=progress)
         arrays, meta = _yield_arrays(estimate)
         meta.update({
             "samples_done": streaming.samples_done,
@@ -253,47 +197,6 @@ class StreamingYieldWorkload(Workload):
         })
         return self._result(meta=meta, arrays=arrays,
                             value=(estimate, streaming))
-
-    def _value_from_arrays(self, arrays: dict, meta: dict):
-        return _yield_from_arrays(arrays, meta), None
-
-
-class BatchYieldWorkload(Workload):
-    """Fixed-count Monte-Carlo yield verification (the filter flow's
-    transistor-level verification; :func:`repro.mc.engine.monte_carlo`
-    + :func:`repro.yieldmodel.estimator.estimate_yield`).
-
-    ``value = (estimate, population)``; cache hits rebuild the estimate
-    and return ``None`` for the population (it is re-derivable and
-    large).
-    """
-
-    kind: ClassVar[str] = "yield-batch"
-
-    def __init__(self, evaluator, pdk, specs, config: MCConfig, *,
-                 confidence: float = 0.95, evaluator_id: str = "") -> None:
-        self.evaluator = evaluator
-        self.pdk = pdk
-        self.specs = specs
-        self.mc_config = config
-        self.confidence = confidence
-        self.evaluator_id = evaluator_id
-
-    def config(self) -> dict:
-        payload = _mc_config_payload(self.mc_config)
-        payload.update({"pdk": self.pdk.name,
-                        "specs": self.specs.describe(),
-                        "confidence": self.confidence})
-        return payload
-
-    def _execute(self, *, checkpoint, progress) -> WorkloadResult:
-        population = monte_carlo(self.evaluator, self.pdk, self.mc_config,
-                                 progress)
-        estimate = estimate_yield(population, self.specs,
-                                  confidence=self.confidence)
-        arrays, meta = _yield_arrays(estimate)
-        return self._result(meta=meta, arrays=arrays,
-                            value=(estimate, population))
 
     def _value_from_arrays(self, arrays: dict, meta: dict):
         return _yield_from_arrays(arrays, meta), None
@@ -315,12 +218,11 @@ class RareEventWorkload(Workload):
     kind: ClassVar[str] = "yield-rare"
 
     def __init__(self, evaluator, pdk, specs, config: RareEventConfig, *,
-                 stage: str = "high-sigma", evaluator_id: str = "") -> None:
+                 evaluator_id: str = "") -> None:
         self.evaluator = evaluator
         self.pdk = pdk
         self.specs = specs
         self.rare_config = config
-        self.stage = stage
         self.evaluator_id = evaluator_id
 
     def config(self) -> dict:
@@ -328,7 +230,9 @@ class RareEventWorkload(Workload):
         return {
             "pdk": self.pdk.name,
             "specs": self.specs.describe(),
-            "stage": self.stage,
+            # A label the engine never read; kept as the literal every
+            # service job has always had so existing cache keys stay valid.
+            "stage": "high-sigma",
             "n_per_level": rare.n_per_level,
             "max_levels": rare.max_levels,
             "level_quantile": rare.level_quantile,
@@ -390,8 +294,8 @@ class RareEventWorkload(Workload):
 
 
 class SurrogateTrainWorkload(Workload):
-    """Process-space surrogate training (stage 6;
-    :func:`repro.surrogate.train_surrogates`).
+    """Process-space surrogate training (the service's ``surrogate``
+    jobs; :func:`repro.surrogate.train_surrogates`).
 
     The trained bundle serialises losslessly through
     :func:`repro.surrogate.surrogate_arrays`, so a cache hit rebuilds a
@@ -402,8 +306,7 @@ class SurrogateTrainWorkload(Workload):
 
     def __init__(self, evaluator, pdk, *, n_train: int, seed: int,
                  surrogate_kind: str = "quadratic",
-                 include_mismatch: bool = True, backend=None,
-                 workers: int = 0, chunk_lanes: int = 4000,
+                 include_mismatch: bool = True, chunk_lanes: int = 4000,
                  evaluator_id: str = "") -> None:
         if chunk_lanes < 1:
             raise WorkloadError(f"chunk_lanes must be >= 1, got {chunk_lanes}")
@@ -413,8 +316,6 @@ class SurrogateTrainWorkload(Workload):
         self.seed = seed
         self.surrogate_kind = surrogate_kind
         self.include_mismatch = include_mismatch
-        self.backend = backend
-        self.workers = workers
         self.chunk_lanes = chunk_lanes
         self.evaluator_id = evaluator_id
 
@@ -431,7 +332,6 @@ class SurrogateTrainWorkload(Workload):
         bundle = train_surrogates(
             self.evaluator, self.pdk, n_train=self.n_train, seed=self.seed,
             kind=self.surrogate_kind, include_mismatch=self.include_mismatch,
-            backend=self.backend, workers=self.workers,
             chunk_lanes=self.chunk_lanes)
         meta = {"surrogate_kind": self.surrogate_kind,
                 "n_train": self.n_train, "names": list(bundle.names)}
@@ -440,57 +340,3 @@ class SurrogateTrainWorkload(Workload):
 
     def _value_from_arrays(self, arrays: dict, meta: dict):
         return surrogates_from_arrays(arrays)
-
-
-class YieldSearchWorkload(Workload):
-    """In-loop yield-aware Pareto search (stage 7;
-    :func:`repro.optimize.run_yield_search`).
-
-    Uncacheable: the result carries a full GA history and per-fidelity
-    ledger that cannot be rebuilt from flat arrays.  The workload still
-    fingerprints (for job identity in the service layer), keyed by the
-    search configuration and the problem's name.
-    """
-
-    kind: ClassVar[str] = "yield-search"
-    cacheable: ClassVar[bool] = False
-
-    def __init__(self, problem, evaluator_factory, specs, pdk,
-                 search_config, *, ledger=None,
-                 evaluator_id: str = "") -> None:
-        self.problem = problem
-        self.evaluator_factory = evaluator_factory
-        self.specs = specs
-        self.pdk = pdk
-        self.search_config = search_config
-        self.ledger = ledger
-        self.evaluator_id = (evaluator_id
-                             or f"problem:{type(problem).__name__}")
-
-    def config(self) -> dict:
-        search = self.search_config
-        ladder = search.ladder
-        return {
-            "pdk": self.pdk.name,
-            "specs": self.specs.describe(),
-            "mode": search.mode, "optimizer": search.optimizer,
-            "yield_target": search.yield_target,
-            "penalty_weight": search.penalty_weight,
-            "generations": search.generations,
-            "population": search.population,
-            "seed": search.seed,
-            # Ladder knobs minus its backend/workers execution fields.
-            "fidelity_budget": ladder.fidelity_budget,
-            "chunk_lanes": ladder.chunk_lanes,
-        }
-
-    def _execute(self, *, checkpoint, progress) -> WorkloadResult:
-        # Runtime import: repro.optimize builds on repro.flow.accounting,
-        # and the flow package imports this module -- the dependency must
-        # stay one-way at import time (mirrors flow/pipeline.py).
-        from ..optimize import run_yield_search
-        result = run_yield_search(self.problem, self.evaluator_factory,
-                                  self.specs, self.pdk, self.search_config,
-                                  ledger=self.ledger)
-        return self._result(meta={"mode": self.search_config.mode},
-                            value=result)

@@ -149,6 +149,22 @@ class TestTemperatureAndSupplyHooks:
         circuit = build_ota(OTAParameters(), variations=sample)
         assert np.asarray(circuit.element("VDD").dc).reshape(-1)[0] == 3.0
 
+    def test_miller_ota_honours_supply_lanes(self):
+        from repro.designs.miller import MillerParameters, evaluate_miller_ota
+        grid = CornerGrid(corners=("tm",), vdds=(3.0, 3.3, 3.6),
+                          temps_c=(27.0,))
+
+        def evaluate(sample):
+            return evaluate_miller_ota(MillerParameters(), variations=sample)
+
+        stacked = corner_sweep(evaluate, C35, grid)
+        sequential = corner_sweep_sequential(evaluate, C35, grid)
+        for name in stacked.performance:
+            np.testing.assert_array_equal(stacked.performance[name],
+                                          sequential.performance[name])
+        # Each supply lane reaches the VDD source, so the gain moves.
+        assert np.unique(stacked.performance["gain_db"]).size == 3
+
     def test_temperature_slows_the_ota(self):
         evaluate = ota_evaluator()
         cold = evaluate(C35.corner_sample("tm", temp_c=-40.0))
@@ -232,6 +248,23 @@ class TestSweep:
 
         with pytest.raises(ReproError, match="lanes"):
             corner_sweep(bad_evaluator, C35, self.GRID)
+
+    def test_negative_chunk_lanes_rejected_by_both_entry_points(self):
+        calls = []
+
+        def evaluator(indices, repeats, sample):
+            calls.append(indices.size)
+            return {"metric": np.zeros(indices.size * repeats)}
+
+        with pytest.raises(ReproError, match="chunk"):
+            corner_sweep(ota_evaluator(), C35, self.GRID, chunk_lanes=-5)
+        with pytest.raises(ReproError, match="chunk_lanes"):
+            corner_sweep_points(evaluator, 4, C35, self.GRID,
+                                chunk_lanes=-5)
+        assert calls == []
+        # Zero still means one stack.
+        corner_sweep_points(evaluator, 4, C35, self.GRID, chunk_lanes=0)
+        assert calls == [4]
 
 
 class TestReporting:

@@ -21,11 +21,11 @@ from repro.errors import (JobCancelled, LintGateError, ParseError,
 from repro.mc import MCConfig
 from repro.measure.specs import Spec, SpecSet
 from repro.process import C35
-from repro.workload import (BatchYieldWorkload, CornerSweepWorkload,
-                            LintWorkload, RareEventWorkload,
-                            StreamingYieldWorkload, SurrogateTrainWorkload,
-                            design_digest, guarded_progress,
-                            lint_workload_from_source,
+from repro.service.requests import workload_from_request
+from repro.workload import (CornerSweepWorkload, LintWorkload,
+                            RareEventWorkload, StreamingYieldWorkload,
+                            SurrogateTrainWorkload, design_digest,
+                            guarded_progress, lint_workload_from_source,
                             ota_estimate_workload, ota_rare_workload)
 from repro.yieldmodel import RareEventConfig
 
@@ -125,7 +125,7 @@ class TestFingerprintInvalidation:
         coarse = CornerSweepWorkload(metric_evaluator, 4, C35, grid,
                                      chunk_lanes=10)
         fine = CornerSweepWorkload(metric_evaluator, 4, C35, grid,
-                                   chunk_lanes=1000, workers=3)
+                                   chunk_lanes=1000)
         assert coarse.fingerprint() == fine.fingerprint()
 
     def test_design_digest_distinguishes(self):
@@ -134,6 +134,60 @@ class TestFingerprintInvalidation:
         assert a.startswith("design:")
         assert a != b
         assert a == design_digest(reference=np.arange(8.0), pdk="c35")
+
+
+class TestPinnedKeys:
+    """Service cache keys stay byte-stable across code changes.
+
+    The other fingerprint tests compare two keys computed by the same
+    code; these compare against literal keys recorded earlier, so a
+    refactor that silently renames or drops a config field -- and with
+    it every warm daemon cache -- fails here.
+    """
+
+    REQUESTS = {
+        "estimate": {"kind": "estimate", "design": DESIGN,
+                     "n_samples": 300, "seed": 2008, "chunk_lanes": 64},
+        "estimate-adaptive": {"kind": "estimate", "design": DESIGN,
+                              "n_samples": 2000, "adaptive_ci": 0.05,
+                              "check_every": 2},
+        "rare": {"kind": "rare", "design": DESIGN, "n_per_level": 500,
+                 "n_final": 1000,
+                 "specs": [["gain_db", "ge", 50.0, "dB"]]},
+        "corners": {"kind": "corners", "design": DESIGN},
+        "corners-explicit": {"kind": "corners", "design": DESIGN,
+                             "corners": "tm,ws", "vdds": "3.0,3.3,3.6",
+                             "temps": "27", "chunk_lanes": 3},
+        "surrogate": {"kind": "surrogate", "design": DESIGN,
+                      "n_train": 32},
+        "lint": {"kind": "lint",
+                 "netlist": "V1 in 0 1\nR1 in 0 1k\n.end\n"},
+    }
+
+    KEYS = {
+        "estimate":
+            "37a2d0e4ba35cdd1e90d208c5b79cc112dce34460abb3f68bbc56c54f5530490",
+        "estimate-adaptive":
+            "373566f33083922d3852dd76dd17ffbc1cd43445126f1b7ff5030290b69abdd5",
+        "rare":
+            "8b255336ec57b5a6a3fa57bda46c00908ed03c36654a03735833dc531c5ee66a",
+        "corners":
+            "9a15c6234e64750a0e9478d88dbb8995d30c81c5ac21ab043172fe4634d0f065",
+        "corners-explicit":
+            "cc18b61b47030803a705f2936cc925d33993c50d8da33cbd0391dfb7701861d6",
+        "surrogate":
+            "1628e5e71ece650ad7b646b601b223b1fcbe2f346372f7b5b946e857724a0fd3",
+        "lint":
+            "048599fee89bad1c97ec51f8078cdaa5e20989f71d35fcca5824d783d01c8039",
+    }
+
+    @pytest.mark.parametrize("name", sorted(REQUESTS))
+    def test_key_matches_recorded_value(self, name):
+        key = workload_from_request(self.REQUESTS[name]).key()
+        assert key == self.KEYS[name], (
+            f"the cache key of a {name!r} request changed; warm service "
+            f"caches would miss.  If the change is deliberate (e.g. a "
+            f"version bump), re-record KEYS with the new values.")
 
 
 class TestCacheRoundTrip:
@@ -153,16 +207,6 @@ class TestCacheRoundTrip:
         assert streaming is not None and no_streaming is None
         assert hit.meta == fresh.meta
         assert cache.stats.hits == 1 and cache.stats.stores == 1
-
-    def test_batch_yield_bit_identical(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        workload = BatchYieldWorkload(metric_evaluator, C35, SPECS,
-                                      MCConfig(n_samples=100, seed=3))
-        fresh = workload.run_cached(cache)
-        hit = workload.run_cached(cache)
-        assert hit.cache_hit
-        assert hit.value[0] == fresh.value[0]
-        assert fresh.value[1] is not None and hit.value[1] is None
 
     def test_surrogate_bundle_bit_identical(self, tmp_path):
         from repro.surrogate import surrogate_arrays
