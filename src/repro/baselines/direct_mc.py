@@ -26,14 +26,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import telemetry
 from ..designs.ota import OTAParameters, evaluate_ota
-from ..flow.accounting import SimulationLedger
 from ..mc.engine import MCConfig, monte_carlo_points
 from ..mc.sampler import stream
 from ..measure.specs import SpecSet
 from ..moo.ga import (GAConfig, gaussian_mutation, tournament_select,
                       uniform_crossover)
 from ..process import C35, ProcessKit
+from ..telemetry.ledger import SimulationLedger
 from ..yieldmodel.estimator import YieldEstimate, estimate_yield
 
 __all__ = ["DirectMCConfig", "DirectMCResult", "run_direct_mc_optimization"]
@@ -106,7 +107,7 @@ def run_direct_mc_optimization(specs: SpecSet,
     config = config or DirectMCConfig()
     rng = stream(config.seed, "direct-mc")
     ledger = SimulationLedger()
-    say = progress or (lambda message: None)
+    say = telemetry.announcer(progress)
     mc_config = MCConfig(n_samples=config.mc_samples_per_candidate,
                          seed=config.seed, chunk_lanes=config.chunk_lanes,
                          backend=config.backend, workers=config.workers)
@@ -115,14 +116,14 @@ def run_direct_mc_optimization(specs: SpecSet,
     genes = rng.random((pop, 8))
     best: dict | None = None
 
-    total_sims = 0
-    with ledger.timed("conventional optimisation (transistor MC in loop)"):
+    with ledger.timed(
+            "conventional optimisation (transistor MC in loop)") as row:
         for generation in range(config.generations):
             params = OTAParameters.from_normalized(genes)
 
             # Nominal simulation of the whole population (batched).
             nominal = evaluate_ota(params, pdk=pdk)
-            total_sims += pop
+            row.simulations += pop
 
             # Per-candidate Monte Carlo: tile each candidate against its
             # own die samples -- the expensive inner loop the proposed
@@ -139,7 +140,7 @@ def run_direct_mc_optimization(specs: SpecSet,
             mc_perf = monte_carlo_points(
                 mc_evaluator, pop, pdk, mc_config,
                 stage=f"direct-mc-gen{generation}")
-            total_sims += pop * config.mc_samples_per_candidate
+            row.simulations += pop * config.mc_samples_per_candidate
 
             yields = np.empty(pop)
             for i in range(pop):
@@ -175,9 +176,6 @@ def run_direct_mc_optimization(specs: SpecSet,
             genes = gaussian_mutation(children, 0.1, 0.08, rng)
             genes[0] = best["genes"]  # elitism
 
-    ledger.record("conventional optimisation (transistor MC in loop)",
-                  total_sims, 0.0)
-
     # Final verification MC on the winner (same budget as the proposed
     # flow's verification, for a like-for-like yield number).
     winner = OTAParameters.from_normalized(best["genes"])
@@ -186,7 +184,6 @@ def run_direct_mc_optimization(specs: SpecSet,
         die = pdk.sample(500, stream(config.seed, "direct-mc-verify"))
         final_perf = evaluate_ota(tiled, pdk=pdk, variations=die)
         final_yield = estimate_yield(final_perf, specs)
-    total_sims += 500
 
     values = winner.to_array()
     names = ("w1", "l1", "w2", "l2", "w3", "l3", "w4", "l4")
@@ -196,6 +193,6 @@ def run_direct_mc_optimization(specs: SpecSet,
                          for i, name in enumerate(names)},
         best_yield=final_yield,
         best_performance=best["nominal"],
-        transistor_simulations=total_sims,
+        transistor_simulations=ledger.total_simulations,
         ledger=ledger,
     )

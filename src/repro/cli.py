@@ -518,8 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser(
         "stats", help="fetch a live metrics snapshot from a daemon",
         description="Ask the daemon serving <root> for its metrics "
-                    "registry snapshot (counters, gauges with timestamped "
-                    "samples, histograms), live cache figures and job "
+                    "registry snapshot (counters and gauges with "
+                    "timestamped samples), live cache figures and job "
                     "counts, over the same file-spool protocol the other "
                     "service verbs use.")
     stats.add_argument("root", help="service root directory")

@@ -45,6 +45,8 @@ import numpy as np
 from ..behavioral.codegen import write_verilog_a_package
 from ..designs.ota import OTA_DESIGN_SPACE
 from ..errors import YieldModelError
+from ..optimize import (format_guardband_comparison, format_ladder_summary,
+                        format_yield_front)
 from ..surrogate import save_surrogates
 from ..tablemodel.pareto_table import ParetoTableModel
 from ..yieldmodel.targeting import CombinedYieldModel
@@ -55,8 +57,6 @@ __all__ = ["save_flow_artifacts", "load_flow_arrays", "rebuild_model"]
 def _ota_yield_report(result, search) -> str:
     """Stage-7 OTA report: annotated front + ladder accounting + the
     comparison against the paper's guard-banded model selection."""
-    from ..optimize import (format_guardband_comparison,
-                            format_ladder_summary, format_yield_front)
     parts = [format_yield_front(search), "", format_ladder_summary(
         search.counts)]
     try:
@@ -78,8 +78,6 @@ def _ota_yield_report(result, search) -> str:
 def _filter_yield_report(search) -> str:
     """Stage-7 filter2 report; the reference row is the search's own
     max-worst-nominal-margin point (the filter flow's selection rule)."""
-    from ..optimize import (format_guardband_comparison,
-                            format_ladder_summary, format_yield_front)
     objectives = search.front_objectives()
     annotations = search.front_annotations()
     base_names = tuple(obj.name for obj in search.problem.base.objectives)

@@ -46,9 +46,9 @@ from ..measure.specs import Spec, SpecSet
 from ..moo.ga import GAConfig
 from ..moo.nsga2 import run_nsga2
 from ..process import C35, ProcessKit
+from ..telemetry.ledger import SimulationLedger
 from ..yieldmodel.estimator import YieldEstimate, estimate_yield
 from ..yieldmodel.targeting import CombinedYieldModel, YieldTargetedDesign
-from .accounting import SimulationLedger
 
 __all__ = ["FilterFlowConfig", "FilterFlowResult", "run_filter_flow"]
 
@@ -188,9 +188,7 @@ def run_filter_flow(model: CombinedYieldModel,
         with telemetry.span("flow.filter", individuals=config.individuals,
                             generations=config.generations,
                             seed=config.seed):
-            result = _filter_flow(model, config, pdk=pdk, progress=progress)
-        telemetry.emit_ledger(result.ledger)
-    return result
+            return _filter_flow(model, config, pdk=pdk, progress=progress)
 
 
 def _filter_flow(model: CombinedYieldModel, config: FilterFlowConfig, *,
@@ -226,10 +224,10 @@ def _filter_flow(model: CombinedYieldModel, config: FilterFlowConfig, *,
     problem = BehavioralFilterProblem(ota_gain_db=ota_gain_db,
                                       ota_ro=ota_ro, spec=spec,
                                       parasitic_pole_hz=parasitic_pole)
-    with ledger.timed("filter optimisation (behavioural)"):
+    with ledger.timed("filter optimisation (behavioural)") as row:
         moo = run_nsga2(problem, config.ga_config(),
                         rng=stream(config.seed, "filter-nsga2"))
-    ledger.record("filter optimisation (behavioural)", moo.evaluations, 0.0)
+        row.simulations += moo.evaluations
 
     # Step 3: capacitor selection from the filter's own Pareto front,
     # corner-checked against +/-3-sigma capacitor spread.

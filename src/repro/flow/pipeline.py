@@ -43,7 +43,7 @@
    estimator ladder, and produces yield-annotated Pareto fronts plus a
    comparison against the paper's guard-banded selection.
 
-Costs are tracked in a :class:`~repro.flow.accounting.SimulationLedger`
+Costs are tracked in a :class:`~repro.telemetry.ledger.SimulationLedger`
 so Table 5 and the conventional-flow comparison can be regenerated.
 """
 
@@ -51,14 +51,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - type-only (avoids a cycle:
-    # repro.optimize depends on repro.flow.accounting at runtime)
-    from ..mc.streaming import StreamingResult
-    from ..optimize import YieldSearchConfig, YieldSearchResult
 
 from .. import telemetry
 from ..corners import CornerGrid, CornerVerification, corner_sweep_points
@@ -70,20 +64,23 @@ from ..errors import YieldModelError
 from ..lint import preflight_lint
 from ..mc.engine import MCConfig, monte_carlo_points
 from ..mc.sampler import stream
-from ..mc.streaming import AdaptiveStop
+from ..mc.streaming import AdaptiveStop, StreamingResult
 from ..measure.specs import Spec, SpecSet
 from ..moo.ga import GAConfig
 from ..moo.wbga import WBGAResult, run_wbga
+from ..optimize import (LadderConfig, YieldSearchConfig, YieldSearchResult,
+                        filter_evaluator_factory, ota_evaluator_factory,
+                        run_yield_search)
 from ..process import C35, ProcessKit
 from ..surrogate import train_surrogates
 from ..tablemodel.pareto_table import ParetoTableModel
+from ..telemetry.ledger import SimulationLedger
 from ..workload import ota_points_evaluator, ota_reference_evaluator
 from ..yieldmodel.estimator import estimate_yield_streaming
 from ..yieldmodel.rare import (RareEventConfig, RareEventResult,
                                estimate_yield_rare)
 from ..yieldmodel.targeting import CombinedYieldModel
 from ..yieldmodel.variation import DEFAULT_K_SIGMA, variation_columns
-from .accounting import SimulationLedger
 
 __all__ = ["FlowConfig", "FlowResult", "run_model_build_flow",
            "paper_scale_config", "reduced_config"]
@@ -207,11 +204,8 @@ class FlowConfig:
             Spec("pm_deg", "ge", self.corner_spec_pm_deg, "deg"),
         ])
 
-    def yield_search_config(self) -> "YieldSearchConfig":
+    def yield_search_config(self) -> YieldSearchConfig:
         """Stage-7 search settings derived from the flow configuration."""
-        # Runtime import: repro.optimize itself builds on repro.flow's
-        # accounting, so the dependency must stay one-way at import time.
-        from ..optimize import LadderConfig, YieldSearchConfig
         ladder = LadderConfig(
             yield_target=self.yield_target,
             fidelity_budget=self.fidelity_budget,
@@ -295,9 +289,9 @@ class FlowResult:
     corner_check: CornerVerification | None = None
     surrogate: object | None = None
     surrogate_reference: np.ndarray | None = None
-    yield_search: "YieldSearchResult | None" = None
-    filter_yield_search: "YieldSearchResult | None" = None
-    streaming_verification: "StreamingResult | None" = None
+    yield_search: YieldSearchResult | None = None
+    filter_yield_search: YieldSearchResult | None = None
+    streaming_verification: StreamingResult | None = None
     high_sigma: RareEventResult | None = None
     ledger: SimulationLedger = field(default_factory=SimulationLedger)
 
@@ -391,9 +385,7 @@ def run_model_build_flow(config: FlowConfig | None = None, *,
         with telemetry.span("flow.build", generations=config.generations,
                             population=config.population,
                             mc_samples=config.mc_samples, seed=config.seed):
-            result = _model_build_flow(config, pdk=pdk, progress=progress)
-        telemetry.emit_ledger(result.ledger)
-    return result
+            return _model_build_flow(config, pdk=pdk, progress=progress)
 
 
 def _model_build_flow(config: FlowConfig, *, pdk: ProcessKit,
@@ -419,10 +411,10 @@ def _model_build_flow(config: FlowConfig, *, pdk: ProcessKit,
     say(f"WBGA optimisation: {config.generations} generations x "
         f"{config.population} individuals")
     problem = OTAProblem(pdk=pdk, cl=config.cl, ibias=config.ibias)
-    with ledger.timed("multi-objective optimisation"):
+    with ledger.timed("multi-objective optimisation") as row:
         wbga = run_wbga(problem, config.ga_config(),
                         rng=stream(config.seed, "wbga"))
-    ledger.record("multi-objective optimisation", wbga.evaluations, 0.0)
+        row.simulations += wbga.evaluations
 
     # Stage 3: Pareto front extraction.
     with ledger.timed("pareto extraction"):
@@ -510,7 +502,7 @@ def _model_build_flow(config: FlowConfig, *, pdk: ProcessKit,
             n_samples=config.adaptive_max_samples, seed=config.seed,
             chunk_lanes=config.adaptive_chunk_lanes,
             backend=config.mc_backend, workers=config.mc_workers)
-        with ledger.timed("streaming yield verification"):
+        with ledger.timed("streaming yield verification") as row:
             estimate, streaming_verification = estimate_yield_streaming(
                 ota_reference_evaluator(reference, pdk=pdk, cl=config.cl,
                                         ibias=config.ibias),
@@ -520,11 +512,10 @@ def _model_build_flow(config: FlowConfig, *, pdk: ProcessKit,
                     check_every=config.adaptive_check_every),
                 checkpoint=config.streaming_checkpoint or None,
                 stage=f"mc-verify-{digest}")
-        # Only the work this invocation simulated counts: a resumed
-        # run's checkpointed samples were paid for by the earlier run.
-        ledger.record("streaming yield verification",
-                      streaming_verification.samples_done
-                      - streaming_verification.samples_resumed, 0.0)
+            # Only the work this invocation simulated counts: a resumed
+            # run's checkpointed samples were paid for by the earlier run.
+            row.simulations += (streaming_verification.samples_done
+                                - streaming_verification.samples_resumed)
         for line in estimate.describe().splitlines():
             say(f"  {line}")
         if streaming_verification.stopped_early:
@@ -547,13 +538,12 @@ def _model_build_flow(config: FlowConfig, *, pdk: ProcessKit,
             n_final=config.high_sigma_final, seed=config.seed,
             chunk_lanes=config.mc_chunk_lanes,
             backend=config.mc_backend, workers=config.mc_workers)
-        with ledger.timed("high-sigma verification"):
+        with ledger.timed("high-sigma verification") as row:
             high_sigma = estimate_yield_rare(
                 ota_reference_evaluator(reference, pdk=pdk, cl=config.cl,
                                         ibias=config.ibias),
                 config.corner_specs(), pdk, rare_config)
-        ledger.record("high-sigma verification",
-                      high_sigma.total_simulations, 0.0)
+            row.simulations += high_sigma.total_simulations
         for line in high_sigma.describe().splitlines():
             say(f"  {line}")
 
@@ -601,14 +591,13 @@ def _model_build_flow(config: FlowConfig, *, pdk: ProcessKit,
     yield_search = None
     filter_yield_search = None
     if config.yield_objective != "none":
-        from ..optimize import (filter_evaluator_factory,
-                                ota_evaluator_factory, run_yield_search)
         search_config = config.yield_search_config()
         say(f"in-loop yield search (OTA): {config.yield_generations} "
             f"generations x {config.yield_population} individuals, "
             f"mode {config.yield_objective}")
-        # Spanned, not timed: the search records its own per-fidelity
-        # rows into the shared ledger.
+        # Spanned, not timed: the search's ledger rows open their own
+        # spans under this one, and timing it too would count their
+        # seconds twice.
         with telemetry.span("flow.stage", stage="yield search (OTA)"):
             yield_search = run_yield_search(
                 OTAProblem(pdk=pdk, cl=config.cl, ibias=config.ibias),

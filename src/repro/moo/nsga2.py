@@ -17,21 +17,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ga import GAConfig, polynomial_mutation, sbx_crossover
-from .pareto import crowding_distance, fast_non_dominated_sort, non_dominated_mask
+from .pareto import (ParetoArchive, crowding_distance,
+                     fast_non_dominated_sort)
 from .problem import OptimizationProblem
 
 __all__ = ["NSGA2Result", "run_nsga2"]
 
 
 @dataclass
-class NSGA2Result:
+class NSGA2Result(ParetoArchive):
     """Result of an NSGA-II run (same archive shape as WBGA for easy
     comparison).
 
-    ``annotations`` is an optional per-individual side channel aligned
-    with ``all_parameters`` rows -- the yield-aware search
-    (:mod:`repro.optimize`) stores each individual's ladder yield
-    estimate, standard error, fidelity, and simulator cost there.
+    The Pareto views and ``annotations`` are described on
+    :class:`~repro.moo.pareto.ParetoArchive`.
     """
 
     problem: OptimizationProblem
@@ -41,31 +40,6 @@ class NSGA2Result:
     final_parameters: np.ndarray
     final_objectives: np.ndarray
     annotations: dict[str, np.ndarray] | None = None
-
-    @property
-    def evaluations(self) -> int:
-        return self.all_parameters.shape[0]
-
-    def pareto_mask(self) -> np.ndarray:
-        return non_dominated_mask(self.problem.oriented(self.all_objectives))
-
-    def pareto_parameters(self) -> np.ndarray:
-        return self.all_parameters[self.pareto_mask()]
-
-    def pareto_objectives(self) -> np.ndarray:
-        return self.all_objectives[self.pareto_mask()]
-
-    def pareto_count(self) -> int:
-        return int(np.count_nonzero(self.pareto_mask()))
-
-    def pareto_annotations(self) -> dict[str, np.ndarray]:
-        """The annotation columns restricted to the Pareto front
-        (empty when no annotations were attached)."""
-        if not self.annotations:
-            return {}
-        mask = self.pareto_mask()
-        return {name: values[mask]
-                for name, values in self.annotations.items()}
 
 
 def _rank_and_crowding(oriented: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["dominates", "non_dominated_mask", "pareto_front_indices",
-           "crowding_distance", "fast_non_dominated_sort"]
+           "crowding_distance", "fast_non_dominated_sort", "ParetoArchive"]
 
 
 def dominates(a, b) -> bool:
@@ -142,3 +142,46 @@ def fast_non_dominated_sort(values: np.ndarray) -> list[np.ndarray]:
             remaining[dominates_matrix[i]] -= 1
         current = np.nonzero((remaining == 0) & ~assigned)[0]
     return fronts
+
+
+class ParetoArchive:
+    """Pareto views of an optimiser's archive of evaluated individuals.
+
+    A field-less mixin for the optimiser result dataclasses (WBGA and
+    NSGA-II), which provide ``problem``, ``all_parameters``,
+    ``all_objectives`` and ``annotations``.  ``annotations`` is an
+    optional per-individual side channel aligned with ``all_parameters``
+    rows: the yield-aware search (:mod:`repro.optimize`) stores each
+    individual's ladder yield estimate, standard error, fidelity and
+    simulator cost there.
+    """
+
+    @property
+    def evaluations(self) -> int:
+        """Total evaluated individuals (Table 5 "Evaluation Samples")."""
+        return self.all_parameters.shape[0]
+
+    def pareto_mask(self) -> np.ndarray:
+        """Non-dominated mask over all evaluated individuals."""
+        return non_dominated_mask(self.problem.oriented(self.all_objectives))
+
+    def pareto_parameters(self) -> np.ndarray:
+        """Normalised parameters of the Pareto-optimal individuals."""
+        return self.all_parameters[self.pareto_mask()]
+
+    def pareto_objectives(self) -> np.ndarray:
+        """Natural-unit objectives of the Pareto-optimal individuals."""
+        return self.all_objectives[self.pareto_mask()]
+
+    def pareto_count(self) -> int:
+        """Number of Pareto points (the paper reports 1022)."""
+        return int(np.count_nonzero(self.pareto_mask()))
+
+    def pareto_annotations(self) -> dict[str, np.ndarray]:
+        """The annotation columns restricted to the Pareto front
+        (empty when no annotations were attached)."""
+        if not self.annotations:
+            return {}
+        mask = self.pareto_mask()
+        return {name: values[mask]
+                for name, values in self.annotations.items()}

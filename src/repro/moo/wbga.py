@@ -34,7 +34,7 @@ import numpy as np
 from ..errors import OptimizationError
 from .ga import (GAConfig, gaussian_mutation, tournament_select,
                  uniform_crossover)
-from .pareto import non_dominated_mask
+from .pareto import ParetoArchive
 from .problem import OptimizationProblem
 
 __all__ = ["WBGAResult", "normalise_weights", "run_wbga"]
@@ -55,7 +55,7 @@ def normalise_weights(raw_weights: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class WBGAResult:
+class WBGAResult(ParetoArchive):
     """Everything a WBGA run produced.
 
     Attributes
@@ -75,8 +75,8 @@ class WBGAResult:
         Convergence trace, ``(G,)``.
     annotations:
         Optional per-individual side channel aligned with
-        ``all_parameters`` rows (the yield-aware search stores ladder
-        yield estimates, fidelities, and simulator costs here).
+        ``all_parameters`` rows (see
+        :class:`~repro.moo.pareto.ParetoArchive`).
     """
 
     problem: OptimizationProblem
@@ -90,36 +90,6 @@ class WBGAResult:
     objective_minima: np.ndarray = field(default=None)
     objective_maxima: np.ndarray = field(default=None)
     annotations: dict[str, np.ndarray] | None = None
-
-    @property
-    def evaluations(self) -> int:
-        """Total evaluated individuals (Table 5 "Evaluation Samples")."""
-        return self.all_parameters.shape[0]
-
-    def pareto_mask(self) -> np.ndarray:
-        """Non-dominated mask over all evaluated individuals."""
-        return non_dominated_mask(self.problem.oriented(self.all_objectives))
-
-    def pareto_parameters(self) -> np.ndarray:
-        """Normalised parameters of the Pareto-optimal individuals."""
-        return self.all_parameters[self.pareto_mask()]
-
-    def pareto_objectives(self) -> np.ndarray:
-        """Natural-unit objectives of the Pareto-optimal individuals."""
-        return self.all_objectives[self.pareto_mask()]
-
-    def pareto_count(self) -> int:
-        """Number of Pareto points (the paper reports 1022)."""
-        return int(np.count_nonzero(self.pareto_mask()))
-
-    def pareto_annotations(self) -> dict[str, np.ndarray]:
-        """The annotation columns restricted to the Pareto front
-        (empty when no annotations were attached)."""
-        if not self.annotations:
-            return {}
-        mask = self.pareto_mask()
-        return {name: values[mask]
-                for name, values in self.annotations.items()}
 
 
 def _equation5_fitness(oriented: np.ndarray, weights: np.ndarray,

@@ -11,8 +11,9 @@ ladder that composes the library's three cheap yield paths:
 * :mod:`~repro.optimize.ladder`   -- the :class:`EstimatorLadder`:
   corner bounds -> surrogate classification -> importance-sampled MC,
   escalating only candidates the cheaper rung cannot confidently place
-  relative to the target yield, with per-fidelity cost accounting in a
-  :class:`~repro.flow.accounting.SimulationLedger`;
+  relative to the target yield, with per-fidelity cost rows in a
+  :class:`~repro.telemetry.ledger.SimulationLedger`, each rung timed on
+  its own ``flow.stage`` span;
 * :mod:`~repro.optimize.problem`  -- :class:`YieldAugmentedProblem`:
   wraps any :class:`~repro.moo.problem.OptimizationProblem` with a
   yield objective, a k-sigma robustness objective, or a

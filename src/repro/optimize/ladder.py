@@ -54,17 +54,17 @@ backend, worker count or which other candidates share its batch --
 stronger than :mod:`repro.mc.engine`, which is bit-stable only for a
 fixed ``chunk_lanes``.
 
-Per-fidelity costs are recorded in a
-:class:`~repro.flow.accounting.SimulationLedger` (stages ``"yield
-ladder: corner bounds"`` / ``"... surrogate classification"`` / ``"...
-importance sampling"``) and accumulated in :class:`LadderCounts` for the
+Each rung runs inside a ``timed`` block of the ladder's
+:class:`~repro.telemetry.ledger.SimulationLedger` (rows ``"yield ladder:
+corner bounds"`` / ``"... surrogate classification"`` / ``"...
+importance sampling"``, each block on its own ``flow.stage`` span), and
+the same simulation count feeds :class:`LadderCounts` for the
 benchmark's speedup bookkeeping.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -74,13 +74,13 @@ from ..corners.grid import CornerGrid
 from ..corners.sweep import corner_sweep_points
 from ..errors import OptimizationError
 from ..exec import chunk_bounds, resolve_backend, run_chunks
-from ..flow.accounting import SimulationLedger
 from ..mc.sampler import (_key_to_int, latin_hypercube_normal, normal_cdf,
                           stream)
 from ..measure.specs import SpecSet
 from ..process.pdk import GLOBAL_DIMS, ProcessKit, ProcessSample
 from ..surrogate.estimator import calibrated_yield
 from ..surrogate.regression import SURROGATE_KINDS, fit_surrogate
+from ..telemetry.ledger import SimulationLedger
 from ..yieldmodel.importance import (ImportanceSamplingConfig,
                                      estimate_yield_importance_stacked)
 
@@ -329,7 +329,7 @@ class EstimatorLadder:
     config:
         A :class:`LadderConfig` (defaults used when ``None``).
     ledger:
-        Optional :class:`~repro.flow.accounting.SimulationLedger`;
+        Optional :class:`~repro.telemetry.ledger.SimulationLedger`;
         per-fidelity cost rows are recorded into it (an internal ledger
         is created when omitted).
     """
@@ -360,11 +360,12 @@ class EstimatorLadder:
                 best, best_cost = index, cost
         return best
 
-    def _record(self, fidelity: int, sims: int, seconds: float) -> None:
-        self.ledger.record(f"yield ladder: {FIDELITY_NAMES[fidelity]}",
-                           sims, seconds)
+    def _rung(self, fidelity: int, sims: int):
+        """Count a rung's simulator calls and time it in its ledger row."""
         self.counts.sims[fidelity] += sims
         self._spent += sims
+        return self.ledger.timed(
+            f"yield ladder: {FIDELITY_NAMES[fidelity]}", sims)
 
     def _afford(self, candidates: np.ndarray, unit_cost: int,
                 ambiguity: np.ndarray) -> np.ndarray:
@@ -411,13 +412,10 @@ class EstimatorLadder:
         """Sweep every candidate across the grid; return
         ``(yield0, std0, robust_z, decisive)``."""
         config = self.config
-        start = time.perf_counter()
         performance = corner_sweep_points(
             evaluator, n_points, self.pdk, self.grid,
             backend=config.backend, workers=config.workers,
             chunk_lanes=config.chunk_lanes)
-        self._record(0, n_points * self.grid.size,
-                     time.perf_counter() - start)
 
         z_min = np.full(n_points, np.inf)
         yield0 = np.ones(n_points)
@@ -449,7 +447,6 @@ class EstimatorLadder:
         """Train + classify per escalated candidate; return
         ``(yield1, std1, refused, decisive)`` aligned with ``indices``."""
         config = self.config
-        start = time.perf_counter()
         dims = len(GLOBAL_DIMS)
         xs = [latin_hypercube_normal(
                   stream(config.seed, f"ladder-train-{uid}"),
@@ -483,8 +480,6 @@ class EstimatorLadder:
             yield1[row], std_error = calibrated_yield(predicted, self.specs,
                                                       scales)
             std1[row] = max(std_error, config.surrogate_floor)
-        self._record(1, indices.size * config.fidelity_cost(1, self.pdk),
-                     time.perf_counter() - start)
         decisive = (~refused
                     & (np.abs(yield1 - config.yield_target)
                        >= config.surrogate_z * std1))
@@ -501,7 +496,6 @@ class EstimatorLadder:
         candidates (at most ``chunk_lanes`` lanes, and at least one per
         backend worker) through the execution backends."""
         config = self.config
-        start = time.perf_counter()
         estimates = estimate_yield_importance_stacked(
             partial(self._evaluate_stacked, evaluator, indices),
             self.specs, self.pdk,
@@ -511,8 +505,6 @@ class EstimatorLadder:
                 seed=_derived_seed(config.seed, f"ladder-is-{uid}"),
                 include_mismatch=config.include_mismatch,
                 confidence=config.confidence) for uid in uids])
-        self._record(2, indices.size * config.fidelity_cost(2, self.pdk),
-                     time.perf_counter() - start)
         yield2 = np.array([estimate.yield_estimate for estimate in estimates])
         std2 = np.array([estimate.std_error for estimate in estimates])
         return np.clip(yield2, 0.0, 1.0), std2
@@ -547,8 +539,9 @@ class EstimatorLadder:
 
         # Fidelity 0: stacked corner sweep of the whole batch.
         if config.min_fidelity <= 0:
-            yield0, std0, robust_z, decisive = self._corner_stage(
-                evaluator, n_points)
+            with self._rung(0, n_points * self.grid.size):
+                yield0, std0, robust_z, decisive = self._corner_stage(
+                    evaluator, n_points)
             yield_est, std_err = yield0, std0
             sims += self.grid.size
             escalate = np.flatnonzero(~decisive)
@@ -568,8 +561,10 @@ class EstimatorLadder:
             cost = config.fidelity_cost(1, self.pdk)
             chosen = self._afford(escalate, cost, ambiguity)
             if chosen.size:
-                yield1, std1, refused1, decisive1 = self._surrogate_stage(
-                    evaluator, chosen, uids[chosen])
+                with self._rung(1, chosen.size * cost):
+                    yield1, std1, refused1, decisive1 = \
+                        self._surrogate_stage(evaluator, chosen,
+                                              uids[chosen])
                 yield_est[chosen] = yield1
                 std_err[chosen] = std1
                 fidelity[chosen] = 1
@@ -587,8 +582,9 @@ class EstimatorLadder:
             cost = config.fidelity_cost(2, self.pdk)
             chosen = self._afford(escalate, cost, ambiguity)
             if chosen.size:
-                yield2, std2 = self._importance_stage(
-                    evaluator, chosen, uids[chosen])
+                with self._rung(2, chosen.size * cost):
+                    yield2, std2 = self._importance_stage(
+                        evaluator, chosen, uids[chosen])
                 yield_est[chosen] = yield2
                 std_err[chosen] = std2
                 fidelity[chosen] = 2

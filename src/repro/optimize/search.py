@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import OptimizationError
-from ..flow.accounting import SimulationLedger
 from ..mc.sampler import stream
 from ..measure.specs import SpecSet
 from ..moo.ga import GAConfig
@@ -31,6 +30,7 @@ from ..moo.nsga2 import NSGA2Result, run_nsga2
 from ..moo.problem import OptimizationProblem
 from ..moo.wbga import WBGAResult, run_wbga
 from ..process.pdk import ProcessKit
+from ..telemetry.ledger import SimulationLedger
 from .ladder import EstimatorLadder, LadderConfig, LadderCounts
 from .problem import YIELD_MODES, YieldAugmentedProblem
 
@@ -223,8 +223,11 @@ def run_yield_search(base_problem: OptimizationProblem, evaluator_factory,
     else:
         result = run_nsga2(problem, config.ga_config(), rng=rng)
     result.annotations = problem.annotations()
-    ledger.record("yield search: nominal evaluations",
-                  base_problem.evaluation_count - nominal_before, 0.0)
+    # The nominal evaluations interleave with the ladder rungs, whose
+    # rows carry the time, so this row records the count alone.
+    with ledger.timed("yield search: nominal evaluations",
+                      base_problem.evaluation_count - nominal_before):
+        pass
 
     return YieldSearchResult(
         config=config, specs=specs, problem=problem, result=result,

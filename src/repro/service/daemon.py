@@ -128,8 +128,8 @@ def request_stats(root, *, timeout: float = 10.0,
 
     Drops a ``stats/<nonce>.request`` marker; the daemon answers with an
     atomically-written ``stats/<nonce>.json`` carrying its metrics
-    registry snapshot (counters, gauges with timestamped samples,
-    histograms), live cache figures and per-state job counts.
+    registry snapshot (counters and gauges with timestamped samples),
+    live cache figures and per-state job counts.
 
     Raises
     ------

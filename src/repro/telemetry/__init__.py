@@ -7,17 +7,18 @@ One subsystem sees every layer end to end:
   across serial and threaded execution and re-parent across the forked
   process backend through a serialisable :class:`~.tracer.SpanContext`
   handoff (:func:`bind_task`).
-* **Metrics** (:mod:`.metrics`) -- process-wide counters, gauges and
-  fixed-edge histograms behind one :func:`snapshot`, absorbing the
-  one-off counters (``CacheStats``, ``JobQueue.counts()``, chunk/lane
-  tallies, estimator sim counts) into a single namespace.  The registry
-  is always on; it never affects numeric results.
+* **Metrics** (:mod:`.metrics`) -- process-wide counters and gauges
+  behind one :func:`snapshot`.  The registry is always on; it never
+  affects numeric results.
+* **Ledger** (:mod:`.ledger`) -- the per-stage simulation-cost ledger
+  behind Table 5; each row is recorded on its ``flow.stage`` span.
 * **Events** (:mod:`.events`) -- an opt-in JSONL sink recording span
   open/close, metric deltas, progress announcements and periodic gauge
   samples; crash-safe single-write appends with size-capped rotation.
 * **Renderers** (:mod:`.render`) -- ``repro trace`` rebuilds the span
-  tree with self/cumulative time and the flow ledger's exact per-stage
-  simulation counts; ``repro stats`` asks a live daemon for a snapshot.
+  tree with self/cumulative time and the flow ledger's per-stage
+  simulation counts from the stage spans; ``repro stats`` asks a live
+  daemon for a snapshot.
 
 Off by default and near-free when disabled: :func:`span` returns a
 shared no-op, :func:`bind_task` returns its argument unchanged, and no
@@ -33,21 +34,19 @@ import time
 from contextlib import contextmanager
 
 from .events import DEFAULT_MAX_BYTES, EventSink, load_events
-from .metrics import (DEFAULT_BUCKET_EDGES, Counter, Gauge, Histogram,
-                      MetricsRegistry)
-from .render import ledger_rows, render_trace, span_tree
+from .ledger import SimulationLedger, StageRecord
+from .metrics import Counter, Gauge, MetricsRegistry
+from .render import render_trace, span_tree
 from .tracer import NULL_SPAN, Span, SpanContext, Tracer
 
 __all__ = [
     "TELEMETRY_ENV_VAR", "REGISTRY", "configure", "shutdown", "enabled",
     "session", "span", "current_context", "bind_task", "emit",
-    "counter_add", "gauge_set", "histogram_observe", "snapshot",
-    "emit_ledger", "announcer",
+    "counter_add", "gauge_set", "snapshot", "announcer",
     # submodule surface
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "EventSink",
-    "load_events", "Span", "SpanContext", "Tracer", "NULL_SPAN",
-    "render_trace", "span_tree", "ledger_rows",
-    "DEFAULT_BUCKET_EDGES", "DEFAULT_MAX_BYTES",
+    "Counter", "Gauge", "MetricsRegistry", "EventSink", "load_events",
+    "SimulationLedger", "StageRecord", "Span", "SpanContext", "Tracer",
+    "NULL_SPAN", "render_trace", "span_tree", "DEFAULT_MAX_BYTES",
 ]
 
 #: Environment variable enabling telemetry process-wide: its value is
@@ -161,20 +160,6 @@ def emit(event_type: str, **fields) -> None:
         sink.emit(fields)
 
 
-def emit_ledger(ledger) -> None:
-    """Record a flow ledger's final rows (including the TOTAL row).
-
-    ``repro trace`` rebuilds the exact :meth:`~repro.flow.accounting.
-    SimulationLedger.table` from these events, making the ledger a
-    projection of the event stream.
-    """
-    if _SINK is None:
-        return
-    for stage, simulations, seconds in ledger.as_rows():
-        emit("ledger", stage=stage, simulations=int(simulations),
-             seconds=float(seconds))
-
-
 def announcer(progress):
     """A ``say(message)`` callable: forward to ``progress`` + record.
 
@@ -214,14 +199,8 @@ def gauge_set(name: str, value: float) -> None:
                    "value": float(value)})
 
 
-def histogram_observe(name: str, value: float,
-                      edges: tuple | None = None) -> None:
-    """Observe a value into a fixed-edge registry histogram."""
-    REGISTRY.histogram_observe(name, value, edges)
-
-
 def snapshot() -> dict:
-    """The registry's full counters/gauges/histograms snapshot."""
+    """The registry's full counters/gauges snapshot."""
     return REGISTRY.snapshot()
 
 

@@ -6,6 +6,12 @@ about *simulator work*.  :class:`SimulationLedger` records, per flow
 stage, how many circuit evaluations were spent and how long they took, so
 every benchmark can report the proposed-vs-conventional cost ratio on the
 same footing as the paper.
+
+Every row is recorded through :meth:`SimulationLedger.timed`, which runs
+the block inside the stage's ``flow.stage`` span and stamps the block's
+``simulations`` and ``seconds`` onto it: ``repro trace`` rebuilds the
+ledger table from those spans alone
+(:func:`repro.telemetry.render.render_trace`).
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ __all__ = ["StageRecord", "SimulationLedger"]
 
 @dataclass
 class StageRecord:
-    """Cost of one flow stage."""
+    """Cost of one flow stage (or of one timed block of it)."""
 
     name: str
     simulations: int = 0
@@ -38,26 +44,28 @@ class SimulationLedger:
 
     stages: dict[str, StageRecord] = field(default_factory=dict)
 
-    def record(self, stage: str, simulations: int,
-               wall_seconds: float) -> None:
-        """Add cost to a stage (created on first use)."""
-        if stage not in self.stages:
-            self.stages[stage] = StageRecord(stage)
-        self.stages[stage].add(simulations, wall_seconds)
-
     @contextmanager
     def timed(self, stage: str, simulations: int = 0):
-        """Context manager measuring the wall time of a stage.
+        """Run a block of ``stage`` inside its span and record its cost.
 
-        The simulation count may be passed up front or set afterwards via
-        :meth:`record` with zero time.
+        Yields the block's :class:`StageRecord`, starting at
+        ``simulations``; the caller adds what it simulates inside the
+        block to its ``simulations``.  On exit the block's count and wall
+        time are added to the stage's row (created on first use) and
+        stamped onto the ``flow.stage`` span.  Blocks must not nest, so
+        no second is counted twice.
         """
-        start = time.perf_counter()
-        try:
-            with telemetry.span("flow.stage", stage=stage):
-                yield
-        finally:
-            self.record(stage, simulations, time.perf_counter() - start)
+        row = self.stages.setdefault(stage, StageRecord(stage))
+        block = StageRecord(stage, simulations)
+        with telemetry.span("flow.stage", stage=stage) as span:
+            start = time.perf_counter()
+            try:
+                yield block
+            finally:
+                block.wall_seconds = time.perf_counter() - start
+                row.add(block.simulations, block.wall_seconds)
+                span.set(simulations=int(block.simulations),
+                         seconds=block.wall_seconds)
 
     @property
     def total_simulations(self) -> int:

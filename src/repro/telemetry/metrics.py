@@ -1,33 +1,21 @@
-"""Thread-safe counters, gauges and histograms behind one ``snapshot()``.
+"""Thread-safe counters and gauges behind one ``snapshot()``.
 
-The registry absorbs the one-off operational counters that used to live
-in unrelated corners of the codebase -- ``CacheStats``,
-``JobQueue.counts()``, backend chunk/lane tallies, estimator
-simulation-call counts -- into a single process-wide namespace.  It is
+The registry gathers operational counters from every layer -- cache
+hits and stores (mirroring each ``ResultCache``'s ``CacheStats``),
+backend chunk/lane tallies, estimator simulation-call counts -- into a
+single process-wide namespace.  It is
 always on (an increment is a dict lookup plus an integer add under one
 lock, far below the cost of the array work it counts), while the event
 *sink* (:mod:`repro.telemetry.events`) stays strictly opt-in.
-
-Histograms use **fixed bucket edges** chosen at first observation (or
-passed explicitly), never adaptive ones, so two runs of the same
-workload produce structurally identical snapshots -- the same
-determinism stance the engines take for numeric results.
 """
 
 from __future__ import annotations
 
-import bisect
 import threading
 import time
 from collections import deque
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "DEFAULT_BUCKET_EDGES", "GAUGE_HISTORY"]
-
-#: Default histogram bucket edges [s] -- wall-time oriented, spanning
-#: sub-millisecond chunk solves to minutes-long flow stages.
-DEFAULT_BUCKET_EDGES = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5,
-                        1.0, 5.0, 10.0, 60.0, 300.0)
+__all__ = ["Counter", "Gauge", "MetricsRegistry", "GAUGE_HISTORY"]
 
 #: Timestamped samples retained per gauge (a bounded ring, so a
 #: long-lived daemon's registry never grows without bound).
@@ -72,44 +60,18 @@ class Gauge:
         self.samples.append((now, float(value)))
 
 
-class Histogram:
-    """Fixed-edge bucketed distribution of observed values.
-
-    ``counts[i]`` counts observations ``<= edges[i]``; the final slot
-    counts overflows.  Edges are frozen at construction for
-    deterministic snapshot structure.
-    """
-
-    __slots__ = ("name", "edges", "counts", "total", "sum")
-
-    def __init__(self, name: str,
-                 edges: tuple = DEFAULT_BUCKET_EDGES) -> None:
-        self.name = name
-        self.edges = tuple(float(edge) for edge in edges)
-        self.counts = [0] * (len(self.edges) + 1)
-        self.total = 0
-        self.sum = 0.0
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.counts[bisect.bisect_left(self.edges, value)] += 1
-        self.total += 1
-        self.sum += value
-
-
 class MetricsRegistry:
-    """Named counters/gauges/histograms behind one lock and snapshot.
+    """Named counters/gauges behind one lock and snapshot.
 
-    All mutation goes through :meth:`counter_add` / :meth:`gauge_set` /
-    :meth:`histogram_observe`, which create instruments on first use --
-    call sites never pre-register anything.
+    All mutation goes through :meth:`counter_add` / :meth:`gauge_set`,
+    which create instruments on first use -- call sites never
+    pre-register anything.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
 
     # -- mutation ---------------------------------------------------------
     def counter_add(self, name: str, amount: int = 1) -> None:
@@ -126,16 +88,6 @@ class MetricsRegistry:
                 gauge = self._gauges[name] = Gauge(name)
             gauge.set(value)
 
-    def histogram_observe(self, name: str, value: float,
-                          edges: tuple | None = None) -> None:
-        with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = self._histograms[name] = Histogram(
-                    name, edges if edges is not None else
-                    DEFAULT_BUCKET_EDGES)
-            histogram.observe(value)
-
     # -- inspection -------------------------------------------------------
     def counter_value(self, name: str) -> int:
         with self._lock:
@@ -151,8 +103,7 @@ class MetricsRegistry:
         """One JSON-able view of every instrument.
 
         ``{"counters": {name: int},
-           "gauges": {name: {"value", "updated", "samples"}},
-           "histograms": {name: {"edges", "counts", "total", "sum"}}}``
+           "gauges": {name: {"value", "updated", "samples"}}}``
         """
         with self._lock:
             return {
@@ -164,12 +115,6 @@ class MetricsRegistry:
                                   "samples": [list(sample) for sample
                                               in gauge.samples]}
                            for name, gauge in sorted(self._gauges.items())},
-                "histograms": {name: {"edges": list(histogram.edges),
-                                      "counts": list(histogram.counts),
-                                      "total": histogram.total,
-                                      "sum": histogram.sum}
-                               for name, histogram in
-                               sorted(self._histograms.items())},
             }
 
     def reset(self) -> None:
@@ -177,4 +122,3 @@ class MetricsRegistry:
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
-            self._histograms.clear()

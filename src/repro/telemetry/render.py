@@ -5,18 +5,19 @@ events (ids and parent links), so it is insensitive to line order --
 forked workers append their events whenever they run, and spans that
 never closed (a crashed run) still render, marked open.
 
-Per-stage simulation counts come from the ``ledger`` events the flows
-emit at completion -- one per :class:`~repro.flow.accounting.
-SimulationLedger` row -- so the rendered counts are *exactly* the
-ledger table's numbers: the ledger becomes a projection of the event
-stream rather than a parallel bookkeeping system.
+Per-stage simulation counts are the ``simulations``/``seconds``
+attributes :meth:`~repro.telemetry.ledger.SimulationLedger.timed`
+stamps onto each ``flow.stage`` span it closes, so the trailing table
+(:func:`span_ledger`) is the flow's ledger rebuilt from the spans the
+tree shows.
 """
 
 from __future__ import annotations
 
 from .events import load_events
+from .ledger import SimulationLedger, StageRecord
 
-__all__ = ["SpanNode", "span_tree", "render_trace", "ledger_rows"]
+__all__ = ["SpanNode", "span_tree", "span_ledger", "render_trace"]
 
 
 class SpanNode:
@@ -82,15 +83,26 @@ def span_tree(events: list[dict]) -> list[SpanNode]:
     return roots
 
 
-def ledger_rows(events: list[dict]) -> list[tuple[str, int, float]]:
-    """The flow's final ledger rows (stage, simulations, seconds)."""
-    rows: dict[str, tuple[str, int, float]] = {}
-    for event in events:
-        if event.get("type") == "ledger":
-            stage = str(event.get("stage", "?"))
-            rows[stage] = (stage, int(event.get("simulations", 0)),
-                           float(event.get("seconds", 0.0)))
-    return list(rows.values())
+def span_ledger(roots: list[SpanNode]) -> SimulationLedger:
+    """The simulation ledger rebuilt from its ``flow.stage`` spans.
+
+    Rows keep first-open order and sum every block of a stage, exactly
+    as :meth:`~repro.telemetry.ledger.SimulationLedger.timed` adds them.
+    """
+    ledger = SimulationLedger()
+
+    def walk(node: SpanNode) -> None:
+        if node.name == "flow.stage" and "simulations" in node.attrs:
+            stage = str(node.attrs.get("stage", "?"))
+            ledger.stages.setdefault(stage, StageRecord(stage)).add(
+                int(node.attrs["simulations"]),
+                float(node.attrs.get("seconds", 0.0)))
+        for child in node.children:
+            walk(child)
+
+    for root in roots:
+        walk(root)
+    return ledger
 
 
 def _label(node: SpanNode) -> str:
@@ -102,7 +114,6 @@ def render_trace(path) -> str:
     """The ``repro trace`` text: indented span tree + ledger table."""
     events = load_events(path)
     roots = span_tree(events)
-    sims_by_stage = {stage: sims for stage, sims, _ in ledger_rows(events)}
     lines = [f"{'span':<54} {'cum [s]':>10} {'self [s]':>10} {'sims':>12}"]
 
     def walk(node: SpanNode, depth: int) -> None:
@@ -112,8 +123,6 @@ def render_trace(path) -> str:
         elif node.status == "error":
             label += " (error)"
         sims = node.attrs.get("simulations")
-        if sims is None:
-            sims = sims_by_stage.get(node.attrs.get("stage"))
         sims_text = f"{int(sims):>12d}" if sims is not None else " " * 12
         lines.append(f"{label:<54} {node.cumulative:>10.3f} "
                      f"{node.self_time:>10.3f} {sims_text}")
@@ -122,12 +131,9 @@ def render_trace(path) -> str:
 
     for root in roots:
         walk(root, 0)
-    rows = ledger_rows(events)
-    if rows:
-        lines.append("")
-        lines.append(f"{'stage':<32} {'simulations':>12} {'seconds':>10}")
-        for stage, sims, seconds in rows:
-            lines.append(f"{stage:<32} {sims:>12d} {seconds:>10.2f}")
-    if not roots and not rows:
+    ledger = span_ledger(roots)
+    if ledger.stages:
+        lines += ["", ledger.table()]
+    if not roots:
         lines.append("(no spans recorded)")
     return "\n".join(lines)

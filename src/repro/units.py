@@ -24,9 +24,7 @@ __all__ = [
     "parse_si",
     "format_si",
     "db20",
-    "db10",
     "from_db20",
-    "from_db10",
     "SI_SUFFIXES",
 ]
 
@@ -144,11 +142,6 @@ def db20(ratio: float) -> float:
     return 20.0 * math.log10(ratio)
 
 
-def db10(ratio: float) -> float:
-    """Power ratio -> decibels (``10*log10``)."""
-    return 10.0 * math.log10(ratio)
-
-
 def from_db20(db: float) -> float:
     """Decibels -> amplitude ratio; inverse of :func:`db20`.
 
@@ -156,8 +149,3 @@ def from_db20(db: float) -> float:
     used inside the Verilog-A behavioural model.
     """
     return 10.0 ** (db / 20.0)
-
-
-def from_db10(db: float) -> float:
-    """Decibels -> power ratio; inverse of :func:`db10`."""
-    return 10.0 ** (db / 10.0)

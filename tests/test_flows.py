@@ -9,8 +9,9 @@ import pytest
 from repro.flow import (FilterFlowConfig, FlowConfig, load_flow_arrays,
                         rebuild_model, reduced_config, run_filter_flow,
                         run_model_build_flow, save_flow_artifacts)
-from repro.flow.accounting import SimulationLedger
 from repro.measure import Spec, SpecSet
+from repro.telemetry import SimulationLedger, load_events, span_tree
+from repro.telemetry.render import span_ledger
 from repro.yieldmodel import estimate_yield
 
 
@@ -238,33 +239,49 @@ class TestSelectCapacitors:
 class TestAccounting:
     def test_ledger_math(self):
         ledger = SimulationLedger()
-        ledger.record("a", 100, 1.5)
-        ledger.record("a", 50, 0.5)
-        ledger.record("b", 10, 0.1)
+        with ledger.timed("a", 100):
+            pass
+        with ledger.timed("b", 10):
+            pass
+        with ledger.timed("a") as row:
+            row.simulations += 50
+        assert ledger.stages["a"].simulations == 150
         assert ledger.total_simulations == 160
-        assert ledger.total_seconds == pytest.approx(2.1)
+        assert ledger.total_seconds == pytest.approx(sum(
+            record.wall_seconds for record in ledger.stages.values()))
         rows = ledger.as_rows()
-        assert rows[-1][0] == "TOTAL"
+        assert [row[0] for row in rows] == ["a", "b", "TOTAL"]
         assert "a" in ledger.table()
 
     def test_timed_context(self):
         ledger = SimulationLedger()
-        with ledger.timed("stage", 5):
-            pass
+        with ledger.timed("stage", 5) as row:
+            assert row.simulations == 5
         assert ledger.stages["stage"].simulations == 5
-        assert ledger.stages["stage"].wall_seconds >= 0
+        assert ledger.stages["stage"].wall_seconds == row.wall_seconds
+        assert row.wall_seconds >= 0
+
+    def test_row_recorded_when_the_block_raises(self):
+        ledger = SimulationLedger()
+        with pytest.raises(RuntimeError):
+            with ledger.timed("stage") as row:
+                row.simulations += 7
+                raise RuntimeError("simulator died")
+        assert ledger.stages["stage"].simulations == 7
 
 
 class TestYieldSearchStage:
     """Stage 7: the in-loop yield search on both seed designs."""
 
     @pytest.fixture(scope="class")
-    def yield_flow(self):
+    def yield_flow(self, tmp_path_factory):
         config = dataclasses.replace(
             reduced_config(),
             yield_objective="yield", yield_target=0.90,
             yield_generations=4, yield_population=10,
-            corners="tm", corner_vdds=(3.3,), corner_temps=(27.0,))
+            corners="tm", corner_vdds=(3.3,), corner_temps=(27.0,),
+            telemetry=str(tmp_path_factory.mktemp("yield-flow")
+                          / "events.jsonl"))
         return run_model_build_flow(config)
 
     def test_both_seed_designs_get_annotated_fronts(self, yield_flow):
@@ -294,6 +311,33 @@ class TestYieldSearchStage:
         assert ladder_sims == (yield_flow.yield_search.counts.total_sims
                                + yield_flow.filter_yield_search
                                  .counts.total_sims)
+
+    def test_every_ledger_row_is_a_span(self, yield_flow):
+        roots = span_tree(load_events(yield_flow.config.telemetry))
+        # Seconds included: the trace rebuilds the ledger exactly.
+        assert span_ledger(roots).as_rows() == yield_flow.ledger.as_rows()
+
+        def stage_spans(node, parent=None):
+            if node.name == "flow.stage":
+                yield node, parent
+            for child in node.children:
+                yield from stage_spans(child, node)
+
+        rows = {}
+        for node, parent in stage_spans(roots[0]):
+            if "simulations" in node.attrs:
+                rows.setdefault(node.attrs["stage"], set()).add(
+                    parent.attrs.get("stage"))
+        assert set(rows) == set(yield_flow.ledger.stages)
+        # The searches' rows sit under the plain search spans, never
+        # under another ledger row.
+        searches = {"yield search (OTA)", "yield search (filter2)"}
+        assert rows["yield search: nominal evaluations"] == searches
+        for stage, parents in rows.items():
+            if stage.startswith("yield ladder:"):
+                assert parents <= searches
+            elif not stage.startswith("yield search:"):
+                assert parents == {None}
 
     def test_artifacts_include_yield_fronts(self, yield_flow, tmp_path):
         written = save_flow_artifacts(yield_flow, tmp_path)

@@ -10,8 +10,8 @@ The contracts gated here:
   Monte-Carlo populations on/off);
 * the JSONL sink is append-only, rotation-capped and tolerant of torn
   final lines;
-* ``repro trace`` reproduces the flow's :class:`SimulationLedger`
-  table exactly from the event stream.
+* ``repro trace`` rebuilds the flow's :class:`SimulationLedger` table
+  exactly from the ``flow.stage`` spans its rows are recorded on.
 """
 
 import dataclasses
@@ -20,12 +20,12 @@ import json
 import pytest
 
 from repro import telemetry
-from repro.flow.accounting import SimulationLedger
 from repro.mc import MCConfig, monte_carlo
 from repro.process import C35
 from repro.telemetry import (NULL_SPAN, EventSink, MetricsRegistry,
-                             ledger_rows, load_events, render_trace,
+                             SimulationLedger, load_events, render_trace,
                              span_tree)
+from repro.telemetry.render import span_ledger
 
 
 def evaluator(sample):
@@ -67,22 +67,11 @@ class TestMetricsRegistry:
         assert len(samples) == telemetry.metrics.GAUGE_HISTORY
         assert samples[-1][1] == 999.0
 
-    def test_histogram_buckets(self):
-        registry = MetricsRegistry()
-        registry.histogram_observe("lat", 0.003, edges=(0.01, 0.1, 1.0))
-        registry.histogram_observe("lat", 0.5, edges=(0.01, 0.1, 1.0))
-        registry.histogram_observe("lat", 99.0, edges=(0.01, 0.1, 1.0))
-        snap = registry.snapshot()["histograms"]["lat"]
-        assert snap["counts"] == [1, 0, 1, 1]  # <=0.01, <=0.1, <=1, overflow
-        assert snap["total"] == 3
-        assert snap["sum"] == pytest.approx(0.003 + 0.5 + 99.0)
-
     def test_reset(self):
         registry = MetricsRegistry()
         registry.counter_add("n")
         registry.reset()
-        assert registry.snapshot() == {"counters": {}, "gauges": {},
-                                       "histograms": {}}
+        assert registry.snapshot() == {"counters": {}, "gauges": {}}
 
 
 class TestDisabledPath:
@@ -323,16 +312,20 @@ class TestRenderers:
     def test_trace_reproduces_ledger_table_exactly(self, tmp_path):
         path = tmp_path / "events.jsonl"
         ledger = SimulationLedger()
-        ledger.record("optimisation", 1200, 1.25)
-        ledger.record("verification", 500, 0.75)
         with telemetry.session(path):
             with telemetry.span("flow.build"):
-                pass
-            telemetry.emit_ledger(ledger)
-        rows = ledger_rows(load_events(path))
-        assert rows == ledger.as_rows()
-        text = render_trace(path)
-        assert ledger.table() in text
+                for sims in (1200, 300):
+                    with ledger.timed("optimisation") as row:
+                        row.simulations += sims
+                # A plain stage span (no ledger row) around nested rows.
+                with telemetry.span("flow.stage", stage="search"):
+                    with ledger.timed("verification", 500):
+                        pass
+        # Seconds included: the rows are summed from the spans in the
+        # order the ledger summed them.
+        assert span_ledger(span_tree(load_events(path))).as_rows() == \
+            ledger.as_rows()
+        assert render_trace(path).endswith(ledger.table())
 
     def test_stage_sims_attached_to_spans(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -340,7 +333,11 @@ class TestRenderers:
         with telemetry.session(path):
             with ledger.timed("verification", 500):
                 pass
-            telemetry.emit_ledger(ledger)
+        close = next(event for event in load_events(path)
+                     if event["type"] == "span_close")
+        assert close["attrs"] == {
+            "stage": "verification", "simulations": 500,
+            "seconds": ledger.stages["verification"].wall_seconds}
         text = render_trace(path)
         line = next(line for line in text.splitlines()
                     if "flow.stage: verification" in line)

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.units import db10, db20, format_si, from_db10, from_db20, parse_si
+from repro.units import db20, format_si, from_db20, parse_si
 
 
 class TestParseSI:
@@ -94,17 +94,9 @@ class TestDecibels:
         assert db20(1.0) == pytest.approx(0.0)
         assert db20(math.sqrt(0.5)) == pytest.approx(-3.0103, abs=1e-3)
 
-    def test_db10_known_values(self):
-        assert db10(10.0) == pytest.approx(10.0)
-        assert db10(0.5) == pytest.approx(-3.0103, abs=1e-3)
-
     @given(st.floats(min_value=1e-6, max_value=1e6))
     def test_db20_roundtrip(self, ratio):
         assert from_db20(db20(ratio)) == pytest.approx(ratio, rel=1e-12)
-
-    @given(st.floats(min_value=1e-6, max_value=1e6))
-    def test_db10_roundtrip(self, ratio):
-        assert from_db10(db10(ratio)) == pytest.approx(ratio, rel=1e-12)
 
     def test_paper_gain_conversion(self):
         # The Verilog-A listing: gain_in_v = pow(10, gain_prop/20).

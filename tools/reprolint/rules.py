@@ -529,14 +529,11 @@ _COUNTER_NAMES = frozenset({
 _COUNTER_PREFIXES = ("jobs.",)
 _GAUGE_NAMES = frozenset({"cache.bytes", "cache.entries"})
 _GAUGE_PREFIXES = ()
-_HISTOGRAM_PREFIXES = ("cache.", "jobs.", "exec.", "mc.", "estimator.",
-                       "surrogate.", "flow.")
 
 _TAXONOMY = {
     "span": (_SPAN_NAMES, _SPAN_PREFIXES),
     "counter_add": (_COUNTER_NAMES, _COUNTER_PREFIXES),
     "gauge_set": (_GAUGE_NAMES, _GAUGE_PREFIXES),
-    "histogram_observe": (frozenset(), _HISTOGRAM_PREFIXES),
 }
 
 
