@@ -204,7 +204,9 @@ def dc_operating_point(circuit, *, options: NewtonOptions | None = None,
     circuit:
         The circuit to solve; may be batched.
     x0:
-        Optional initial guess ``(B, N)`` (warm start).
+        Optional initial guess ``(B, N)``, or one ``(N,)`` row for every
+        lane (warm start).  Plain Newton and gmin stepping start from
+        it; source stepping always starts from zero.
 
     Raises
     ------

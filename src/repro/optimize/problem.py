@@ -59,7 +59,9 @@ class YieldAugmentedProblem(OptimizationProblem):
         ``evaluation_count`` keeps counting those).
     ladder:
         The :class:`~repro.optimize.ladder.EstimatorLadder` providing
-        per-candidate yield estimates (and their cost accounting).
+        per-candidate yield estimates (and their cost accounting); the
+        nominal evaluations are timed in its ledger's
+        ``"yield search: nominal evaluations"`` row.
     mode:
         One of :data:`YIELD_MODES` (see module docstring).
     yield_target:
@@ -109,7 +111,11 @@ class YieldAugmentedProblem(OptimizationProblem):
                 for name, parts in self._archive.items()}
 
     def evaluate_batch(self, unit_params: np.ndarray) -> np.ndarray:
-        base_values = self.base(unit_params)
+        # Between the ladder's rungs, never inside one: rows do not nest.
+        with self.ladder.ledger.timed(
+                "yield search: nominal evaluations") as row:
+            base_values = self.base(unit_params)
+            row.simulations += unit_params.shape[0]
         estimate = self.ladder.estimate_batch(unit_params)
         self._archive["yield"].append(estimate.yield_estimate.copy())
         self._archive["yield_std_error"].append(estimate.std_error.copy())

@@ -208,7 +208,6 @@ def run_yield_search(base_problem: OptimizationProblem, evaluator_factory,
     """
     config = config or YieldSearchConfig()
     ledger = ledger if ledger is not None else SimulationLedger()
-    nominal_before = base_problem.evaluation_count
 
     ladder = EstimatorLadder(evaluator_factory, specs, pdk,
                              config.ladder_config(), ledger=ledger)
@@ -223,11 +222,6 @@ def run_yield_search(base_problem: OptimizationProblem, evaluator_factory,
     else:
         result = run_nsga2(problem, config.ga_config(), rng=rng)
     result.annotations = problem.annotations()
-    # The nominal evaluations interleave with the ladder rungs, whose
-    # rows carry the time, so this row records the count alone.
-    with ledger.timed("yield search: nominal evaluations",
-                      base_problem.evaluation_count - nominal_before):
-        pass
 
     return YieldSearchResult(
         config=config, specs=specs, problem=problem, result=result,

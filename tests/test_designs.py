@@ -5,15 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import dc_operating_point
+import repro.designs.ota as ota_module
+from repro.analysis import ac_analysis, dc_operating_point
 from repro.designs import (DEFAULT_FILTER_SPEC, OTA_DESIGN_SPACE, FilterCaps,
                            FilterSpec, OTAParameters, build_filter_behavioral,
                            build_filter_transistor, build_ota, evaluate_filter,
                            evaluate_ota)
 from repro.designs.problems import (BehavioralFilterProblem, OTAProblem,
                                     filter_margins)
-from repro.errors import ReproError
-from repro.process import C35
+from repro.designs.ota import default_frequency_grid
+from repro.errors import ConvergenceError, ReproError
+from repro.measure.acmeas import (dc_gain_db, f3db, phase_margin,
+                                  unity_gain_frequency)
+from repro.process import C35, ProcessSample
 
 
 class TestDesignSpace:
@@ -130,6 +134,101 @@ class TestOTAEvaluation:
             np.broadcast_to(OTAParameters().to_array(), (8, 8)))
         perf = evaluate_ota(params, variations=sample)
         assert np.std(perf["gain_db"]) > 0.01
+
+
+OTA_MEASURES = ("gain_db", "pm_deg", "ugf_hz", "f3db_hz")
+
+
+def _warm_start_case():
+    """Three distinct designs x 12 dies with Pelgrom mismatch, global
+    variation, off-nominal supplies and temperatures.  Returns the tiled
+    parameters and a factory of fresh (equal) die samples: mismatch is
+    drawn while the circuit is built."""
+    unit = np.array([[0.2] * 8, [0.5] * 8, [0.8, 0.3, 0.6, 0.9,
+                                            0.4, 0.7, 0.1, 0.5]])
+    dies = 12
+    params = OTAParameters.from_normalized(unit).tile(dies)
+    size = params.batch()
+    glob = C35.sample(size, np.random.default_rng(3), include_mismatch=False)
+
+    def die_sample():
+        return ProcessSample(
+            size, dvto_n=glob.dvto_n, kp_scale_n=glob.kp_scale_n,
+            dvto_p=glob.dvto_p, kp_scale_p=glob.kp_scale_p,
+            cap_scale=glob.cap_scale, mismatch=C35.mismatch,
+            rng=np.random.default_rng(4),
+            vdd=np.resize([3.0, 3.3, 3.6], size),
+            temp_k=np.resize([233.15, 300.15, 398.15, 300.15], size))
+
+    return params, die_sample
+
+
+def _cold_ota(params, variations):
+    """``evaluate_ota`` with every die solved from ``x = 0``: the oracle
+    of the nominal warm start."""
+    freqs = default_frequency_grid()
+    circuit = build_ota(params, variations=variations)
+    result = ac_analysis(circuit, freqs, op=dc_operating_point(circuit))
+    mag, phase = result.magnitude_db("out"), result.phase_deg("out")
+    return {"gain_db": dc_gain_db(mag),
+            "pm_deg": phase_margin(freqs, mag, phase),
+            "ugf_hz": unity_gain_frequency(freqs, mag),
+            "f3db_hz": f3db(freqs, mag)}
+
+
+@pytest.fixture
+def dc_starts(monkeypatch):
+    """The ``x0`` of every DC solve ``evaluate_ota`` makes."""
+    starts = []
+
+    def recording(circuit, **kwargs):
+        starts.append(kwargs.get("x0"))
+        return dc_operating_point(circuit, **kwargs)
+
+    monkeypatch.setattr(ota_module, "dc_operating_point", recording)
+    return starts
+
+
+class TestNominalWarmStart:
+    """Dies start DC Newton from their design's nominal operating point."""
+
+    def test_matches_cold_start(self, dc_starts):
+        params, die_sample = _warm_start_case()
+        warm = evaluate_ota(params, variations=die_sample())
+        # One nominal solve of the three designs, then the dies from it.
+        assert dc_starts[0] is None and dc_starts[1].shape[0] == 36
+        cold = _cold_ota(params, die_sample())
+        for key in OTA_MEASURES:
+            assert np.array_equal(np.isnan(warm[key]), np.isnan(cold[key]))
+            np.testing.assert_allclose(warm[key], cold[key], rtol=1e-8,
+                                       err_msg=key)
+
+    def test_nominal_failure_falls_back_to_cold_start(self, monkeypatch):
+        params, die_sample = _warm_start_case()
+        calls = []
+
+        def nominal_fails(circuit, **kwargs):
+            calls.append(kwargs.get("x0"))
+            if len(calls) == 1:
+                raise ConvergenceError("nominal solve failed")
+            return dc_operating_point(circuit, **kwargs)
+
+        monkeypatch.setattr(ota_module, "dc_operating_point", nominal_fails)
+        fallback = evaluate_ota(params, variations=die_sample())
+        assert len(calls) == 2 and calls[1] is None
+        cold = _cold_ota(params, die_sample())
+        for key in OTA_MEASURES:
+            np.testing.assert_array_equal(fallback[key], cold[key],
+                                          err_msg=key)
+
+    def test_single_design_seeds_one_broadcast_row(self, dc_starts):
+        evaluate_ota(OTAParameters(),
+                     variations=C35.sample(5, np.random.default_rng(2)))
+        assert dc_starts[0] is None and dc_starts[1].ndim == 1
+
+    def test_nominal_evaluation_keeps_cold_start(self, dc_starts):
+        evaluate_ota(OTAParameters())
+        assert dc_starts == [None]
 
 
 class TestOTAProblem:

@@ -146,16 +146,18 @@ class TestRunContract:
 
 
 def _ota_mc(backend_spec):
-    """A small two-chunk OTA point sweep under the given backend."""
+    """A small two-chunk OTA point sweep under the given backend.
+
+    The first chunk holds two designs and the second one, so the dies
+    start DC Newton from both shapes of nominal seed (a row per lane and
+    one broadcast row)."""
     points = OTAParameters.from_normalized(
         np.linspace(0.2, 0.8, 3)[:, None] * np.ones((3, 8))).to_array()
 
     def evaluator(point_indices, repeats, die_sample):
         tiled = OTAParameters.from_array(
             np.repeat(points[point_indices], repeats, axis=0))
-        performance = evaluate_ota(tiled, variations=die_sample)
-        return {"gain_db": performance["gain_db"],
-                "pm_deg": performance["pm_deg"]}
+        return evaluate_ota(tiled, variations=die_sample)
 
     config = MCConfig(n_samples=8, seed=42, chunk_lanes=16,
                       backend=backend_spec)

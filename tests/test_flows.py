@@ -304,6 +304,11 @@ class TestYieldSearchStage:
         stages = set(yield_flow.ledger.stages)
         assert "yield ladder: corner bounds" in stages
         assert "yield search: nominal evaluations" in stages
+        nominal = yield_flow.ledger.stages["yield search: nominal evaluations"]
+        assert nominal.wall_seconds > 0
+        assert nominal.simulations == (
+            yield_flow.yield_search.result.evaluations
+            + yield_flow.filter_yield_search.result.evaluations)
         ladder_sims = sum(record.simulations
                           for name, record in
                           yield_flow.ledger.stages.items()
