@@ -268,8 +268,11 @@ class ModalFactors:
     def solve_direct(self, rhs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
         """:func:`direct_solve` on the fallback lanes of ``rhs`` (full
         batch, ``(B, N)`` or ``(B, K, N)``).  A singular system is reported
-        with its lane index in the full batch."""
+        with its lane index in the full batch.  With no fallback lane the
+        empty ``(0, F, ...)`` result comes back without a solve."""
         lanes = self.direct_lanes
+        if not lanes.size:
+            return np.empty((0, freqs.size) + rhs.shape[1:], dtype=complex)
         try:
             return direct_solve(self._G_direct, self._C_direct, rhs[lanes],
                                 freqs)

@@ -18,6 +18,16 @@ The store is bounded: :class:`ResultCache` evicts least-recently-used
 entries (``.npz`` mtime, refreshed on every hit) once the configured
 byte or entry budget is exceeded, and counts hits, misses, stores and
 evictions for the service's operational metrics.
+
+Each instance also keeps a small in-process *hot tier*: the decoded
+arrays and metadata of recently stored or read entries, so a repeat
+lookup skips the ``.npz`` decode.  The disk stays the cache.  Memory
+serves an entry only while a ``stat`` of its ``.npz`` still shows the
+inode, size and mtime recorded when it was decoded or last touched
+(as the filesystem stored them), so eviction,
+:meth:`ResultCache.clear` and another process rewriting, touching or
+removing the entry all send the next lookup back to the verified disk
+path.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ import itertools
 import json
 import os
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,6 +57,10 @@ __all__ = ["CachedResult", "CacheStats", "ResultCache",
 
 #: Default byte budget of a :class:`ResultCache` (1 GiB).
 DEFAULT_MAX_BYTES = 1 << 30
+
+#: Byte budget of each instance's in-process hot tier (decoded arrays,
+#: fingerprint and metadata text of recently used entries).
+HOT_MAX_BYTES = 32 << 20
 
 #: npz member names reserved by the store itself.
 _FINGERPRINT_KEY = "__fingerprint__"
@@ -113,6 +128,8 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
     evictions: int = 0
+    #: Hits served from the in-process hot tier (a subset of ``hits``).
+    memory_hits: int = 0
 
     @property
     def requests(self) -> int:
@@ -125,7 +142,8 @@ class CacheStats:
         return self.hits / self.requests if self.requests else 0.0
 
     def describe(self) -> str:
-        return (f"cache: {self.hits} hit(s), {self.misses} miss(es) "
+        return (f"cache: {self.hits} hit(s) ({self.memory_hits} from "
+                f"memory), {self.misses} miss(es) "
                 f"({100.0 * self.hit_rate:.1f}% hit rate), "
                 f"{self.stores} store(s), {self.evictions} eviction(s)")
 
@@ -138,6 +156,33 @@ class CachedResult:
     key: str
     meta: dict
     arrays: dict[str, np.ndarray] = field(default_factory=dict)
+
+
+@dataclass
+class _HotEntry:
+    """One decoded entry of the hot tier and the ``.npz`` it came from."""
+
+    fingerprint: str
+    arrays: dict[str, np.ndarray]
+    meta_text: str
+    #: ``(st_ino, st_size, st_mtime_ns)`` of the ``.npz`` it mirrors.
+    stamp: tuple[int, int, int]
+    nbytes: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.nbytes = (sum(array.nbytes for array in self.arrays.values())
+                       + len(self.fingerprint) + len(self.meta_text))
+
+
+def _stamp(stat: os.stat_result) -> tuple[int, int, int]:
+    return stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
+def _touch(fd: int) -> tuple[int, int, int]:
+    """Refresh the LRU position of the open ``.npz`` ``fd`` (the kernel
+    picks the time); returns its stamp as the filesystem stored it."""
+    os.utime(fd)
+    return _stamp(os.fstat(fd))
 
 
 class ResultCache:
@@ -162,7 +207,7 @@ class ResultCache:
     an internal lock, so concurrent hits never lose counter increments
     and eviction never races a store's LRU refresh.  Cross-*process*
     safety comes from the atomic writers; only the in-memory counters
-    are per-instance.
+    and the hot tier are per-instance.
     """
 
     def __init__(self, directory, *, max_bytes: int | None = DEFAULT_MAX_BYTES,
@@ -177,6 +222,8 @@ class ResultCache:
         self.max_entries = max_entries
         self.stats = CacheStats()
         self._lock = threading.RLock()
+        self._hot: OrderedDict[str, _HotEntry] = OrderedDict()
+        self._hot_bytes = 0
 
     # -- lookup -----------------------------------------------------------
     def get(self, fingerprint: str) -> CachedResult | None:
@@ -185,39 +232,49 @@ class ResultCache:
         A hit refreshes the entry's LRU position.  Unreadable or
         mismatched entries (truncated by an ancient non-atomic writer,
         or a digest collision) are dropped and reported as misses --
-        the cache must never serve a result it cannot vouch for.
+        the cache must never serve a result it cannot vouch for.  The
+        hot tier answers only for an entry whose ``.npz`` is unchanged
+        since it was decoded; a hit returns fresh arrays and metadata
+        either way, so mutating one cannot change the next.
         """
         key = fingerprint_key(fingerprint)
         npz_path = self._npz(key)
         with self._lock:
+            hit = self._hot_get(key, fingerprint, npz_path)
+            if hit is not None:
+                return hit
             try:
-                with np.load(npz_path) as data:
-                    stored = bytes(data[_FINGERPRINT_KEY]).decode("utf-8")
-                    if stored != fingerprint:
-                        raise ReproError("fingerprint mismatch")
-                    arrays = {name: data[name].copy() for name in data.files
-                              if name != _FINGERPRINT_KEY}
+                handle = open(npz_path, "rb")
             except FileNotFoundError:
-                self.stats.misses += 1
-                _telemetry().counter_add("cache.misses")
-                return None
-            except Exception:
-                self._remove(key)
-                self.stats.misses += 1
-                _telemetry().counter_add("cache.misses")
-                return None
+                return self._miss()
+            with handle:
+                try:
+                    with np.load(handle) as data:
+                        stored = bytes(data[_FINGERPRINT_KEY]).decode("utf-8")
+                        if stored != fingerprint:
+                            raise ReproError("fingerprint mismatch")
+                        arrays = {name: data[name] for name in data.files
+                                  if name != _FINGERPRINT_KEY}
+                except Exception:
+                    self._remove(key)
+                    return self._miss()
+                # Touch the inode just decoded, so the hot copy mirrors
+                # exactly that file.
+                stamp = _touch(handle.fileno())
             meta = {}
             json_path = self._json(key)
             try:
                 meta = json.loads(json_path.read_text()).get("meta", {})
             except (OSError, ValueError):
                 pass  # arrays are intact; metadata is advisory
-            now = None  # default: current time
-            os.utime(npz_path, now)
+            self._hot_put(key, _HotEntry(
+                fingerprint, arrays, json.dumps(meta, sort_keys=True),
+                stamp))
             self.stats.hits += 1
             _telemetry().counter_add("cache.hits")
         return CachedResult(fingerprint=fingerprint, key=key, meta=meta,
-                            arrays=arrays)
+                            arrays={name: array.copy()
+                                    for name, array in arrays.items()})
 
     def __contains__(self, fingerprint: str) -> bool:
         return self._npz(fingerprint_key(fingerprint)).exists()
@@ -242,10 +299,18 @@ class ResultCache:
         payload[_FINGERPRINT_KEY] = np.frombuffer(
             fingerprint.encode(), dtype=np.uint8)
         with self._lock:
-            atomic_write_npz(self._npz(key), payload)
+            npz_path = atomic_write_npz(self._npz(key), payload)
             atomic_write_text(self._json(key), json.dumps(
                 {"fingerprint": fingerprint, "meta": meta}, indent=2,
                 sort_keys=True))
+            if not any(array.dtype.hasobject for array in payload.values()):
+                # Object arrays never load back (no pickles), so only
+                # plain ones may be served from memory.
+                self._hot_put(key, _HotEntry(
+                    fingerprint,
+                    {name: payload[name].copy() for name in arrays},
+                    json.dumps(meta, sort_keys=True),
+                    _stamp(npz_path.stat())))
             self.stats.stores += 1
             _telemetry().counter_add("cache.stores")
             self._evict(protect=key)
@@ -280,9 +345,66 @@ class ResultCache:
     def _json(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
+    def _miss(self) -> None:
+        self.stats.misses += 1
+        _telemetry().counter_add("cache.misses")
+
     def _remove(self, key: str) -> None:
+        self._hot_drop(key)
         self._npz(key).unlink(missing_ok=True)
         self._json(key).unlink(missing_ok=True)
+
+    def _hot_get(self, key: str, fingerprint: str,
+                 npz_path: Path) -> CachedResult | None:
+        """Serve ``key`` from memory if its ``.npz`` is unchanged.
+
+        Callers hold :attr:`_lock`.  Anything else -- no hot copy,
+        another fingerprint, a changed or vanished file -- drops the hot
+        copy and returns ``None`` for the verified disk path.
+        """
+        entry = self._hot.get(key)
+        if entry is None:
+            return None
+        try:
+            fd = os.open(npz_path, os.O_RDONLY)
+        except OSError:
+            self._hot_drop(key)
+            return None
+        try:
+            if (entry.fingerprint != fingerprint
+                    or _stamp(os.fstat(fd)) != entry.stamp):
+                self._hot_drop(key)
+                return None
+            entry.stamp = _touch(fd)
+        finally:
+            os.close(fd)
+        self._hot.move_to_end(key)
+        self.stats.hits += 1
+        self.stats.memory_hits += 1
+        _telemetry().counter_add("cache.hits")
+        _telemetry().counter_add("cache.memory_hits")
+        return CachedResult(
+            fingerprint=fingerprint, key=key,
+            meta=json.loads(entry.meta_text),
+            arrays={name: array.copy()
+                    for name, array in entry.arrays.items()})
+
+    def _hot_put(self, key: str, entry: _HotEntry) -> None:
+        """Keep ``entry`` (arrays owned by the tier) in memory, evicting
+        the least recently used copies beyond :data:`HOT_MAX_BYTES`."""
+        self._hot_drop(key)
+        if entry.nbytes > HOT_MAX_BYTES:
+            return
+        self._hot[key] = entry
+        self._hot_bytes += entry.nbytes
+        while self._hot_bytes > HOT_MAX_BYTES:
+            _, evicted = self._hot.popitem(last=False)
+            self._hot_bytes -= evicted.nbytes
+
+    def _hot_drop(self, key: str) -> None:
+        entry = self._hot.pop(key, None)
+        if entry is not None:
+            self._hot_bytes -= entry.nbytes
 
     def _entries(self) -> list[tuple[str, float, int]]:
         """``(key, mtime, bytes)`` per entry, oldest-access first."""

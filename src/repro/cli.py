@@ -304,7 +304,8 @@ def _cmd_stats(args) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     cache = payload.get("cache", {})
-    print(f"cache: {cache.get('hits', 0)} hit(s), "
+    print(f"cache: {cache.get('hits', 0)} hit(s) "
+          f"({cache.get('memory_hits', 0)} from memory), "
           f"{cache.get('misses', 0)} miss(es), "
           f"{cache.get('stores', 0)} store(s), "
           f"{cache.get('evictions', 0)} eviction(s), "

@@ -163,6 +163,7 @@ def _stats_payload(cache: ResultCache, jobs: JobQueue) -> dict:
         "metrics": telemetry.snapshot(),
         "cache": {
             "hits": cache.stats.hits,
+            "memory_hits": cache.stats.memory_hits,
             "misses": cache.stats.misses,
             "stores": cache.stats.stores,
             "evictions": cache.stats.evictions,

@@ -98,6 +98,8 @@ class Workload(ABC):
     #: to the fingerprint).  Set by the subclass constructor.
     evaluator_id: str = ""
 
+    _fingerprint: str | None = None
+
     @abstractmethod
     def config(self) -> dict:
         """The canonical configuration (see :func:`repro.cache.canonicalize`).
@@ -108,9 +110,17 @@ class Workload(ABC):
         """
 
     def fingerprint(self) -> str:
-        """The workload's exact identity (canonical JSON text)."""
-        return canonical_fingerprint(self.kind, self.config(),
-                                     evaluator=self.evaluator_id)
+        """The workload's exact identity (canonical JSON text).
+
+        Computed on the first call and kept on the instance, so a job's
+        single-flight key, cache lookup, result and telemetry share one
+        canonicalisation.  A workload's configuration is fixed once it
+        is constructed.
+        """
+        if self._fingerprint is None:
+            self._fingerprint = canonical_fingerprint(
+                self.kind, self.config(), evaluator=self.evaluator_id)
+        return self._fingerprint
 
     def key(self) -> str:
         """Content-address of the workload (SHA-256 of the fingerprint)."""

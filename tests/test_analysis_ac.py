@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import telemetry
-from repro.analysis import ac_analysis, dc_operating_point, log_frequencies
+from repro.analysis import (ac_analysis, dc_operating_point, log_frequencies,
+                            noise_analysis)
 from repro.analysis.mna import ACExcitationContext, StampContext
 from repro.circuit import (CCVS, VCCS, VCVS, Capacitor, Circuit,
                            CurrentSource, Inductor, Mosfet, Resistor,
@@ -346,6 +347,36 @@ class TestModalAgainstDirect:
                                       alone.v("b"))
         np.testing.assert_allclose(mixed.v("b"), _oracle_node(mixed, "b"),
                                    rtol=1e-12)
+
+    def test_no_fallback_lane_skips_the_direct_sweep(self, monkeypatch):
+        # With every lane modal, the per-frequency fallback must not run
+        # at all (it used to loop over the grid with zero lanes), and
+        # the AC and noise outputs stay bitwise equal.
+        rng = np.random.default_rng(7)
+        params = OTAParameters.from_normalized(rng.uniform(0.1, 0.9, (6, 8)))
+        circuit = build_ota(params, variations=C35.sample(6, rng))
+        freqs = default_frequency_grid()
+        op = dc_operating_point(circuit)
+
+        def run():
+            result = ac_analysis(circuit, freqs, op=op)
+            noise = noise_analysis(circuit, freqs, output_node="out",
+                                   input_source="VINP", op=op)
+            return result, noise
+
+        reference, reference_noise = run()
+        assert _direct_lanes(reference) == []
+
+        def forbidden(*args):
+            raise AssertionError("direct_solve called with no fallback lane")
+
+        monkeypatch.setattr("repro.analysis.ac.direct_solve", forbidden)
+        result, noise = run()
+        assert result.x.tobytes() == reference.x.tobytes()
+        assert result.v("out").tobytes() == reference.v("out").tobytes()
+        assert noise.output_psd.tobytes() == \
+            reference_noise.output_psd.tobytes()
+        assert noise.gain.tobytes() == reference_noise.gain.tobytes()
 
     def test_fallback_lanes_are_counted(self):
         name = "analysis.ac.direct_lanes"

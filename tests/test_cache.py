@@ -1,9 +1,10 @@
 """Content-addressed result cache tests.
 
 Covers the canonical fingerprint (canonicalisation rules, determinism,
-what is and is not in the key), the crash-safe atomic writers, and the
+what is and is not in the key), the crash-safe atomic writers, the
 :class:`~repro.cache.ResultCache` store (round trips, corruption
-handling, LRU eviction, operational counters).
+handling, LRU eviction, operational counters) and its in-process hot
+tier (memory hits equal disk hits; the disk decides validity).
 """
 
 import dataclasses
@@ -334,3 +335,225 @@ class TestResultCache:
         assert not errors
         assert len(cache) <= 3
         assert cache.stats.stores == workers * rounds
+
+
+def _bits_equal(a, b):
+    """Same names, and per name the same dtype, shape and bytes."""
+    assert sorted(a) == sorted(b)
+    for name in a:
+        assert a[name].dtype == b[name].dtype, name
+        assert a[name].shape == b[name].shape, name
+        assert a[name].tobytes() == b[name].tobytes(), name
+
+
+class TestHotTier:
+    """The in-process hot tier serves only what the disk still vouches
+    for, and a hit from memory equals a hit from disk bit for bit."""
+
+    DESIGN = {"w1": 3e-05, "l1": 1e-06, "w2": 6e-05, "l2": 1e-06,
+              "w3": 1e-05, "l3": 2e-06, "w4": 2e-05, "l4": 2e-06}
+
+    def fingerprint(self, n=1):
+        return canonical_fingerprint("test-unit", {"n": n})
+
+    @pytest.mark.parametrize("request_dict", [
+        {"kind": "estimate", "n_samples": 64, "chunk_lanes": 32},
+        {"kind": "corners", "corners": "tm,ws", "vdds": "3.3",
+         "temps": "27"},
+        {"kind": "surrogate", "n_train": 32, "surrogate_kind": "linear"},
+        {"kind": "lint", "netlist": "V1 in 0 1\nR1 in 0 1k\n.end\n"},
+    ], ids=lambda request: request["kind"])
+    def test_memory_hit_equals_disk_hit_and_fresh_run(self, tmp_path,
+                                                      request_dict):
+        from repro.service import workload_from_request
+
+        if request_dict["kind"] != "lint":
+            request_dict = dict(request_dict, design=self.DESIGN)
+
+        def workload():
+            return workload_from_request(dict(request_dict))
+
+        fresh = workload().run()
+        cache = ResultCache(tmp_path)
+        cold = workload().run_cached(cache)
+        memory = workload().run_cached(cache)
+        disk_cache = ResultCache(tmp_path)
+        disk = workload().run_cached(disk_cache)
+        assert not cold.cache_hit and memory.cache_hit and disk.cache_hit
+        assert cache.stats.memory_hits == 1
+        assert disk_cache.stats.memory_hits == 0
+        assert disk_cache.stats.hits == 1
+        for hit in (memory, disk):
+            _bits_equal(hit.arrays, fresh.arrays)
+            assert hit.fingerprint == fresh.fingerprint
+        assert memory.meta == disk.meta
+        assert list(memory.meta) == list(disk.meta)
+        assert disk.meta == json.loads(json.dumps(fresh.meta))
+        if request_dict["kind"] == "estimate":
+            assert memory.value[0] == disk.value[0] == fresh.value[0]
+
+    def test_mutating_a_hit_does_not_change_the_next(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        fingerprint = self.fingerprint()
+        arrays = {"a": np.arange(4.0)}
+        cache.put(fingerprint, arrays, {"names": ["x"], "n": 1})
+        arrays["a"][:] = 7.0  # the caller's own arrays after the store
+        for _ in range(2):
+            hit = cache.get(fingerprint)
+            np.testing.assert_array_equal(hit.arrays["a"], np.arange(4.0))
+            assert hit.meta == {"names": ["x"], "n": 1}
+            hit.arrays["a"][:] = -1.0
+            hit.meta["names"].append("y")
+            hit.meta["n"] = 2
+        assert cache.stats.memory_hits == 2
+        # A disk hit's copy is independent of the one kept in memory.
+        reader = ResultCache(tmp_path)
+        reader.get(fingerprint).arrays["a"][:] = -1.0
+        np.testing.assert_array_equal(reader.get(fingerprint).arrays["a"],
+                                      np.arange(4.0))
+        assert reader.stats.memory_hits == 1
+
+    def test_rewrite_by_another_instance_is_not_served_from_memory(
+            self, tmp_path):
+        cache, other = ResultCache(tmp_path), ResultCache(tmp_path)
+        fingerprint = self.fingerprint()
+        cache.put(fingerprint, {"a": np.arange(3)}, {"v": 1})
+        other.put(fingerprint, {"a": np.arange(300)}, {"v": 2})
+        hit = cache.get(fingerprint)
+        np.testing.assert_array_equal(hit.arrays["a"], np.arange(300))
+        assert hit.meta == {"v": 2}
+        assert cache.stats.memory_hits == 0
+        # Re-read from disk, the new entry is served from memory next.
+        assert cache.get(fingerprint).meta == {"v": 2}
+        assert cache.stats.memory_hits == 1
+
+    def test_moved_mtime_sends_lookup_to_disk(self, tmp_path):
+        # Another process touching the entry moves its mtime (set
+        # explicitly here: a kernel-chosen time may repeat on a coarse
+        # clock, and an unchanged file may well stay served from memory).
+        cache = ResultCache(tmp_path)
+        fingerprint = self.fingerprint()
+        cache.put(fingerprint, {"a": np.arange(3)})
+        os.utime(tmp_path / f"{fingerprint_key(fingerprint)}.npz",
+                 ns=(1, 1))
+        assert cache.get(fingerprint) is not None
+        assert cache.stats.memory_hits == 0
+        assert cache.get(fingerprint) is not None
+        assert cache.stats.memory_hits == 1
+        # A repeat hit records the mtime its own touch stored.
+        assert cache.get(fingerprint) is not None
+        assert cache.stats.memory_hits == 2
+
+    def test_touch_by_another_instance_keeps_hits_correct(self, tmp_path):
+        cache, other = ResultCache(tmp_path), ResultCache(tmp_path)
+        fingerprint = self.fingerprint()
+        cache.put(fingerprint, {"a": np.arange(3)}, {"v": 1})
+        for _ in range(3):
+            for reader in (other, cache):
+                hit = reader.get(fingerprint)
+                np.testing.assert_array_equal(hit.arrays["a"], np.arange(3))
+                assert hit.meta == {"v": 1}
+        assert other.stats.hits == cache.stats.hits == 3
+
+    def test_clear_by_another_instance_is_a_miss(self, tmp_path):
+        cache, other = ResultCache(tmp_path), ResultCache(tmp_path)
+        fingerprint = self.fingerprint()
+        cache.put(fingerprint, {"a": np.arange(3)})
+        assert other.clear() == 1
+        assert cache.get(fingerprint) is None
+        assert cache.stats.misses == 1 and cache.stats.memory_hits == 0
+
+    def test_own_clear_and_eviction_drop_memory_copies(self, tmp_path):
+        cache = ResultCache(tmp_path, max_entries=1)
+        first, second = self.fingerprint(1), self.fingerprint(2)
+        cache.put(first, {"a": np.arange(3)})
+        cache.put(second, {"a": np.arange(3)})  # evicts ``first``
+        assert list(cache._hot) == [fingerprint_key(second)]
+        assert cache._hot_bytes == cache._hot[fingerprint_key(second)].nbytes
+        assert cache.get(first) is None
+        cache.clear()
+        assert not cache._hot and cache._hot_bytes == 0
+        assert cache.get(second) is None
+        assert cache.stats.memory_hits == 0
+
+    def test_byte_bound_holds(self, tmp_path, monkeypatch):
+        from repro.cache import store
+
+        entry = {"a": np.zeros(1000)}  # 8000 decoded bytes
+        monkeypatch.setattr(store, "HOT_MAX_BYTES", 20_000)
+        cache = ResultCache(tmp_path)
+        prints = [self.fingerprint(n) for n in range(5)]
+        for fingerprint in prints:
+            cache.put(fingerprint, entry)
+            assert cache._hot_bytes <= 20_000
+        # Only the two most recent entries fit; older ones come from disk.
+        for fingerprint in prints[3:]:
+            assert cache.get(fingerprint) is not None
+        assert cache.stats.memory_hits == 2
+        assert cache.get(prints[0]) is not None
+        assert cache.stats.memory_hits == 2
+        assert cache._hot_bytes <= 20_000
+        # An entry larger than the whole bound is never kept in memory.
+        big = self.fingerprint(99)
+        cache.put(big, {"a": np.zeros(5000)})
+        cache.get(big)
+        assert cache.stats.memory_hits == 2
+        assert cache._hot_bytes <= 20_000
+
+    def test_object_arrays_not_served_from_memory(self, tmp_path):
+        # The disk refuses object arrays (no pickles), so memory must too.
+        cache = ResultCache(tmp_path)
+        fingerprint = self.fingerprint()
+        cache.put(fingerprint, {"a": np.array([{"x": 1}], dtype=object)})
+        assert cache.get(fingerprint) is None
+        assert cache.stats.memory_hits == 0
+
+    def test_concurrent_hits_under_eviction_pressure(self, tmp_path,
+                                                     monkeypatch):
+        # More threads than cores share one instance while stores evict
+        # hot copies: every hit stays correct, and neither the counters
+        # nor the tier's byte total lose an update.
+        import sys
+        import threading
+
+        from repro.cache import store
+
+        monkeypatch.setattr(store, "HOT_MAX_BYTES", 3 * 8200)
+        cache = ResultCache(tmp_path)
+        prints = [self.fingerprint(n) for n in range(6)]
+        for n, fingerprint in enumerate(prints):
+            cache.put(fingerprint, {"a": np.full(1000, float(n))})
+        workers, rounds = 8, 40
+        start = threading.Barrier(workers)
+        errors = []
+
+        def hammer(index):
+            try:
+                start.wait(timeout=10)
+                for round_ in range(rounds):
+                    n = (index + round_) % len(prints)
+                    hit = cache.get(prints[n])
+                    assert hit is not None
+                    assert np.all(hit.arrays["a"] == n)
+                    hit.arrays["a"][:] = -1.0
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(i,))
+                       for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert cache.stats.hits == workers * rounds
+        assert cache.stats.memory_hits <= cache.stats.hits
+        assert cache._hot_bytes == sum(entry.nbytes
+                                       for entry in cache._hot.values())
+        assert cache._hot_bytes <= 3 * 8200

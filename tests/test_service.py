@@ -101,6 +101,33 @@ class TestJobQueue:
         assert second.value[0] == first.value[0]
         assert cache.stats.stores == 1
 
+    def test_fingerprint_computed_once_per_job(self, tmp_path,
+                                               monkeypatch):
+        # One canonicalisation per job serves the single-flight key, the
+        # cache lookup, the result stamp and the telemetry event.
+        from repro import telemetry
+        from repro.workload import base
+
+        calls = []
+        original = base.canonical_fingerprint
+
+        def spy(kind, *args, **kwargs):
+            calls.append(kind)
+            return original(kind, *args, **kwargs)
+
+        monkeypatch.setattr(base, "canonical_fingerprint", spy)
+        cache = ResultCache(tmp_path / "cache")
+        with telemetry.session(tmp_path / "events.jsonl"), \
+                JobQueue(workers=1, cache=cache,
+                         checkpoint_dir=tmp_path / "checkpoints") as jobs:
+            cold = jobs.result(jobs.submit(yield_workload()), timeout=30)
+            assert calls == ["yield-streaming"]
+            hit = jobs.result(jobs.submit(yield_workload()), timeout=30)
+            assert len(calls) == 2
+        assert not cold.cache_hit and hit.cache_hit
+        assert hit.fingerprint == cold.fingerprint == \
+            yield_workload().fingerprint()
+
     def test_single_flight_dedup(self, tmp_path):
         # Concurrent identical submissions: one computes, the rest wait
         # and serve the stored result -- never N independent runs.

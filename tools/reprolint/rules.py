@@ -523,7 +523,8 @@ _SPAN_NAMES = frozenset({
     "rare.final", "surrogate.train", "surrogate.batch"})
 _SPAN_PREFIXES = ("workload.",)
 _COUNTER_NAMES = frozenset({
-    "cache.hits", "cache.misses", "cache.stores", "cache.evictions",
+    "cache.hits", "cache.memory_hits", "cache.misses", "cache.stores",
+    "cache.evictions",
     "exec.tasks", "mc.lanes", "mc.stream.rounds", "estimator.simulations",
     "surrogate.evaluations", "analysis.ac.direct_lanes"})
 _COUNTER_PREFIXES = ("jobs.",)
