@@ -17,13 +17,14 @@ from repro.mc import MCConfig, monte_carlo
 from repro.measure import Spec, SpecSet
 from repro.process import C35
 from repro.yieldmodel import estimate_yield
+from repro.yieldmodel.variation import DEFAULT_K_SIGMA
 
 
 def test_yield_vs_guard_band(flow_result, emit, benchmark):
     model = flow_result.model
     variation = flow_result.variation["gain_db_delta_pct"]
     objectives = flow_result.pareto_objectives
-    k_model = flow_result.config.k_sigma
+    k_model = DEFAULT_K_SIGMA
 
     # Work at a mid-front point: its nominal gain is the k=0 spec.
     index = int(0.5 * (objectives.shape[0] - 1))

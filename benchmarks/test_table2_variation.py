@@ -10,11 +10,12 @@ reduction (200 MC samples -> one percentage per point).
 import numpy as np
 
 from repro.yieldmodel import variation_columns
+from repro.yieldmodel.variation import DEFAULT_K_SIGMA
 
 
 def test_table2_rows(flow_result, emit, benchmark):
     columns = benchmark(variation_columns, flow_result.mc_samples,
-                        k_sigma=flow_result.config.k_sigma)
+                        k_sigma=DEFAULT_K_SIGMA)
     assert set(columns) == {"gain_db_delta_pct", "pm_deg_delta_pct"}
 
     rows = flow_result.table2_rows(10)

@@ -1,13 +1,13 @@
 """Circuit analyses: DC operating point, AC sweeps, noise."""
 
 from .ac import ACResult, ac_analysis, log_frequencies
-from .dc import NewtonOptions, OperatingPoint, dc_operating_point
+from .dc import OperatingPoint, dc_operating_point
 from .mna import Assembler, solve_batched
 from .noise import NoiseResult, noise_analysis
 
 __all__ = [
     "ACResult", "ac_analysis", "log_frequencies",
-    "NewtonOptions", "OperatingPoint", "dc_operating_point",
+    "OperatingPoint", "dc_operating_point",
     "Assembler", "solve_batched",
     "NoiseResult", "noise_analysis",
 ]

@@ -367,35 +367,21 @@ class ACResult:
             return np.zeros((self.batch, self.freqs.size), dtype=complex)
         return self._response(index)
 
-    def transfer(self, out_node: str, in_node: str | None = None) -> np.ndarray:
-        """Voltage transfer function ``V(out)/V(in)``, shape ``(B, F)``.
-
-        With ``in_node=None`` the raw output voltage is returned, which
-        equals the transfer function when the stimulus has unit AC
-        magnitude (the usual testbench convention).
-        """
-        out = self.v(out_node)
-        if in_node is None:
-            return out
-        denominator = self.v(in_node)
-        return out / np.where(np.abs(denominator) < 1e-300, 1e-300, denominator)
-
-    def magnitude_db(self, out_node: str, in_node: str | None = None) -> np.ndarray:
-        """``20*log10 |H|``, shape ``(B, F)``."""
-        h = np.abs(self.transfer(out_node, in_node))
+    def magnitude_db(self, out_node: str) -> np.ndarray:
+        """``20*log10 |V(out)|``, shape ``(B, F)``: the transfer function
+        when the stimulus has unit AC magnitude (the testbench
+        convention)."""
+        h = np.abs(self.v(out_node))
         return 20.0 * np.log10(np.maximum(h, 1e-300))
 
-    def phase_deg(self, out_node: str, in_node: str | None = None,
-                  unwrap: bool = True) -> np.ndarray:
-        """Phase in degrees, shape ``(B, F)``; unwrapped along frequency."""
-        phase = np.angle(self.transfer(out_node, in_node))
-        if unwrap:
-            phase = np.unwrap(phase, axis=-1)
-        return np.degrees(phase)
+    def phase_deg(self, out_node: str) -> np.ndarray:
+        """Phase of ``V(out)`` in degrees, shape ``(B, F)``; unwrapped
+        along frequency."""
+        return np.degrees(np.unwrap(np.angle(self.v(out_node)), axis=-1))
 
 
-def ac_analysis(circuit, freqs, *, op: OperatingPoint | None = None,
-                assembler: Assembler | None = None) -> ACResult:
+def ac_analysis(circuit, freqs, *,
+                op: OperatingPoint | None = None) -> ACResult:
     """Run an AC sweep of ``circuit`` over ``freqs``.
 
     Parameters
@@ -409,8 +395,6 @@ def ac_analysis(circuit, freqs, *, op: OperatingPoint | None = None,
     """
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     if op is None:
-        op = dc_operating_point(circuit, assembler=assembler)
-    assembler = assembler or op.assembler
-
-    G, C, excitation = assembler.ac_system(op.x)
-    return ACResult(circuit, assembler, op, freqs, G, C, excitation)
+        op = dc_operating_point(circuit)
+    G, C, excitation = op.assembler.ac_system(op.x)
+    return ACResult(circuit, op.assembler, op, freqs, G, C, excitation)

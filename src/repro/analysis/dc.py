@@ -25,38 +25,25 @@ import numpy as np
 from ..errors import ConvergenceError, SingularMatrixError
 from .mna import Assembler, format_lanes, solve_batched
 
-__all__ = ["NewtonOptions", "OperatingPoint", "dc_operating_point"]
+__all__ = ["OperatingPoint", "dc_operating_point"]
 
 #: Conductance floor always present on node diagonals (SPICE GMIN).
 GMIN_FLOOR = 1e-12
 
-
-@dataclass(frozen=True)
-class NewtonOptions:
-    """Tuning knobs for the Newton-Raphson DC solver.
-
-    Attributes
-    ----------
-    max_iterations:
-        Iteration budget per Newton attempt.
-    reltol, vabstol:
-        Per-unknown convergence test ``|dx| <= reltol*|x| + vabstol``.
-    dv_limit:
-        Per-iteration per-unknown update clamp [V]; the damping that keeps
-        exponential device models from overshooting.
-    gmin_steps:
-        Decades used by gmin stepping (from ``10**-gmin_start`` down).
-    source_steps:
-        Number of source-stepping ramp points.
-    """
-
-    max_iterations: int = 200
-    reltol: float = 1e-6
-    vabstol: float = 1e-9
-    dv_limit: float = 0.5
-    gmin_start_exponent: int = 2
-    gmin_steps: int = 11
-    source_steps: int = 12
+#: Iteration budget per Newton attempt.
+MAX_ITERATIONS = 200
+#: Per-unknown convergence test ``|dx| <= RELTOL*|x| + VABSTOL``.
+RELTOL = 1e-6
+VABSTOL = 1e-9
+#: Per-iteration per-unknown update clamp [V]: the damping that keeps
+#: exponential device models from overshooting.
+DV_LIMIT = 0.5
+#: gmin stepping walks ``GMIN_STEPS`` decades-spaced conductances from
+#: ``10**-GMIN_START_EXPONENT`` down to 1e-12.
+GMIN_START_EXPONENT = 2
+GMIN_STEPS = 11
+#: Number of source-stepping ramp points.
+SOURCE_STEPS = 12
 
 
 @dataclass
@@ -121,9 +108,8 @@ class OperatingPoint:
         return "\n".join(lines)
 
 
-def _newton_attempt(assembler: Assembler, x0: np.ndarray, options: NewtonOptions,
-                    *, gmin: float, source_scale: float,
-                    lanes: np.ndarray | None = None
+def _newton_attempt(assembler: Assembler, x0: np.ndarray, *, gmin: float,
+                    source_scale: float, lanes: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray, int]:
     """One damped-Newton run; returns ``(x, converged, iterations)``.
 
@@ -139,7 +125,7 @@ def _newton_attempt(assembler: Assembler, x0: np.ndarray, options: NewtonOptions
     batch = rows if lanes is None else assembler.batch
     moving = np.arange(rows)  # rows still iterating
     converged = np.zeros(rows, dtype=bool)
-    for iteration in range(1, options.max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         whole = lanes is None and moving.size == rows
         x_moving = x if whole else x[moving]
         subset = moving if lanes is None else lanes[moving]
@@ -156,8 +142,8 @@ def _newton_attempt(assembler: Assembler, x0: np.ndarray, options: NewtonOptions
                 f"singular MNA matrix in lane(s) {bad} of {batch} "
                 "(floating node or voltage-source loop?)",
                 lane_indices=bad) from exc
-        dx = np.clip(x_new - x_moving, -options.dv_limit, options.dv_limit)
-        tol = options.reltol * np.abs(x_moving) + options.vabstol
+        dx = np.clip(x_new - x_moving, -DV_LIMIT, DV_LIMIT)
+        tol = RELTOL * np.abs(x_moving) + VABSTOL
         done = np.all(np.abs(dx) <= tol, axis=1)
         if whole:
             x = x_moving + dx
@@ -167,12 +153,11 @@ def _newton_attempt(assembler: Assembler, x0: np.ndarray, options: NewtonOptions
         moving = moving[~done]
         if not moving.size:
             return x, converged, iteration
-    return x, converged, options.max_iterations
+    return x, converged, MAX_ITERATIONS
 
 
 def _continuation(assembler: Assembler, x: np.ndarray, lanes: np.ndarray,
-                  steps, options: NewtonOptions
-                  ) -> tuple[np.ndarray, np.ndarray, int]:
+                  steps) -> tuple[np.ndarray, np.ndarray, int]:
     """Walk ``lanes`` (starting at rows ``x``) through the continuation
     ``steps`` (``(gmin, source_scale)`` pairs), then a clean solve at
     full source scale.  A lane that fails any step drops out; returns
@@ -181,16 +166,15 @@ def _continuation(assembler: Assembler, x: np.ndarray, lanes: np.ndarray,
     for gmin, scale in [*steps, (0.0, 1.0)]:
         if not lanes.size:
             break
-        x, ok, used = _newton_attempt(assembler, x, options, gmin=gmin,
+        x, ok, used = _newton_attempt(assembler, x, gmin=gmin,
                                       source_scale=scale, lanes=lanes)
         iterations += used
         x, lanes = x[ok], lanes[ok]
     return x, lanes, iterations
 
 
-def dc_operating_point(circuit, *, options: NewtonOptions | None = None,
-                       x0: np.ndarray | None = None,
-                       assembler: Assembler | None = None) -> OperatingPoint:
+def dc_operating_point(circuit, *,
+                       x0: np.ndarray | None = None) -> OperatingPoint:
     """Solve the DC operating point of ``circuit``.
 
     Plain Newton runs on the whole batch; only the lanes it leaves
@@ -215,8 +199,7 @@ def dc_operating_point(circuit, *, options: NewtonOptions | None = None,
         lane; the error names those lanes and carries the per-lane
         ``converged_mask``.
     """
-    options = options or NewtonOptions()
-    assembler = assembler or Assembler(circuit)
+    assembler = Assembler(circuit)
     n, batch = assembler.n, assembler.batch
     x = np.zeros((batch, n)) if x0 is None else np.array(x0, dtype=float)
     if x.ndim == 1:
@@ -224,25 +207,23 @@ def dc_operating_point(circuit, *, options: NewtonOptions | None = None,
 
     # Strategy 1: plain Newton from the initial guess.
     x_sol, converged, total_iterations = _newton_attempt(
-        assembler, x, options, gmin=0.0, source_scale=1.0)
+        assembler, x, gmin=0.0, source_scale=1.0)
     strategy = "newton"
 
     # Strategy 2: gmin stepping from the initial guess; strategy 3:
     # source stepping from zero (with a light gmin safety net removed
     # at the final full-scale clean solve).
     gmin_steps = [(10.0 ** exponent, 1.0) for exponent in
-                  np.linspace(-options.gmin_start_exponent, -12,
-                              options.gmin_steps)]
+                  np.linspace(-GMIN_START_EXPONENT, -12, GMIN_STEPS)]
     source_steps = [(1e-9, scale) for scale in
-                    np.linspace(1.0 / options.source_steps, 1.0,
-                                options.source_steps)]
+                    np.linspace(1.0 / SOURCE_STEPS, 1.0, SOURCE_STEPS)]
     for name, steps in (("gmin", gmin_steps), ("source", source_steps)):
         pending = np.flatnonzero(~converged)
         if not pending.size:
             break
         start = x[pending] if name == "gmin" else np.zeros((pending.size, n))
         x_lanes, solved, used = _continuation(
-            assembler, start, pending, steps, options)
+            assembler, start, pending, steps)
         total_iterations += used
         x_sol[solved] = x_lanes
         converged[solved] = True

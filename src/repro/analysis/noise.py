@@ -33,7 +33,6 @@ import numpy as np
 from ..errors import AnalysisError
 from .ac import ModalFactors
 from .dc import OperatingPoint, dc_operating_point
-from .mna import Assembler
 
 __all__ = ["NoiseResult", "noise_analysis", "BOLTZMANN", "TEMPERATURE"]
 
@@ -138,20 +137,12 @@ class NoiseResult:
             raise AnalysisError("no input source was designated")
         return self.output_psd / np.maximum(self.gain ** 2, 1e-300)
 
-    def integrated_output_rms(self, f_start: float | None = None,
-                              f_stop: float | None = None) -> np.ndarray:
-        """RMS output noise over a band, by trapezoidal integration of the
-        PSD (``sqrt(integral S df)``), shape ``(B,)``."""
-        mask = np.ones(self.freqs.size, dtype=bool)
-        if f_start is not None:
-            mask &= self.freqs >= f_start
-        if f_stop is not None:
-            mask &= self.freqs <= f_stop
-        if mask.sum() < 2:
+    def integrated_output_rms(self) -> np.ndarray:
+        """RMS output noise over the sweep, by trapezoidal integration of
+        the PSD (``sqrt(integral S df)``), shape ``(B,)``."""
+        if self.freqs.size < 2:
             raise AnalysisError("integration band contains <2 sweep points")
-        freqs = self.freqs[mask]
-        psd = self.output_psd[:, mask]
-        return np.sqrt(np.trapezoid(psd, freqs, axis=1))
+        return np.sqrt(np.trapezoid(self.output_psd, self.freqs, axis=1))
 
     def dominant_contributor(self, frequency_index: int = 0) -> str:
         """Name of the largest contributor at a sweep point (lane 0)."""
@@ -160,8 +151,7 @@ class NoiseResult:
 
 
 def noise_analysis(circuit, freqs, *, output_node: str,
-                   input_source: str | None = None,
-                   op: OperatingPoint | None = None) -> NoiseResult:
+                   input_source: str | None = None) -> NoiseResult:
     """Run a ``.noise``-style analysis.
 
     Parameters
@@ -179,10 +169,8 @@ def noise_analysis(circuit, freqs, *, output_node: str,
         If the circuit has no noisy elements or the output is ground.
     """
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
-    if op is None:
-        op = dc_operating_point(circuit)
-    assembler = op.assembler if op.assembler.circuit is circuit \
-        else Assembler(circuit)
+    op = dc_operating_point(circuit)
+    assembler = op.assembler
 
     out_index = assembler.topology.index_of(output_node)
     if out_index < 0:

@@ -26,42 +26,43 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import telemetry
 from ..designs.ota import OTAParameters, evaluate_ota
 from ..mc.engine import MCConfig, monte_carlo_points
 from ..mc.sampler import stream
 from ..measure.specs import SpecSet
 from ..moo.ga import (GAConfig, gaussian_mutation, tournament_select,
                       uniform_crossover)
-from ..process import C35, ProcessKit
+from ..process import C35
 from ..telemetry.ledger import SimulationLedger
 from ..yieldmodel.estimator import YieldEstimate, estimate_yield
 
 __all__ = ["DirectMCConfig", "DirectMCResult", "run_direct_mc_optimization"]
+
+#: Weight of the MC yield against the normalised nominal spec margins.
+YIELD_WEIGHT = 2.0
+#: Lane bound of each chunk of a generation's Monte-Carlo sweep.
+CHUNK_LANES = 200
 
 
 @dataclass(frozen=True)
 class DirectMCConfig:
     """Settings of the conventional yield-inclusive optimisation.
 
-    ``backend``/``workers`` select the execution backend for the
-    per-candidate Monte Carlo (see :mod:`repro.exec`); the default defers
-    to ``REPRO_EXEC_BACKEND`` and then serial execution.  ``chunk_lanes``
-    shards each generation's sweep; the default (200 lanes = 4 candidates
-    at 50 samples each) splits the stock 1000-lane generation into 5
-    chunks, so a pooled backend actually has work to distribute --
-    remember that the chunk geometry, not the backend, fixes the random
-    draw (see :class:`repro.mc.engine.MCConfig`).
+    ``backend`` selects the execution backend for the per-candidate
+    Monte Carlo (see :mod:`repro.exec`); the default defers to
+    ``REPRO_EXEC_BACKEND`` and then serial execution.  Each generation's
+    sweep is sharded into :data:`CHUNK_LANES`-lane chunks (4 candidates
+    at 50 samples each: the stock 1000-lane generation makes 5 chunks,
+    so a pooled backend actually has work to distribute) -- remember
+    that the chunk geometry, not the backend, fixes the random draw (see
+    :class:`repro.mc.engine.MCConfig`).
     """
 
     population: int = 20
     generations: int = 10
     mc_samples_per_candidate: int = 50
     seed: int = 2008
-    yield_weight: float = 2.0
-    chunk_lanes: int = 200
     backend: str | None = None
-    workers: int = 0
 
     def ga_config(self) -> GAConfig:
         return GAConfig(population_size=self.population,
@@ -94,12 +95,12 @@ class DirectMCResult:
 
 
 def run_direct_mc_optimization(specs: SpecSet,
-                               config: DirectMCConfig | None = None, *,
-                               pdk: ProcessKit = C35,
-                               progress=None) -> DirectMCResult:
-    """Run the conventional flow: GA with per-candidate Monte Carlo.
+                               config: DirectMCConfig | None = None
+                               ) -> DirectMCResult:
+    """Run the conventional flow on the C35 kit: GA with per-candidate
+    Monte Carlo.
 
-    Fitness is ``yield + yield_weight^-1-normalised spec margins``: a
+    Fitness is ``YIELD_WEIGHT * yield + normalised spec margins``: a
     candidate must first pass its own MC yield estimate, then better
     nominal margins break ties.  Every fitness evaluation costs
     ``1 + mc_samples_per_candidate`` transistor simulations.
@@ -107,10 +108,10 @@ def run_direct_mc_optimization(specs: SpecSet,
     config = config or DirectMCConfig()
     rng = stream(config.seed, "direct-mc")
     ledger = SimulationLedger()
-    say = telemetry.announcer(progress)
+    pdk = C35
     mc_config = MCConfig(n_samples=config.mc_samples_per_candidate,
-                         seed=config.seed, chunk_lanes=config.chunk_lanes,
-                         backend=config.backend, workers=config.workers)
+                         seed=config.seed, chunk_lanes=CHUNK_LANES,
+                         backend=config.backend)
 
     pop = config.population
     genes = rng.random((pop, 8))
@@ -153,7 +154,7 @@ def run_direct_mc_optimization(specs: SpecSet,
                 margin = spec.margin(nominal[spec.name])
                 scale = max(abs(spec.limit), 1e-9)
                 margins += np.clip(margin / scale, -1.0, 1.0)
-            fitness = config.yield_weight * yields + margins
+            fitness = YIELD_WEIGHT * yields + margins
             fitness = np.where(
                 np.all([np.isfinite(nominal[s.name]) for s in specs], axis=0),
                 fitness, -np.inf)
@@ -167,8 +168,6 @@ def run_direct_mc_optimization(specs: SpecSet,
                     "nominal": {name: float(values[gen_best])
                                 for name, values in nominal.items()},
                 }
-            say(f"generation {generation}: best yield "
-                f"{yields.max():.2%}, fitness {fitness[gen_best]:.3f}")
 
             parents_a = genes[tournament_select(fitness, pop, 2, rng)]
             parents_b = genes[tournament_select(fitness, pop, 2, rng)]

@@ -30,12 +30,13 @@ _HEADER = """\
 """
 
 
-def generate_verilog_a(*, module_name: str = "ota_yield_model",
-                       objective_tables: dict[str, str],
+#: Name of the emitted Verilog-A module (and of its ``.va`` file).
+MODULE_NAME = "ota_yield_model"
+
+
+def generate_verilog_a(*, objective_tables: dict[str, str],
                        parameter_tables: dict[str, str],
-                       ro_ohms: float,
-                       default_gain_db: float = 50.0,
-                       default_pm_deg: float = 75.0) -> str:
+                       ro_ohms: float) -> str:
     """Render the Verilog-A module source.
 
     Parameters
@@ -48,6 +49,9 @@ def generate_verilog_a(*, module_name: str = "ota_yield_model",
         Mapping design parameter name (``lp1``...) -> 2-input table file.
     ro_ohms:
         Output resistance used in the contribution statement.
+
+    The module's two objective parameters default to 50 (dB) and 75
+    (degrees).
     """
     aliases = list(objective_tables)
     if len(aliases) != 2:
@@ -56,13 +60,13 @@ def generate_verilog_a(*, module_name: str = "ota_yield_model",
     lp_names = list(parameter_tables)
 
     lines: list[str] = [_HEADER]
-    lines.append(f"module {module_name}(inp, inn, out);")
+    lines.append(f"module {MODULE_NAME}(inp, inn, out);")
     lines.append("  inout inp, inn, out;")
     lines.append("  electrical inp, inn, out;")
     lines.append("")
     lines.append("  // Required performance (specification inputs).")
-    lines.append(f"  parameter real {first} = {default_gain_db:g};")
-    lines.append(f"  parameter real {second} = {default_pm_deg:g};")
+    lines.append(f"  parameter real {first} = 50;")
+    lines.append(f"  parameter real {second} = 75;")
     lines.append(f"  parameter real ro = {ro_ohms:.6g};")
     lines.append("")
     reals = [f"{first}_delta", f"{second}_delta",
@@ -108,8 +112,7 @@ def generate_verilog_a(*, module_name: str = "ota_yield_model",
     return "\n".join(lines) + "\n"
 
 
-def write_verilog_a_package(model, directory, *,
-                            module_name: str = "ota_yield_model") -> dict[str, Path]:
+def write_verilog_a_package(model, directory) -> dict[str, Path]:
     """Write the complete Verilog-A package for a combined model.
 
     Emits the variation tables (1-input, keyed by their own objective),
@@ -144,12 +147,11 @@ def write_verilog_a_package(model, directory, *,
         written[lp] = directory / filename
 
     source = generate_verilog_a(
-        module_name=module_name,
         objective_tables=objective_tables,
         parameter_tables=parameter_tables,
         ro_ohms=float(model.nominal_ro()),
     )
-    module_path = directory / f"{module_name}.va"
+    module_path = directory / f"{MODULE_NAME}.va"
     module_path.write_text(source)
     written["module"] = module_path
     return written

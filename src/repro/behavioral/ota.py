@@ -126,11 +126,10 @@ class BehavioralOTA(Element):
 
     @classmethod
     def from_table(cls, name: str, out: str, inp: str, inn: str, *,
-                   gain_db, ro, parasitic_pole_hz=None) -> "BehavioralOTA":
+                   gain_db, ro) -> "BehavioralOTA":
         """Construct from a dB gain (the table-model output unit)."""
         gain = from_db20(np.asarray(gain_db, dtype=float))
-        return cls(name, out, inp, inn, gain=gain, ro=ro,
-                   parasitic_pole_hz=parasitic_pole_hz)
+        return cls(name, out, inp, inn, gain=gain, ro=ro)
 
 
 def ota_transfer_function(freqs, *, gain_db, ro, cl,

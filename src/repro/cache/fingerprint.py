@@ -96,8 +96,8 @@ def canonicalize(value):
                     f"({type(value).__name__})")
 
 
-def canonical_fingerprint(kind: str, config, *, evaluator: str = "",
-                          version: str | None = None) -> str:
+def canonical_fingerprint(kind: str, config, *,
+                          evaluator: str = "") -> str:
     """The canonical fingerprint text of one unit of work.
 
     Parameters
@@ -113,11 +113,10 @@ def canonical_fingerprint(kind: str, config, *, evaluator: str = "",
         a digest of the design parameters and testbench settings.  The
         evaluator itself is an opaque callable the fingerprint cannot
         inspect; an empty string means the config already determines it.
-    version:
-        Library-version salt; defaults to the running
-        ``repro.__version__``, so upgrading the library invalidates
-        every cached result rather than serving numbers an older
-        algorithm produced.
+
+    The running ``repro.__version__`` salts the text, so upgrading the
+    library invalidates every cached result rather than serving numbers
+    an older algorithm produced.
 
     Returns
     -------
@@ -126,7 +125,7 @@ def canonical_fingerprint(kind: str, config, *, evaluator: str = "",
     """
     payload = {
         "kind": kind,
-        "version": library_version() if version is None else version,
+        "version": library_version(),
         "evaluator": evaluator,
         "config": canonicalize(config),
     }

@@ -322,6 +322,9 @@ class CCVS(Element):
 #: Diode exponent clamp: beyond it the exponential is linearised.
 _EXP_CLAMP = 40.0
 
+#: Diode thermal voltage ``kT/q`` at 300 K [V].
+DIODE_VT = 0.025852
+
 
 class DiodeBank:
     """``D`` diodes compiled for evaluation over many lanes at once.
@@ -342,11 +345,11 @@ class DiodeBank:
         ("C", 1, 0, 1, -1))
     ROWS = {"newton": 2, "ac": 2}
 
-    def __init__(self, devices, batch: int = 1) -> None:
+    def __init__(self, devices, batch: int) -> None:
         self.size = len(devices)
         #: ``(2, D)`` node rows; ground (-1) indexes the appended zero row.
         self.nodes = np.array([device._node_idx for device in devices]).T
-        nvt = [device.n * device.vt for device in devices]
+        nvt = [device.n * DIODE_VT for device in devices]
         self.i_s = _column([device.i_s for device in devices])
         self.nvt = _column(nvt)
         self.v_clamp = _column([_EXP_CLAMP * v for v in nvt])
@@ -399,12 +402,11 @@ class Diode(Element):
     bank = DiodeBank
 
     def __init__(self, name: str, anode: str, cathode: str, *,
-                 i_s: float = 1e-14, n: float = 1.0, vt: float = 0.025852,
+                 i_s: float = 1e-14, n: float = 1.0,
                  cj0: float = 0.0) -> None:
         super().__init__(name, (anode, cathode))
         self.i_s = float(i_s)
         self.n = float(n)
-        self.vt = float(vt)
         self.cj0 = float(cj0)
 
     def op_info(self, op: np.ndarray) -> dict[str, np.ndarray]:
@@ -414,5 +416,5 @@ class Diode(Element):
         vd = np.asarray(va) - np.asarray(vb)
         current, conductance = (
             value[0].reshape(vd.shape)
-            for value in DiodeBank([self]).current(vd[None]))
+            for value in DiodeBank([self], 1).current(vd[None]))
         return {"vd": vd, "id": current, "gd": conductance}

@@ -31,7 +31,7 @@ them with Pelgrom-law mismatch samples (:mod:`repro.process.mismatch`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,15 +86,6 @@ class MOSModel:
             raise NetlistError(f"model {self.name!r}: polarity must be 'n' or 'p'")
         if self.kp <= 0 or self.cox <= 0:
             raise NetlistError(f"model {self.name!r}: kp and cox must be positive")
-
-    def with_variation(self, *, dvto: float = 0.0, kp_scale: float = 1.0) -> "MOSModel":
-        """A copy with global process variation applied (corner/MC).
-
-        ``dvto`` shifts the threshold (same sign convention as ``vto``) and
-        ``kp_scale`` scales the transconductance parameter.
-        """
-        sign = 1.0 if self.polarity == "n" else -1.0
-        return replace(self, vto=self.vto + sign * dvto, kp=self.kp * kp_scale)
 
     def temperature_shift(self, temp_k) -> tuple[np.ndarray, np.ndarray]:
         """Per-lane ``(dvto, kp_scale)`` equivalent of operating at ``temp_k``.
@@ -181,9 +172,7 @@ class MosfetBank:
                       ("C", a, b, 4 + k, -1), ("C", b, a, 4 + k, -1)))
     ROWS = {"newton": 5, "ac": 9}
 
-    def __init__(self, devices, batch: int | None = None) -> None:
-        if batch is None:
-            batch = max(device.batch_size() for device in devices)
+    def __init__(self, devices, batch: int) -> None:
         models = [device.model for device in devices]
         self.size = len(devices)
         #: ``(4, D)`` node rows; ground (-1) indexes the zero row that
@@ -368,7 +357,7 @@ class Mosfet(Element):
     # -- single-device evaluation ----------------------------------------------
     def _single(self, method, vgs, vds, vbs) -> list[np.ndarray]:
         """Run a :class:`MosfetBank` method for this device alone (D=1)."""
-        bank = MosfetBank([self])
+        bank = MosfetBank([self], self.batch_size())
         lanes = bank.beta.shape[1]
         shape = np.broadcast_shapes(np.shape(vgs), np.shape(vds),
                                     np.shape(vbs), (lanes,) if lanes > 1 else ())

@@ -43,7 +43,7 @@ class SubcircuitDef:
 
     name: str
     ports: tuple[str, ...]
-    cards: list[tuple[int, str]] = field(default_factory=list)
+    cards: list[tuple[int, str]] = field(default_factory=list, init=False)
     #: Source line of the ``.subckt`` header (0 when built by hand).
     line_no: int = 0
 

@@ -65,15 +65,11 @@ class CornerGrid:
             raise ReproError("a CornerGrid needs at least one temperature")
 
     @classmethod
-    def full(cls, pdk: ProcessKit, vdds=None, temps_c=None) -> "CornerGrid":
-        """Every corner of ``pdk`` x supplies x temperatures.
-
-        ``vdds`` defaults to nominal +/-10 %; ``temps_c`` to the
-        industrial -40/27/125 deg C set.
-        """
-        return cls(corners=tuple(pdk.corners),
-                   vdds=tuple(vdds) if vdds else default_vdds(pdk),
-                   temps_c=tuple(temps_c) if temps_c else DEFAULT_TEMPS_C)
+    def full(cls, pdk: ProcessKit) -> "CornerGrid":
+        """Every corner of ``pdk`` x nominal +/-10 % supplies x the
+        industrial -40/27/125 deg C set."""
+        return cls(corners=tuple(pdk.corners), vdds=default_vdds(pdk),
+                   temps_c=DEFAULT_TEMPS_C)
 
     @classmethod
     def from_spec(cls, pdk: ProcessKit, corners: str = "all",

@@ -78,14 +78,15 @@ class CornerVerification:
         The specification the margins are measured against (the paper's
         OTA requirement by default).
     mc_check:
-        Corner-vs-Monte-Carlo comparison per performance (present when
-        the flow also ran its MC stage).
+        Corner-vs-Monte-Carlo comparison per performance, filled by
+        :meth:`attach_mc_check` when the flow also ran its MC stage.
     """
 
     grid: CornerGrid
     samples: dict[str, np.ndarray]
     specs: SpecSet
-    mc_check: dict[str, CornerMCCheck] = field(default_factory=dict)
+    mc_check: dict[str, CornerMCCheck] = field(default_factory=dict,
+                                               init=False)
 
     @property
     def design_count(self) -> int:

@@ -71,15 +71,9 @@ class CornerSweepResult:
         """All-specs-pass mask over the grid lanes."""
         return specs.pass_mask(self.performance)
 
-    def table(self, specs: SpecSet | None = None) -> str:
-        """Human-readable per-corner table (see :mod:`.report`)."""
-        from .report import format_corner_table
-        return format_corner_table(self.grid, self.performance, specs)
 
-
-def corner_sweep(evaluator, pdk: ProcessKit, grid: CornerGrid, *,
-                 backend=None, workers: int = 0,
-                 chunk_lanes: int = 0) -> CornerSweepResult:
+def corner_sweep(evaluator, pdk: ProcessKit,
+                 grid: CornerGrid) -> CornerSweepResult:
     """Evaluate one design across a PVT grid as stacked batch lanes.
 
     Parameters
@@ -88,29 +82,15 @@ def corner_sweep(evaluator, pdk: ProcessKit, grid: CornerGrid, *,
         Callable ``(ProcessSample) -> dict[name, (B,) array]`` -- the
         same contract as :func:`repro.mc.engine.monte_carlo`'s evaluator,
         so any Monte-Carlo-ready design function sweeps corners for free.
-    backend, workers:
-        Execution backend selection (see :func:`repro.exec.resolve_backend`).
-        Only relevant when the grid is split into several chunks.
-    chunk_lanes:
-        Upper bound on simultaneous lanes per stacked solve; ``0`` (the
-        default) solves the whole grid in one stack.  Results are
-        bit-identical for any value.
+        The whole grid is one stacked solve; :func:`corner_sweep_points`
+        chunks and parallelises a sweep of many designs.
 
     Returns
     -------
     A :class:`CornerSweepResult` in grid lane order.
     """
-    sample = grid.realize(pdk)
-
-    def run_chunk(bound):
-        start, stop = bound
-        performance = evaluator(sample.lanes(start, stop))
-        return {name: np.asarray(values, dtype=float).reshape(-1)
-                for name, values in performance.items()}
-
-    performance = run_chunks(
-        resolve_backend(backend, workers), run_chunk,
-        chunk_bounds(grid.size, chunk_lanes or grid.size))
+    performance = {name: np.asarray(values, dtype=float).reshape(-1)
+                   for name, values in evaluator(grid.realize(pdk)).items()}
     for name, values in performance.items():
         if values.size != grid.size:
             raise ReproError(

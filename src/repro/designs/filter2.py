@@ -60,7 +60,7 @@ from ..measure.acmeas import (dc_gain_db, f3db, passband_ripple_db,
 from ..measure.specs import Spec, SpecSet
 from ..process import C35, ProcessKit, ProcessSample
 from ..units import from_db20
-from .ota import OTAParameters, add_ota_devices
+from .ota import VCM, OTAParameters, add_ota_devices
 
 __all__ = ["FilterSpec", "DEFAULT_FILTER_SPEC", "FilterCaps",
            "build_filter_behavioral", "build_filter_transistor",
@@ -70,7 +70,6 @@ __all__ = ["FilterSpec", "DEFAULT_FILTER_SPEC", "FilterCaps",
 FILTER_OBJECTIVES = ("ripple_db", "atten_db")
 
 
-@dataclass(frozen=True)
 class FilterSpec:
     """The Figure-10 anti-aliasing mask plus the OTA requirements.
 
@@ -89,12 +88,12 @@ class FilterSpec:
         ("50 dB and 60 degrees respectively").
     """
 
-    f_pass: float = 1.0e6
-    max_ripple_db: float = 1.0
-    f_stop: float = 10.0e6
-    min_atten_db: float = 30.0
-    ota_gain_db: float = 50.0
-    ota_pm_deg: float = 60.0
+    f_pass = 1.0e6
+    max_ripple_db = 1.0
+    f_stop = 10.0e6
+    min_atten_db = 30.0
+    ota_gain_db = 50.0
+    ota_pm_deg = 60.0
 
     def mask_specs(self) -> SpecSet:
         """The filter mask as a :class:`SpecSet` over filter measures."""
@@ -144,7 +143,7 @@ class FilterCaps:
     #: these are sensible design windows: the integrator capacitors span
     #: around the gm/(2*pi*f0) sizing, the bridge capacitor stays small
     #: relative to them).
-    BOUNDS: tuple[tuple[float, float], ...] = (
+    BOUNDS = (
         (5e-12, 120e-12),   # C1
         (5e-12, 120e-12),   # C2
         (0.5e-12, 10e-12),  # C3 (bridge)
@@ -211,9 +210,8 @@ def build_filter_behavioral(caps: FilterCaps, *, ota_gain_db, ota_ro,
 
 def build_filter_transistor(caps: FilterCaps, ota_params: OTAParameters, *,
                             pdk: ProcessKit = C35,
-                            variations: ProcessSample | None = None,
-                            vcm: float = 1.2,
-                            ibias: float = 20e-6) -> Circuit:
+                            variations: ProcessSample | None = None
+                            ) -> Circuit:
     """Build the biquad with two embedded transistor-level OTA cores.
 
     The same ``ota_params`` (typically the yield-targeted design from the
@@ -225,13 +223,13 @@ def build_filter_transistor(caps: FilterCaps, ota_params: OTAParameters, *,
     supply = pdk.supply if variations is None or variations.vdd is None \
         else variations.vdd
     circuit.add(VoltageSource("VDD", "vdd", "0", supply))
-    circuit.add(VoltageSource("VIN", "vin", "0", vcm, ac_mag=1.0))
+    circuit.add(VoltageSource("VIN", "vin", "0", VCM, ac_mag=1.0))
     add_ota_devices(circuit, prefix="ota1.", inp="vin", inn="v2", out="v1",
                     vdd="vdd", params=ota_params, pdk=pdk,
-                    variations=variations, ibias=ibias)
+                    variations=variations)
     add_ota_devices(circuit, prefix="ota2.", inp="v1", inn="v2", out="v2",
                     vdd="vdd", params=ota_params, pdk=pdk,
-                    variations=variations, ibias=ibias)
+                    variations=variations)
     scale = 1.0 if variations is None else variations.cap_scale
     circuit.add(Capacitor("C1", "v1", "0", caps.c1 * scale))
     circuit.add(Capacitor("C2", "v2", "0", caps.c2 * scale))
@@ -241,9 +239,10 @@ def build_filter_transistor(caps: FilterCaps, ota_params: OTAParameters, *,
 
 def evaluate_filter(circuit: Circuit, *,
                     spec: FilterSpec = DEFAULT_FILTER_SPEC,
-                    freqs: np.ndarray | None = None,
-                    out_node: str = "v2") -> dict[str, np.ndarray]:
-    """Simulate a filter circuit and extract the mask measures.
+                    freqs: np.ndarray | None = None
+                    ) -> dict[str, np.ndarray]:
+    """Simulate a filter circuit and extract the mask measures at its
+    output node ``v2``.
 
     Returns shape-``(B,)`` arrays:
 
@@ -256,7 +255,7 @@ def evaluate_filter(circuit: Circuit, *,
         freqs = filter_frequency_grid()
     op = dc_operating_point(circuit)
     result = ac_analysis(circuit, freqs, op=op)
-    mag = result.magnitude_db(out_node)
+    mag = result.magnitude_db("v2")
     return {
         "dcgain_db": dc_gain_db(mag),
         "ripple_db": passband_ripple_db(freqs, mag, spec.f_pass),

@@ -36,7 +36,7 @@ from ..circuit import (Capacitor, Circuit, CurrentSource, Inductor, Mosfet,
 from ..errors import ReproError
 from ..measure.acmeas import dc_gain_db, phase_margin, unity_gain_frequency
 from ..moo.problem import Objective, OptimizationProblem
-from ..process import C35, ProcessKit, ProcessSample
+from ..process import C35
 from .ota import default_frequency_grid
 
 __all__ = ["MILLER_DESIGN_SPACE", "MillerParameters", "build_miller_ota",
@@ -49,6 +49,13 @@ MILLER_DESIGN_SPACE: dict[str, tuple[float, float]] = {
     "w2": (5e-6, 80e-6), "l2": (0.35e-6, 4e-6),
     "w3": (5e-6, 80e-6), "l3": (0.35e-6, 4e-6),
 }
+
+#: Testbench constants: input common mode [V], bias current [A], Miller
+#: compensation and load capacitance [F].
+VCM = 1.65
+IBIAS = 25e-6
+CC = 6e-12
+CL = 10e-12
 
 
 @dataclass
@@ -84,74 +91,52 @@ class MillerParameters:
                          for c in columns], axis=-1)
 
 
-def build_miller_ota(params: MillerParameters, *, pdk: ProcessKit = C35,
-                     variations: ProcessSample | None = None,
-                     vcm: float = 1.65, ibias: float = 25e-6,
-                     cc: float = 6e-12, cl: float = 10e-12) -> Circuit:
-    """Build the two-stage Miller OTA open-loop testbench.
+def build_miller_ota(params: MillerParameters) -> Circuit:
+    """Build the two-stage Miller OTA open-loop testbench (nominal
+    :data:`~repro.process.C35` process).
 
     Same testbench pattern as the symmetrical OTA: unit AC drive on the
-    non-inverting input, DC servo closing unity feedback through a huge
-    inductor.
+    non-inverting input at :data:`VCM`, DC servo closing unity feedback
+    through a huge inductor.
     """
-    nmos, pmos = pdk.nmos, pdk.pmos
-
-    def variation(model, w, length):
-        if variations is None:
-            return {}
-        dvto, beta_scale = variations.device_variation(model, w, length)
-        return {"delta_vto": dvto, "beta_scale": beta_scale}
+    nmos, pmos = C35.nmos, C35.pmos
 
     c = Circuit("miller OTA testbench")
-    supply = pdk.supply if variations is None or variations.vdd is None \
-        else variations.vdd
-    c.add(VoltageSource("VDD", "vdd", "0", supply))
-    c.add(VoltageSource("VINP", "inp", "0", vcm, ac_mag=1.0))
-    c.add(CurrentSource("IBIAS", "nbias", "0", ibias))
+    c.add(VoltageSource("VDD", "vdd", "0", C35.supply))
+    c.add(VoltageSource("VINP", "inp", "0", VCM, ac_mag=1.0))
+    c.add(CurrentSource("IBIAS", "nbias", "0", IBIAS))
 
     # Bias mirror (PMOS): diode M8 sets the gate line for M5 and M7.
-    c.add(Mosfet("M8", "nbias", "nbias", "vdd", "vdd", pmos, 20e-6, 1e-6,
-                 **variation(pmos, 20e-6, 1e-6)))
-    c.add(Mosfet("M5", "tail", "nbias", "vdd", "vdd", pmos, 40e-6, 1e-6,
-                 **variation(pmos, 40e-6, 1e-6)))
+    c.add(Mosfet("M8", "nbias", "nbias", "vdd", "vdd", pmos, 20e-6, 1e-6))
+    c.add(Mosfet("M5", "tail", "nbias", "vdd", "vdd", pmos, 40e-6, 1e-6))
     # Stage 1: PMOS pair, NMOS mirror load.
     # M1's gate is the *inverting* input of this two-stage topology
     # (inp -> I(M1) -> mirror -> d2 -> M6 -> out flips sign twice plus the
     # mirror fold), so the DC servo closes on M1 and the AC drive sits on
     # M2's gate.
     c.add(Mosfet("M1", "d1", "inn", "tail", "vdd", pmos,
-                 params.w1, params.l1,
-                 **variation(pmos, params.w1, params.l1)))
+                 params.w1, params.l1))
     c.add(Mosfet("M2", "d2", "inp", "tail", "vdd", pmos,
-                 params.w1, params.l1,
-                 **variation(pmos, params.w1, params.l1)))
-    c.add(Mosfet("M3", "d1", "d1", "0", "0", nmos, params.w2, params.l2,
-                 **variation(nmos, params.w2, params.l2)))
-    c.add(Mosfet("M4", "d2", "d1", "0", "0", nmos, params.w2, params.l2,
-                 **variation(nmos, params.w2, params.l2)))
+                 params.w1, params.l1))
+    c.add(Mosfet("M3", "d1", "d1", "0", "0", nmos, params.w2, params.l2))
+    c.add(Mosfet("M4", "d2", "d1", "0", "0", nmos, params.w2, params.l2))
     # Stage 2: NMOS common source with PMOS current-source load.
-    c.add(Mosfet("M6", "out", "d2", "0", "0", nmos, params.w3, params.l3,
-                 **variation(nmos, params.w3, params.l3)))
-    c.add(Mosfet("M7", "out", "nbias", "vdd", "vdd", pmos, 40e-6, 1e-6,
-                 **variation(pmos, 40e-6, 1e-6)))
+    c.add(Mosfet("M6", "out", "d2", "0", "0", nmos, params.w3, params.l3))
+    c.add(Mosfet("M7", "out", "nbias", "vdd", "vdd", pmos, 40e-6, 1e-6))
 
-    scale = 1.0 if variations is None else variations.cap_scale
-    c.add(Capacitor("CC", "d2", "out", cc * scale))
-    c.add(Capacitor("CL", "out", "0", cl * scale))
+    c.add(Capacitor("CC", "d2", "out", CC))
+    c.add(Capacitor("CL", "out", "0", CL))
     c.add(Inductor("LSERVO", "out", "inn", 1e6))
     c.add(Capacitor("CSERVO", "inn", "0", 1.0))
     return c
 
 
-def evaluate_miller_ota(params: MillerParameters, *,
-                        pdk: ProcessKit = C35,
-                        variations: ProcessSample | None = None,
-                        freqs: np.ndarray | None = None
+def evaluate_miller_ota(params: MillerParameters
                         ) -> dict[str, np.ndarray]:
-    """Gain / phase margin / UGF of the Miller OTA (batched)."""
-    if freqs is None:
-        freqs = default_frequency_grid()
-    circuit = build_miller_ota(params, pdk=pdk, variations=variations)
+    """Gain / phase margin / UGF of the Miller OTA (batched, nominal
+    process)."""
+    freqs = default_frequency_grid()
+    circuit = build_miller_ota(params)
     op = dc_operating_point(circuit)
     result = ac_analysis(circuit, freqs, op=op)
     mag = result.magnitude_db("out")
@@ -172,12 +157,8 @@ class MillerOTAProblem(OptimizationProblem):
     objectives = (Objective("gain_db", "maximize", "dB"),
                   Objective("pm_deg", "maximize", "deg"))
 
-    def __init__(self, *, pdk: ProcessKit = C35) -> None:
-        super().__init__()
-        self.pdk = pdk
-
     def evaluate_batch(self, unit_params: np.ndarray) -> np.ndarray:
         params = MillerParameters.from_normalized(unit_params)
-        performance = evaluate_miller_ota(params, pdk=self.pdk)
+        performance = evaluate_miller_ota(params)
         return np.stack([performance["gain_db"], performance["pm_deg"]],
                         axis=1)

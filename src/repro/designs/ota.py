@@ -48,24 +48,24 @@ from ..process import C35, ProcessKit, ProcessSample
 
 __all__ = ["OTA_DESIGN_SPACE", "OTAParameters", "OTADesignSpace",
            "add_ota_devices", "build_ota", "evaluate_ota",
-           "default_frequency_grid", "OTA_OBJECTIVES"]
+           "default_frequency_grid", "OTA_OBJECTIVES",
+           "ota_points_evaluator", "ota_reference_evaluator"]
 
 #: The two performance functions the paper optimises (section 4.1).
 OTA_OBJECTIVES = ("gain_db", "pm_deg")
 
 
-@dataclass(frozen=True)
 class OTADesignSpace:
     """Table 1: designable parameter ranges for the symmetrical OTA."""
 
-    w_min: float = 10e-6
-    w_max: float = 60e-6
-    l_min: float = 0.35e-6
-    l_max: float = 4e-6
+    w_min = 10e-6
+    w_max = 60e-6
+    l_min = 0.35e-6
+    l_max = 4e-6
 
     #: Parameter order matches the paper's GA string (Figure 6):
     #: W1 L1 W2 L2 W3 L3 W4 L4.
-    names: tuple[str, ...] = ("w1", "l1", "w2", "l2", "w3", "l3", "w4", "l4")
+    names = ("w1", "l1", "w2", "l2", "w3", "l3", "w4", "l4")
 
     def bounds(self) -> dict[str, tuple[float, float]]:
         """Lower/upper bound for each designable parameter [m]."""
@@ -95,14 +95,19 @@ class OTADesignSpace:
 #: Shared design-space instance (the paper's Table 1).
 OTA_DESIGN_SPACE = OTADesignSpace()
 
+#: Input common-mode voltage of the open-loop testbench [V].
+VCM = 1.2
+
+#: The fixed M1/M2 differential-pair dimensions [m].
+DIFF_PAIR_W = 20e-6
+DIFF_PAIR_L = 1.0e-6
+
 
 def add_ota_devices(circuit: Circuit, *, prefix: str,
                     inp: str, inn: str, out: str, vdd: str,
                     params: "OTAParameters", pdk: ProcessKit = C35,
                     variations: ProcessSample | None = None,
-                    ibias: float = 20e-6,
-                    diff_pair_w: float = 20e-6,
-                    diff_pair_l: float = 1.0e-6) -> None:
+                    ibias: float = 20e-6) -> None:
     """Instantiate the ten OTA transistors + bias source into ``circuit``.
 
     The embeddable core of the OTA: internal nodes (``d1``, ``d2``,
@@ -112,9 +117,10 @@ def add_ota_devices(circuit: Circuit, *, prefix: str,
     (:func:`build_ota`) and by the section-5 filter, which embeds two of
     these cores.
 
-    Devices are instantiated in fixed M1..M10 order: the
-    :class:`ProcessSample` mismatch stream depends on this order
-    (bit-reproducibility of Monte Carlo).
+    The differential pair M1/M2 is fixed at :data:`DIFF_PAIR_W` x
+    :data:`DIFF_PAIR_L`, as in the paper.  Devices are instantiated in
+    fixed M1..M10 order: the :class:`ProcessSample` mismatch stream
+    depends on this order (bit-reproducibility of Monte Carlo).
     """
     p = prefix
     nmos, pmos = pdk.nmos, pdk.pmos
@@ -127,11 +133,11 @@ def add_ota_devices(circuit: Circuit, *, prefix: str,
 
     circuit.add(CurrentSource(f"{p}IBIAS", vdd, f"{p}nbias", ibias))
     circuit.add(Mosfet(f"{p}M1", f"{p}d1", inp, f"{p}tail", "0",
-                       nmos, diff_pair_w, diff_pair_l,
-                       **variation(nmos, diff_pair_w, diff_pair_l)))
+                       nmos, DIFF_PAIR_W, DIFF_PAIR_L,
+                       **variation(nmos, DIFF_PAIR_W, DIFF_PAIR_L)))
     circuit.add(Mosfet(f"{p}M2", f"{p}d2", inn, f"{p}tail", "0",
-                       nmos, diff_pair_w, diff_pair_l,
-                       **variation(nmos, diff_pair_w, diff_pair_l)))
+                       nmos, DIFF_PAIR_W, DIFF_PAIR_L,
+                       **variation(nmos, DIFF_PAIR_W, DIFF_PAIR_L)))
     circuit.add(Mosfet(f"{p}M3", f"{p}d1", f"{p}d1", vdd, vdd,
                        pmos, params.w4, params.l4,
                        **variation(pmos, params.w4, params.l4)))
@@ -188,16 +194,14 @@ class OTAParameters:
         return cls(*columns)
 
     @classmethod
-    def from_normalized(cls, unit_values,
-                        space: OTADesignSpace = OTA_DESIGN_SPACE
-                        ) -> "OTAParameters":
+    def from_normalized(cls, unit_values) -> "OTAParameters":
         """Build from normalised ``[0, 1]`` values (the GA encoding)."""
         unit_values = np.asarray(unit_values, dtype=float)
         if np.any(unit_values < -1e-9) or np.any(unit_values > 1 + 1e-9):
             raise ReproError("normalised parameters must lie in [0, 1]")
-        bounds = space.bounds()
+        bounds = OTA_DESIGN_SPACE.bounds()
         scaled = np.empty_like(unit_values)
-        for i, name in enumerate(space.names):
+        for i, name in enumerate(OTA_DESIGN_SPACE.names):
             lo, hi = bounds[name]
             scaled[..., i] = lo + unit_values[..., i] * (hi - lo)
         return cls.from_array(scaled)
@@ -212,13 +216,12 @@ class OTAParameters:
         return np.stack([np.broadcast_to(np.asarray(c, float), (batch,))
                          for c in columns], axis=-1)
 
-    def to_normalized(self, space: OTADesignSpace = OTA_DESIGN_SPACE
-                      ) -> np.ndarray:
+    def to_normalized(self) -> np.ndarray:
         """Inverse of :meth:`from_normalized`."""
         values = self.to_array()
-        bounds = space.bounds()
+        bounds = OTA_DESIGN_SPACE.bounds()
         unit = np.empty_like(values)
-        for i, name in enumerate(space.names):
+        for i, name in enumerate(OTA_DESIGN_SPACE.names):
             lo, hi = bounds[name]
             unit[..., i] = (values[..., i] - lo) / (hi - lo)
         return unit
@@ -236,11 +239,10 @@ class OTAParameters:
 
 def build_ota(params: OTAParameters, *, pdk: ProcessKit = C35,
               variations: ProcessSample | None = None,
-              vcm: float = 1.2, ibias: float = 20e-6, cl: float = 10e-12,
-              ac_drive: bool = True,
-              diff_pair_w: float = 20e-6, diff_pair_l: float = 1.0e-6,
-              name_prefix: str = "") -> Circuit:
+              ibias: float = 20e-6, cl: float = 10e-12) -> Circuit:
     """Build the symmetrical-OTA open-loop testbench circuit.
+
+    The non-inverting input sits at :data:`VCM` with a unit AC drive.
 
     Parameters
     ----------
@@ -250,54 +252,43 @@ def build_ota(params: OTAParameters, *, pdk: ProcessKit = C35,
         Optional :class:`ProcessSample` carrying global + mismatch
         variation.  Its batch must equal / broadcast with the parameter
         batch.
-    vcm:
-        Input common-mode voltage.
     ibias:
         Bias reference current into the M10 diode (the tail mirrors it).
     cl:
         Load capacitance at ``out``.
-    ac_drive:
-        Stamp a unit AC excitation on the non-inverting input.
-    diff_pair_w, diff_pair_l:
-        The fixed M1/M2 dimensions (the paper fixes the pair).
-    name_prefix:
-        Prefix for element names/nodes (used when the OTA is embedded in a
-        larger circuit such as the section-5 filter).
 
     Returns
     -------
     A ready-to-simulate :class:`Circuit`; batch = max(params, variations).
     """
-    p = name_prefix
-    circuit = Circuit(f"symmetrical OTA testbench {p}".strip())
+    circuit = Circuit("symmetrical OTA testbench")
     supply = pdk.supply if variations is None or variations.vdd is None \
         else variations.vdd
-    circuit.add(VoltageSource(f"{p}VDD", f"{p}vdd", "0", supply))
-    circuit.add(VoltageSource(f"{p}VINP", f"{p}inp", "0", vcm,
-                              ac_mag=1.0 if ac_drive else 0.0))
-    add_ota_devices(circuit, prefix=p, inp=f"{p}inp", inn=f"{p}inn",
-                    out=f"{p}out", vdd=f"{p}vdd", params=params, pdk=pdk,
-                    variations=variations, ibias=ibias,
-                    diff_pair_w=diff_pair_w, diff_pair_l=diff_pair_l)
+    circuit.add(VoltageSource("VDD", "vdd", "0", supply))
+    circuit.add(VoltageSource("VINP", "inp", "0", VCM, ac_mag=1.0))
+    add_ota_devices(circuit, prefix="", inp="inp", inn="inn", out="out",
+                    vdd="vdd", params=params, pdk=pdk,
+                    variations=variations, ibias=ibias)
 
     cl_effective = cl if variations is None else cl * variations.cap_scale
-    circuit.add(Capacitor(f"{p}CL", f"{p}out", "0", cl_effective))
+    circuit.add(Capacitor("CL", "out", "0", cl_effective))
 
     # DC servo: unity feedback through a huge inductor keeps the output
     # biased (handles Monte-Carlo offset); the huge capacitor makes the
     # inverting input an AC ground.  Loop corner ~ 1/(2*pi*sqrt(L*C)) Hz.
-    circuit.add(Inductor(f"{p}LSERVO", f"{p}out", f"{p}inn", 1e6))
-    circuit.add(Capacitor(f"{p}CSERVO", f"{p}inn", "0", 1.0))
+    circuit.add(Inductor("LSERVO", "out", "inn", 1e6))
+    circuit.add(Capacitor("CSERVO", "inn", "0", 1.0))
     return circuit
 
 
-def default_frequency_grid(points_per_decade: int = 12) -> np.ndarray:
-    """The standard OTA measurement sweep: 10 Hz to 1 GHz."""
-    return log_frequencies(10.0, 1e9, points_per_decade)
+def default_frequency_grid() -> np.ndarray:
+    """The standard OTA measurement sweep: 10 Hz to 1 GHz, 12 points per
+    decade."""
+    return log_frequencies(10.0, 1e9, 12)
 
 
 def _nominal_seed(params: OTAParameters, *, pdk: ProcessKit, cl: float,
-                  ibias: float, vcm: float) -> np.ndarray | None:
+                  ibias: float) -> np.ndarray | None:
     """DC start point for the dies of ``params``: each lane's design
     solved once on the nominal kit.
 
@@ -308,7 +299,7 @@ def _nominal_seed(params: OTAParameters, *, pdk: ProcessKit, cl: float,
     designs, inverse = np.unique(np.atleast_2d(params.to_array()), axis=0,
                                  return_inverse=True)
     nominal = build_ota(OTAParameters.from_array(designs), pdk=pdk,
-                        cl=cl, ibias=ibias, vcm=vcm)
+                        cl=cl, ibias=ibias)
     try:
         x_nom = dc_operating_point(nominal).x
     except ConvergenceError:
@@ -318,12 +309,12 @@ def _nominal_seed(params: OTAParameters, *, pdk: ProcessKit, cl: float,
 
 def evaluate_ota(params: OTAParameters, *, pdk: ProcessKit = C35,
                  variations: ProcessSample | None = None,
-                 freqs: np.ndarray | None = None,
-                 cl: float = 10e-12, ibias: float = 20e-6,
-                 vcm: float = 1.2) -> dict[str, np.ndarray]:
+                 cl: float = 10e-12,
+                 ibias: float = 20e-6) -> dict[str, np.ndarray]:
     """Simulate the OTA and extract its performance functions.
 
-    Returns a dict of shape-``(B,)`` arrays:
+    Returns a dict of shape-``(B,)`` arrays, measured over
+    :func:`default_frequency_grid`:
 
     * ``gain_db``  -- open-loop low-frequency gain [dB],
     * ``pm_deg``   -- phase margin [deg],
@@ -337,12 +328,11 @@ def evaluate_ota(params: OTAParameters, *, pdk: ProcessKit = C35,
     nominal operating point (:func:`_nominal_seed`) rather than from
     zero; results match the cold start within 1e-8 relative.
     """
-    if freqs is None:
-        freqs = default_frequency_grid()
+    freqs = default_frequency_grid()
     circuit = build_ota(params, pdk=pdk, variations=variations,
-                        cl=cl, ibias=ibias, vcm=vcm)
+                        cl=cl, ibias=ibias)
     x0 = None if variations is None else _nominal_seed(
-        params, pdk=pdk, cl=cl, ibias=ibias, vcm=vcm)
+        params, pdk=pdk, cl=cl, ibias=ibias)
     op = dc_operating_point(circuit, x0=x0)
     result = ac_analysis(circuit, freqs, op=op)
     mag = result.magnitude_db("out")
@@ -353,3 +343,40 @@ def evaluate_ota(params: OTAParameters, *, pdk: ProcessKit = C35,
         "ugf_hz": unity_gain_frequency(freqs, mag),
         "f3db_hz": f3db(freqs, mag),
     }
+
+
+def ota_points_evaluator(natural_params, *, pdk: ProcessKit = C35,
+                         cl: float = 10e-12, ibias: float = 20e-6):
+    """Chunked many-points evaluator over a ``(K, 8)`` parameter stack.
+
+    Follows the :func:`repro.mc.engine.monte_carlo_points` contract
+    (``(point_indices, repeats, die_sample) -> dict`` of the
+    :data:`OTA_OBJECTIVES`); the same
+    callable also serves :func:`repro.corners.corner_sweep_points`, and
+    it is the one OTA closure behind :func:`ota_reference_evaluator` and
+    :func:`repro.optimize.ota_evaluator_factory`.
+    """
+    natural_params = np.asarray(natural_params, dtype=float)
+
+    def evaluator(point_indices, repeats, die_sample):
+        tiled = OTAParameters.from_array(
+            np.repeat(natural_params[point_indices], repeats, axis=0))
+        performance = evaluate_ota(tiled, pdk=pdk, variations=die_sample,
+                                   cl=cl, ibias=ibias)
+        return {name: performance[name] for name in OTA_OBJECTIVES}
+
+    return evaluator
+
+
+def ota_reference_evaluator(reference, *, pdk: ProcessKit = C35,
+                            cl: float = 10e-12, ibias: float = 20e-6):
+    """Streaming-MC evaluator of one OTA design point.
+
+    ``reference`` is the natural-unit parameter vector ``(8,)``
+    (W1 L1 ... W4 L4).  The returned callable follows the
+    :func:`repro.mc.engine.monte_carlo` contract: every die lane runs
+    :func:`ota_points_evaluator`'s one-point stack.
+    """
+    points = ota_points_evaluator(np.asarray(reference, dtype=float)[None, :],
+                                  pdk=pdk, cl=cl, ibias=ibias)
+    return lambda die_sample: points([0], die_sample.size, die_sample)

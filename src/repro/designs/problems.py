@@ -33,18 +33,13 @@ class OTAProblem(OptimizationProblem):
     objectives = (Objective("gain_db", "maximize", "dB"),
                   Objective("pm_deg", "maximize", "deg"))
 
-    def __init__(self, *, pdk: ProcessKit = C35, cl: float = 10e-12,
-                 ibias: float = 20e-6, freqs: np.ndarray | None = None) -> None:
+    def __init__(self, *, pdk: ProcessKit = C35) -> None:
         super().__init__()
         self.pdk = pdk
-        self.cl = cl
-        self.ibias = ibias
-        self.freqs = freqs
 
     def evaluate_batch(self, unit_params: np.ndarray) -> np.ndarray:
         params = OTAParameters.from_normalized(unit_params)
-        performance = evaluate_ota(params, pdk=self.pdk, cl=self.cl,
-                                   ibias=self.ibias, freqs=self.freqs)
+        performance = evaluate_ota(params, pdk=self.pdk)
         return np.stack([performance["gain_db"], performance["pm_deg"]],
                         axis=1)
 
@@ -92,14 +87,13 @@ class BehavioralFilterProblem(OptimizationProblem):
 
     def __init__(self, *, ota_gain_db: float, ota_ro: float,
                  spec: FilterSpec = DEFAULT_FILTER_SPEC,
-                 parasitic_pole_hz: float | None = None,
-                 freqs: np.ndarray | None = None) -> None:
+                 parasitic_pole_hz: float | None = None) -> None:
         super().__init__()
         self.ota_gain_db = ota_gain_db
         self.ota_ro = ota_ro
         self.spec = spec
         self.parasitic_pole_hz = parasitic_pole_hz
-        self.freqs = freqs if freqs is not None else filter_frequency_grid()
+        self.freqs = filter_frequency_grid()
 
     def evaluate_batch(self, unit_params: np.ndarray) -> np.ndarray:
         caps = FilterCaps.from_normalized(unit_params)
@@ -126,14 +120,12 @@ class TransistorFilterProblem(OptimizationProblem):
                   Objective("atten_margin", "maximize"))
 
     def __init__(self, ota_params: OTAParameters, *,
-                 pdk: ProcessKit = C35,
-                 spec: FilterSpec = DEFAULT_FILTER_SPEC,
-                 freqs: np.ndarray | None = None) -> None:
+                 pdk: ProcessKit = C35) -> None:
         super().__init__()
         self.ota_params = ota_params
         self.pdk = pdk
-        self.spec = spec
-        self.freqs = freqs if freqs is not None else filter_frequency_grid()
+        self.spec = DEFAULT_FILTER_SPEC
+        self.freqs = filter_frequency_grid()
 
     def evaluate_batch(self, unit_params: np.ndarray) -> np.ndarray:
         caps = FilterCaps.from_normalized(unit_params)

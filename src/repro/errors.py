@@ -147,12 +147,10 @@ class JobCancelled(WorkloadError):
     boundary survive, so a cancelled job resumes rather than restarts.
     """
 
-    def __init__(self, message: str = "job cancelled",
-                 job_id: str | None = None) -> None:
+    def __init__(self, job_id: str | None = None) -> None:
         self.job_id = job_id
-        if job_id is not None:
-            message = f"{message} (job {job_id})"
-        super().__init__(message)
+        super().__init__("job cancelled" if job_id is None
+                         else f"job cancelled (job {job_id})")
 
 
 class TableModelError(ReproError):

@@ -207,7 +207,7 @@ def save_flow_artifacts(result, directory) -> dict[str, Path]:
             continue
         summary[f"{tag}_search"] = {
             "mode": search.config.mode,
-            "optimizer": search.config.optimizer,
+            "optimizer": "nsga2",
             "yield_target": search.config.yield_target,
             "front_points": int(search.front_count()),
             "objective_names": list(search.objective_names),

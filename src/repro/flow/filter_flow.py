@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import telemetry
-from ..designs.filter2 import (FilterCaps, FilterSpec,
+from ..designs.filter2 import (DEFAULT_FILTER_SPEC, FilterCaps, FilterSpec,
                                build_filter_behavioral,
                                build_filter_transistor, evaluate_filter)
 from ..designs.ota import OTAParameters
@@ -52,17 +52,19 @@ from ..yieldmodel.targeting import CombinedYieldModel, YieldTargetedDesign
 
 __all__ = ["FilterFlowConfig", "FilterFlowResult", "run_filter_flow"]
 
+#: Population of the capacitor search (the paper's 30 individuals).
+INDIVIDUALS = 30
+
 
 @dataclass(frozen=True)
 class FilterFlowConfig:
     """Settings of the filter application flow (paper defaults)."""
 
-    #: Paper: "A total of 30 individuals and 40 generations were used".
-    individuals: int = 30
+    #: Paper: "A total of 30 individuals and 40 generations were used"
+    #: (the population is :data:`INDIVIDUALS`).
     generations: int = 40
     verification_samples: int = 500
     seed: int = 2008
-    spec: FilterSpec = field(default_factory=FilterSpec)
     #: Topology lint of the chosen behavioural filter and the transistor
     #: verification testbench, run before the Monte-Carlo budget is
     #: spent: ``"strict"`` rejects error findings with
@@ -74,7 +76,7 @@ class FilterFlowConfig:
     telemetry: str = ""
 
     def ga_config(self) -> GAConfig:
-        return GAConfig(population_size=self.individuals,
+        return GAConfig(population_size=INDIVIDUALS,
                         generations=self.generations, seed=self.seed)
 
 
@@ -170,9 +172,10 @@ def _select_capacitors(front_unit: np.ndarray, front_obj: np.ndarray, *,
 
 def run_filter_flow(model: CombinedYieldModel,
                     config: FilterFlowConfig | None = None, *,
-                    pdk: ProcessKit = C35,
                     progress=None) -> FilterFlowResult:
-    """Design and verify the section-5 filter on a combined OTA model.
+    """Design and verify the section-5 filter on a combined OTA model,
+    against the :data:`~repro.designs.filter2.DEFAULT_FILTER_SPEC` mask
+    on the C35 kit.
 
     Raises
     ------
@@ -185,16 +188,16 @@ def run_filter_flow(model: CombinedYieldModel,
     """
     config = config or FilterFlowConfig()
     with telemetry.session(config.telemetry or None):
-        with telemetry.span("flow.filter", individuals=config.individuals,
+        with telemetry.span("flow.filter", individuals=INDIVIDUALS,
                             generations=config.generations,
                             seed=config.seed):
-            return _filter_flow(model, config, pdk=pdk, progress=progress)
+            return _filter_flow(model, config, pdk=C35, progress=progress)
 
 
 def _filter_flow(model: CombinedYieldModel, config: FilterFlowConfig, *,
                  pdk: ProcessKit, progress) -> FilterFlowResult:
     """The flow body, run inside the telemetry session + root span."""
-    spec = config.spec
+    spec = DEFAULT_FILTER_SPEC
     ledger = SimulationLedger()
     say = telemetry.announcer(progress)
 
@@ -220,7 +223,7 @@ def _filter_flow(model: CombinedYieldModel, config: FilterFlowConfig, *,
 
     # Step 2: capacitor MOO on the behavioural model.
     say(f"filter MOO: {config.generations} generations x "
-        f"{config.individuals} individuals (behavioural OTA)")
+        f"{INDIVIDUALS} individuals (behavioural OTA)")
     problem = BehavioralFilterProblem(ota_gain_db=ota_gain_db,
                                       ota_ro=ota_ro, spec=spec,
                                       parasitic_pole_hz=parasitic_pole)

@@ -58,7 +58,8 @@ from .. import telemetry
 from ..corners import CornerGrid, CornerVerification, corner_sweep_points
 from ..designs.filter2 import DEFAULT_FILTER_SPEC
 from ..designs.ota import (OTA_DESIGN_SPACE, OTAParameters, build_ota,
-                           evaluate_ota)
+                           evaluate_ota, ota_points_evaluator,
+                           ota_reference_evaluator)
 from ..designs.problems import OTAProblem, TransistorFilterProblem
 from ..errors import YieldModelError
 from ..lint import preflight_lint
@@ -75,7 +76,6 @@ from ..process import C35, ProcessKit
 from ..surrogate import train_surrogates
 from ..tablemodel.pareto_table import ParetoTableModel
 from ..telemetry.ledger import SimulationLedger
-from ..workload import ota_points_evaluator, ota_reference_evaluator
 from ..yieldmodel.estimator import estimate_yield_streaming
 from ..yieldmodel.rare import (RareEventConfig, RareEventResult,
                                estimate_yield_rare)
@@ -84,6 +84,20 @@ from ..yieldmodel.variation import DEFAULT_K_SIGMA, variation_columns
 
 __all__ = ["FlowConfig", "FlowResult", "run_model_build_flow",
            "paper_scale_config", "reduced_config"]
+
+#: OTA load capacitance of every flow evaluation [F] (the testbench's).
+OTA_LOAD = 10e-12
+#: Stage 4c: sample cap of the adaptive verification (it usually stops
+#: far earlier) and its chunk size -- deliberately small, because the
+#: adaptive stop can only fire between chunks, so the chunk size is the
+#: stopping granularity.  One chunk per stopping check keeps the stop
+#: point, and the checkpoint identity, independent of the backend.
+ADAPTIVE_MAX_SAMPLES = 4000
+ADAPTIVE_CHUNK_LANES = 256
+#: GA scale of the stage-7 searches (deliberately smaller than the
+#: stage-2 WBGA: every candidate pays an in-loop yield estimate).
+YIELD_GENERATIONS = 12
+YIELD_POPULATION = 16
 
 
 @dataclass(frozen=True)
@@ -98,7 +112,6 @@ class FlowConfig:
     generations: int = 100
     population: int = 100
     mc_samples: int = 200
-    k_sigma: float = DEFAULT_K_SIGMA
     seed: int = 2008
     #: Stage-0 pre-flight topology lint of the OTA testbench the flow is
     #: about to simulate thousands of times: ``"strict"`` rejects
@@ -107,9 +120,6 @@ class FlowConfig:
     #: :class:`~repro.lint.LintReport`), ``"warn"`` reports findings via
     #: ``progress`` but continues, ``"off"`` skips the stage.
     lint: str = "strict"
-    cl: float = 10e-12
-    ibias: float = 20e-6
-    mc_chunk_lanes: int = 4000
     max_pareto_points: int | None = None
     mc_backend: str | None = None
     mc_workers: int = 0
@@ -120,28 +130,11 @@ class FlowConfig:
     corner_vdds: tuple[float, ...] = ()
     #: Temperature sweep [deg C]; empty means -40/27/125.
     corner_temps: tuple[float, ...] = ()
-    #: Spec limits the per-corner margins are measured against (the
-    #: paper's section-5 OTA requirement).
-    corner_spec_gain_db: float = 50.0
-    corner_spec_pm_deg: float = 60.0
     #: Streaming adaptive yield verification (stage 4c): target full
     #: width of the Wilson confidence interval on the yield of the
     #: mid-front design, as a yield fraction (e.g. 0.05 = +/-2.5 %);
     #: 0 disables the stage.
     adaptive_ci: float = 0.0
-    #: Sample cap of the adaptive verification run (it usually stops
-    #: far earlier).
-    adaptive_max_samples: int = 4000
-    #: Chunk size of the adaptive verification.  Deliberately smaller
-    #: than ``mc_chunk_lanes``: the adaptive stop can only fire between
-    #: chunks, so the chunk size is the stopping granularity.
-    adaptive_chunk_lanes: int = 256
-    #: Chunks per stopping-check round of the adaptive verification
-    #: (also the per-round parallelism -- set it at or above the worker
-    #: count of a pooled backend to keep the pool busy).  Explicit
-    #: rather than derived from the backend, so the stop point -- and
-    #: the checkpoint identity -- never depends on the backend choice.
-    adaptive_check_every: int = 1
     #: Checkpoint artefact of the streaming verification ("" = none).
     #: An interrupted build re-run with the same seed resumes the
     #: verification from this file instead of restarting it.
@@ -159,9 +152,6 @@ class FlowConfig:
     #: Simulator budget of the optional surrogate-training stage
     #: (stage 6); 0 disables the stage entirely.
     surrogate_budget: int = 0
-    #: Surrogate model family when the stage runs
-    #: (:data:`repro.surrogate.SURROGATE_KINDS`).
-    surrogate_kind: str = "quadratic"
     #: In-loop yield search mode of the optional stage 7: ``"none"``
     #: disables the stage; ``"yield"`` / ``"ksigma"`` / ``"chance"``
     #: select the augmentation of :mod:`repro.optimize`.
@@ -172,10 +162,6 @@ class FlowConfig:
     #: Total simulator-call budget of the stage-7 estimator ladder per
     #: search (0 = unlimited).
     fidelity_budget: int = 0
-    #: GA scale of the stage-7 searches (deliberately smaller than the
-    #: stage-2 WBGA: every candidate pays an in-loop yield estimate).
-    yield_generations: int = 12
-    yield_population: int = 16
     #: Telemetry events file (JSONL) of this run; "" leaves telemetry in
     #: its ambient state (off, or whatever ``REPRO_TELEMETRY`` enabled).
     #: Never part of any checkpoint fingerprint -- telemetry observes the
@@ -198,10 +184,11 @@ class FlowConfig:
         return grid
 
     def corner_specs(self) -> SpecSet:
-        """The spec the corner margins are measured against."""
+        """The spec the corner margins are measured against (the paper's
+        section-5 OTA requirement)."""
         return SpecSet([
-            Spec("gain_db", "ge", self.corner_spec_gain_db, "dB"),
-            Spec("pm_deg", "ge", self.corner_spec_pm_deg, "deg"),
+            Spec("gain_db", "ge", 50.0, "dB"),
+            Spec("pm_deg", "ge", 60.0, "deg"),
         ])
 
     def yield_search_config(self) -> YieldSearchConfig:
@@ -210,12 +197,10 @@ class FlowConfig:
             yield_target=self.yield_target,
             fidelity_budget=self.fidelity_budget,
             seed=self.seed,
-            backend=self.mc_backend, workers=self.mc_workers,
-            chunk_lanes=self.mc_chunk_lanes)
+            backend=self.mc_backend, workers=self.mc_workers)
         return YieldSearchConfig(
             mode=self.yield_objective, yield_target=self.yield_target,
-            generations=self.yield_generations,
-            population=self.yield_population,
+            generations=YIELD_GENERATIONS, population=YIELD_POPULATION,
             seed=self.seed, ladder=ladder)
 
 
@@ -360,9 +345,9 @@ def _collapse_front(objectives: np.ndarray, unit_params: np.ndarray,
 
 
 def run_model_build_flow(config: FlowConfig | None = None, *,
-                         pdk: ProcessKit = C35,
                          progress=None) -> FlowResult:
-    """Execute the Figure-3 flow and return the combined model.
+    """Execute the Figure-3 flow on the C35 kit and return the combined
+    model.
 
     Parameters
     ----------
@@ -385,7 +370,7 @@ def run_model_build_flow(config: FlowConfig | None = None, *,
         with telemetry.span("flow.build", generations=config.generations,
                             population=config.population,
                             mc_samples=config.mc_samples, seed=config.seed):
-            return _model_build_flow(config, pdk=pdk, progress=progress)
+            return _model_build_flow(config, pdk=C35, progress=progress)
 
 
 def _model_build_flow(config: FlowConfig, *, pdk: ProcessKit,
@@ -398,8 +383,7 @@ def _model_build_flow(config: FlowConfig, *, pdk: ProcessKit,
     # simulation budget is spent on it.
     if config.lint != "off":
         say(f"pre-flight lint ({config.lint}): OTA testbench")
-        testbench = build_ota(OTAParameters(), pdk=pdk, cl=config.cl,
-                              ibias=config.ibias)
+        testbench = build_ota(OTAParameters(), pdk=pdk)
         # Spanned but not timed: the ledger (Table 5) counts simulator
         # work, and the lint simulates nothing.
         with telemetry.span("flow.stage", stage="pre-flight lint"):
@@ -410,7 +394,7 @@ def _model_build_flow(config: FlowConfig, *, pdk: ProcessKit,
     # Stages 1+2: objective setup and WBGA optimisation.
     say(f"WBGA optimisation: {config.generations} generations x "
         f"{config.population} individuals")
-    problem = OTAProblem(pdk=pdk, cl=config.cl, ibias=config.ibias)
+    problem = OTAProblem(pdk=pdk)
     with ledger.timed("multi-objective optimisation") as row:
         wbga = run_wbga(problem, config.ga_config(),
                         rng=stream(config.seed, "wbga"))
@@ -442,20 +426,18 @@ def _model_build_flow(config: FlowConfig, *, pdk: ProcessKit,
     # Nominal re-evaluation for the behavioural-stage columns (ro, ugf).
     with ledger.timed("nominal characterisation", k_points):
         nominal = evaluate_ota(OTAParameters.from_array(natural_params),
-                               pdk=pdk, cl=config.cl, ibias=config.ibias)
+                               pdk=pdk)
     gain_lin = 10.0 ** (nominal["gain_db"] / 20.0)
-    gm = 2.0 * np.pi * nominal["ugf_hz"] * config.cl
+    gm = 2.0 * np.pi * nominal["ugf_hz"] * OTA_LOAD
     ro_ohms = gain_lin / gm
 
     # Stage 4: Monte-Carlo variation analysis on every front point.
     say(f"Monte Carlo: {config.mc_samples} samples x {k_points} points")
     mc_config = MCConfig(n_samples=config.mc_samples,
                          seed=config.seed,
-                         chunk_lanes=config.mc_chunk_lanes,
                          backend=config.mc_backend,
                          workers=config.mc_workers)
-    front_evaluator = ota_points_evaluator(natural_params, pdk=pdk,
-                                           cl=config.cl, ibias=config.ibias)
+    front_evaluator = ota_points_evaluator(natural_params, pdk=pdk)
 
     with ledger.timed("monte-carlo variation analysis",
                       k_points * config.mc_samples):
@@ -474,10 +456,10 @@ def _model_build_flow(config: FlowConfig, *, pdk: ProcessKit,
             corner_samples = corner_sweep_points(
                 front_evaluator, k_points, pdk, grid,
                 backend=config.mc_backend, workers=config.mc_workers,
-                chunk_lanes=config.mc_chunk_lanes)
+                chunk_lanes=mc_config.chunk_lanes)
         corner_check = CornerVerification(grid=grid, samples=corner_samples,
                                           specs=config.corner_specs())
-        corner_check.attach_mc_check(mc_samples, k_sigma=config.k_sigma)
+        corner_check.attach_mc_check(mc_samples, k_sigma=DEFAULT_K_SIGMA)
         for check in corner_check.mc_check.values():
             say(f"  {check.describe()}")
 
@@ -491,7 +473,7 @@ def _model_build_flow(config: FlowConfig, *, pdk: ProcessKit,
 
         reference = natural_params[k_points // 2]
         say(f"streaming yield verification: CI width <= "
-            f"{config.adaptive_ci:g} (cap {config.adaptive_max_samples} "
+            f"{config.adaptive_ci:g} (cap {ADAPTIVE_MAX_SAMPLES} "
             f"samples) at the mid-front design")
         # The stage key binds the verified design into the checkpoint
         # fingerprint: a stale checkpoint from a build whose front (and
@@ -499,17 +481,15 @@ def _model_build_flow(config: FlowConfig, *, pdk: ProcessKit,
         # silently resumed as another design's yield.
         digest = hashlib.sha256(reference.tobytes()).hexdigest()[:16]
         streaming_config = MCConfig(
-            n_samples=config.adaptive_max_samples, seed=config.seed,
-            chunk_lanes=config.adaptive_chunk_lanes,
+            n_samples=ADAPTIVE_MAX_SAMPLES, seed=config.seed,
+            chunk_lanes=ADAPTIVE_CHUNK_LANES,
             backend=config.mc_backend, workers=config.mc_workers)
         with ledger.timed("streaming yield verification") as row:
             estimate, streaming_verification = estimate_yield_streaming(
-                ota_reference_evaluator(reference, pdk=pdk, cl=config.cl,
-                                        ibias=config.ibias),
+                ota_reference_evaluator(reference, pdk=pdk),
                 pdk, config.corner_specs(), streaming_config,
-                adaptive=AdaptiveStop(
-                    metric="yield", ci_width=config.adaptive_ci,
-                    check_every=config.adaptive_check_every),
+                adaptive=AdaptiveStop(metric="yield",
+                                      ci_width=config.adaptive_ci),
                 checkpoint=config.streaming_checkpoint or None,
                 stage=f"mc-verify-{digest}")
             # Only the work this invocation simulated counts: a resumed
@@ -536,12 +516,10 @@ def _model_build_flow(config: FlowConfig, *, pdk: ProcessKit,
         rare_config = RareEventConfig(
             n_per_level=config.high_sigma_per_level,
             n_final=config.high_sigma_final, seed=config.seed,
-            chunk_lanes=config.mc_chunk_lanes,
             backend=config.mc_backend, workers=config.mc_workers)
         with ledger.timed("high-sigma verification") as row:
             high_sigma = estimate_yield_rare(
-                ota_reference_evaluator(reference, pdk=pdk, cl=config.cl,
-                                        ibias=config.ibias),
+                ota_reference_evaluator(reference, pdk=pdk),
                 config.corner_specs(), pdk, rare_config)
             row.simulations += high_sigma.total_simulations
         for line in high_sigma.describe().splitlines():
@@ -554,7 +532,7 @@ def _model_build_flow(config: FlowConfig, *, pdk: ProcessKit,
         # point while the physical variation is smooth (see
         # smooth_along_front).  Window ~ 5% of the front length.
         window = max(3, k_points // 20)
-        variation = variation_columns(mc_samples, k_sigma=config.k_sigma,
+        variation = variation_columns(mc_samples, k_sigma=DEFAULT_K_SIGMA,
                                       smooth_window=window)
         columns: dict[str, np.ndarray] = dict(variation)
         for j, name in enumerate(OTA_DESIGN_SPACE.names):
@@ -573,15 +551,12 @@ def _model_build_flow(config: FlowConfig, *, pdk: ProcessKit,
     if config.surrogate_budget > 0:
         reference = natural_params[k_points // 2]
         say(f"surrogate training: {config.surrogate_budget} samples "
-            f"({config.surrogate_kind}) at the mid-front design")
+            f"(quadratic) at the mid-front design")
         with ledger.timed("surrogate training", config.surrogate_budget):
             surrogate = train_surrogates(
-                ota_reference_evaluator(reference, pdk=pdk, cl=config.cl,
-                                        ibias=config.ibias),
+                ota_reference_evaluator(reference, pdk=pdk),
                 pdk, n_train=config.surrogate_budget, seed=config.seed,
-                kind=config.surrogate_kind,
-                backend=config.mc_backend, workers=config.mc_workers,
-                chunk_lanes=config.mc_chunk_lanes)
+                backend=config.mc_backend, workers=config.mc_workers)
         surrogate_reference = reference
         for line in surrogate.describe().splitlines():
             say(f"  {line}")
@@ -592,17 +567,15 @@ def _model_build_flow(config: FlowConfig, *, pdk: ProcessKit,
     filter_yield_search = None
     if config.yield_objective != "none":
         search_config = config.yield_search_config()
-        say(f"in-loop yield search (OTA): {config.yield_generations} "
-            f"generations x {config.yield_population} individuals, "
+        say(f"in-loop yield search (OTA): {YIELD_GENERATIONS} "
+            f"generations x {YIELD_POPULATION} individuals, "
             f"mode {config.yield_objective}")
         # Spanned, not timed: the search's ledger rows open their own
         # spans under this one, and timing it too would count their
         # seconds twice.
         with telemetry.span("flow.stage", stage="yield search (OTA)"):
             yield_search = run_yield_search(
-                OTAProblem(pdk=pdk, cl=config.cl, ibias=config.ibias),
-                ota_evaluator_factory(pdk=pdk, cl=config.cl,
-                                      ibias=config.ibias),
+                OTAProblem(pdk=pdk), ota_evaluator_factory(pdk=pdk),
                 config.corner_specs(), pdk, search_config, ledger=ledger)
         for line in yield_search.describe().splitlines():
             say(f"  {line}")

@@ -78,17 +78,16 @@ def lint_netlist(text: str, *, title: str = "", models=None,
                         source=source or title or circuit.title)
 
 
-def lint_file(path, *, models=None,
-              only: Iterable[str] | None = None) -> LintReport:
-    """Lint a netlist file; see :func:`lint_netlist`."""
+def lint_file(path, *, models=None) -> LintReport:
+    """Lint a netlist file with every rule; see :func:`lint_netlist`."""
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
-    return lint_netlist(text, title=str(path), models=models, only=only,
+    return lint_netlist(text, title=str(path), models=models,
                         source=str(path))
 
 
 def preflight_lint(circuit: Circuit, mode: str = "strict", *,
-                   parser=None, stage: str = "pre-flight lint",
+                   stage: str = "pre-flight lint",
                    progress=None) -> LintReport | None:
     """Gate a flow entry point on the lint rules.
 
@@ -115,7 +114,7 @@ def preflight_lint(circuit: Circuit, mode: str = "strict", *,
                         f"(expected one of {LINT_MODES})")
     if mode == "off":
         return None
-    report = lint_circuit(circuit, parser=parser, source=stage)
+    report = lint_circuit(circuit, source=stage)
     if progress is not None:
         for finding in report.sorted_findings():
             progress(f"  {finding.render().splitlines()[0]}")

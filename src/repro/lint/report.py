@@ -90,7 +90,7 @@ class LintReport:
     """All findings of one lint run over one circuit/netlist."""
 
     source: str = ""
-    findings: list[Finding] = field(default_factory=list)
+    findings: list[Finding] = field(default_factory=list, init=False)
 
     def add(self, finding: Finding) -> None:
         """Append a finding."""
@@ -159,9 +159,9 @@ class LintReport:
             "findings": [f.to_dict() for f in self.sorted_findings()],
         }
 
-    def render_json(self, *, indent: int = 2) -> str:
-        """JSON rendering of the report."""
-        return json.dumps(self.to_dict(), indent=indent)
+    def render_json(self) -> str:
+        """JSON rendering of the report (two-space indent)."""
+        return json.dumps(self.to_dict(), indent=2)
 
     def __str__(self) -> str:
         return self.render_text()

@@ -167,8 +167,7 @@ def _single_chunk_runner(evaluator, pdk: ProcessKit, config: MCConfig):
 
 
 def monte_carlo(evaluator, pdk: ProcessKit,
-                config: MCConfig | None = None,
-                progress=None) -> dict[str, np.ndarray]:
+                config: MCConfig | None = None) -> dict[str, np.ndarray]:
     """Monte Carlo on one design.
 
     Parameters
@@ -176,8 +175,6 @@ def monte_carlo(evaluator, pdk: ProcessKit,
     evaluator:
         Callable ``(ProcessSample) -> dict[name, (S,) array]`` that builds
         and simulates the design under the given process realisations.
-    progress:
-        Optional callback ``(samples_done, n_samples)``.
 
     Returns
     -------
@@ -197,7 +194,7 @@ def monte_carlo(evaluator, pdk: ProcessKit,
     backend = resolve_backend(config.backend, config.workers)
     with telemetry.span("mc.single", samples=config.n_samples,
                         chunks=len(bounds)):
-        return run_chunks(backend, run_chunk, bounds, progress)
+        return run_chunks(backend, run_chunk, bounds)
 
 
 def monte_carlo_points(evaluator, n_points: int, pdk: ProcessKit,

@@ -34,10 +34,9 @@ class PopulationSummary:
     q01: float
     q99: float
 
-    def describe(self, unit: str = "") -> str:
-        return (f"n={self.n} mean={self.mean:.6g}{unit} "
-                f"std={self.std:.3g}{unit} "
-                f"range=[{self.minimum:.6g}, {self.maximum:.6g}]{unit}")
+    def describe(self) -> str:
+        return (f"n={self.n} mean={self.mean:.6g} std={self.std:.3g} "
+                f"range=[{self.minimum:.6g}, {self.maximum:.6g}]")
 
 
 def _validate_population(samples) -> np.ndarray:
@@ -81,8 +80,8 @@ def _mean_is_degenerate(mean) -> bool:
     return bool(np.any(np.abs(mean) < _DEGENERATE_MEAN))
 
 
-def relative_spread_pct(samples, k_sigma: float = 3.0, axis: int = -1):
-    """``k_sigma * std / |mean| * 100`` along ``axis`` (vectorised).
+def relative_spread_pct(samples):
+    """``3 * std / |mean| * 100`` along the last axis (vectorised).
 
     The same definition as
     :func:`repro.yieldmodel.variation.variation_percent`, provided here for
@@ -97,16 +96,16 @@ def relative_spread_pct(samples, k_sigma: float = 3.0, axis: int = -1):
         return ``+/-inf``) -- mirroring :func:`summarize`'s validation.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 0 or samples.shape[axis] < 2:
+    if samples.ndim == 0 or samples.shape[-1] < 2:
         raise ValueError("need at least two samples along the reduced axis")
     if np.any(np.isnan(samples)):
         raise ValueError("samples contain NaN; repair failed lanes first")
-    mean = np.mean(samples, axis=axis)
-    std = np.std(samples, axis=axis, ddof=1)
+    mean = np.mean(samples, axis=-1)
+    std = np.std(samples, axis=-1, ddof=1)
     if _mean_is_degenerate(mean):
         raise ValueError("population mean is zero; the relative spread "
                          "is undefined")
-    return k_sigma * std / np.abs(mean) * 100.0
+    return 3.0 * std / np.abs(mean) * 100.0
 
 
 def _cpk_from_moments(mean: float, std: float, lower: float | None,

@@ -64,6 +64,9 @@ __all__ = [
 #: compaction generation.
 DEFAULT_SKETCH_CAPACITY = 4096
 
+#: Confidence level of every streaming interval (yield and variation).
+CONFIDENCE = 0.95
+
 
 class StreamingMoments:
     """Mergeable online mean/variance/min/max (Welford + Chan).
@@ -307,14 +310,14 @@ class StreamingAccumulator:
         return _cpk_from_moments(self.moments.mean, self.moments.std,
                                  lower, upper)
 
-    def relative_spread_pct(self, k_sigma: float = 3.0) -> float:
-        """``k_sigma * std / |mean| * 100`` from the streaming moments
+    def relative_spread_pct(self) -> float:
+        """``3 * std / |mean| * 100`` from the streaming moments
         (same semantics and guards as
         :func:`repro.mc.statistics.relative_spread_pct`)."""
         if _mean_is_degenerate(self.moments.mean):
             raise ValueError("population mean is zero; the relative spread "
                              "is undefined")
-        return k_sigma * self.moments.std / abs(self.moments.mean) * 100.0
+        return 3.0 * self.moments.std / abs(self.moments.mean) * 100.0
 
     def state(self) -> dict[str, np.ndarray]:
         state = {"moments": self.moments.state()}
@@ -414,8 +417,6 @@ class AdaptiveStop:
     ci_width:
         Target full CI width (yield fraction, or variation percentage
         points).
-    confidence:
-        Confidence level of the interval.
     min_samples:
         Never stop before this many samples (early chunks are too noisy
         for the asymptotic intervals).
@@ -425,16 +426,15 @@ class AdaptiveStop:
         decision -- and therefore the final sample count -- is
         **independent of the backend and worker count**; set it at or
         above the worker count to keep pools busy.
-    k_sigma:
-        Guard-band width of the variation metric (the paper's 3-sigma).
+
+    Intervals are at :data:`CONFIDENCE`; the variation metric's
+    guard band is the paper's 3-sigma.
     """
 
     metric: str = "yield"
     ci_width: float = 0.05
-    confidence: float = 0.95
     min_samples: int = 64
     check_every: int = 1
-    k_sigma: float = 3.0
 
     def __post_init__(self) -> None:
         if self.metric not in ("yield", "variation"):
@@ -443,17 +443,14 @@ class AdaptiveStop:
                 f"got {self.metric!r}")
         if not self.ci_width > 0.0:
             raise ReproError("AdaptiveStop.ci_width must be > 0")
-        if not 0.0 < self.confidence < 1.0:
-            raise ReproError("AdaptiveStop.confidence must lie in (0, 1)")
         if self.min_samples < 2:
             raise ReproError("AdaptiveStop.min_samples must be >= 2")
         if self.check_every < 1:
             raise ReproError("AdaptiveStop.check_every must be >= 1")
 
 
-def _variation_ci_width(moments: StreamingMoments, k_sigma: float,
-                        confidence: float) -> float:
-    """Normal-theory CI full width of the k-sigma relative variation.
+def _variation_ci_width(moments: StreamingMoments) -> float:
+    """Normal-theory CI full width of the 3-sigma relative variation.
 
     Delta-method standard error of the coefficient of variation for a
     normal population, ``se(cv) ~= cv * sqrt(1/(2(n-1)) + cv^2/n)``,
@@ -467,7 +464,7 @@ def _variation_ci_width(moments: StreamingMoments, k_sigma: float,
     cv = moments.std / abs(moments.mean)
     se = cv * math.sqrt(1.0 / (2.0 * (moments.n - 1))
                         + cv * cv / moments.n)
-    return 2.0 * z_value(confidence) * 100.0 * k_sigma * se
+    return 2.0 * z_value(CONFIDENCE) * 100.0 * 3.0 * se
 
 
 @dataclass
@@ -519,20 +516,18 @@ class StreamingResult:
 
     @property
     def confidence(self) -> float:
-        """Confidence level every reported interval uses: the adaptive
-        rule's when one governed the run (the stated interval must be
-        the one the run stopped on), 0.95 otherwise."""
-        return (self.adaptive.confidence if self.adaptive is not None
-                else 0.95)
+        """Confidence level every reported interval uses (the one an
+        adaptive rule stops on)."""
+        return CONFIDENCE
 
     def summaries(self) -> dict[str, PopulationSummary]:
         """Per-performance population summaries."""
         return {name: acc.summary()
                 for name, acc in self.accumulators.items()}
 
-    def variation_percent(self, name: str, k_sigma: float = 3.0) -> float:
-        """k-sigma relative variation of one performance, in percent."""
-        return self.accumulators[name].relative_spread_pct(k_sigma)
+    def variation_percent(self, name: str) -> float:
+        """3-sigma relative variation of one performance, in percent."""
+        return self.accumulators[name].relative_spread_pct()
 
     def describe(self) -> str:
         """Multi-line report: per-performance stats, yield, stop state."""
@@ -594,8 +589,8 @@ def _fingerprint(config: MCConfig, pdk: ProcessKit, stage: str, specs,
         "include_mismatch": config.include_mismatch,
         "specs": specs.describe() if specs is not None else "",
         "adaptive": ([adaptive.metric, adaptive.ci_width,
-                      adaptive.confidence, adaptive.min_samples,
-                      adaptive.check_every, adaptive.k_sigma]
+                      CONFIDENCE, adaptive.min_samples,
+                      adaptive.check_every, 3.0]
                      if adaptive is not None else []),
         "sketch_capacity": sketch_capacity,
     }
@@ -654,12 +649,11 @@ def _ci_width_now(adaptive: AdaptiveStop,
     if adaptive.metric == "yield":
         if counter is None or counter.total == 0:
             return math.inf
-        lo, hi = counter.interval(adaptive.confidence)
+        lo, hi = counter.interval(CONFIDENCE)
         return hi - lo
     if not accumulators:
         return math.inf
-    return max(_variation_ci_width(acc.moments, adaptive.k_sigma,
-                                   adaptive.confidence)
+    return max(_variation_ci_width(acc.moments)
                for acc in accumulators.values())
 
 

@@ -32,8 +32,8 @@ def dc_gain_db(mag_db: np.ndarray) -> np.ndarray:
 
 
 def crossing_frequency(freqs: np.ndarray, values: np.ndarray,
-                       target, *, rising: bool = False) -> np.ndarray:
-    """First frequency where ``values`` crosses ``target``.
+                       target) -> np.ndarray:
+    """First frequency where ``values`` falls through ``target``.
 
     Parameters
     ----------
@@ -42,8 +42,6 @@ def crossing_frequency(freqs: np.ndarray, values: np.ndarray,
         crossing in sweep order is returned.
     target:
         Scalar or shape ``(B,)`` per-lane target.
-    rising:
-        Direction of the crossing (default: falling through the target).
 
     Returns
     -------
@@ -53,7 +51,7 @@ def crossing_frequency(freqs: np.ndarray, values: np.ndarray,
     values = np.atleast_2d(np.asarray(values, dtype=float))
     target_arr = np.broadcast_to(np.asarray(target, dtype=float).reshape(-1, 1),
                                  (values.shape[0], 1))
-    above = values > target_arr if not rising else values < target_arr
+    above = values > target_arr
     # A crossing at index k means above[k-1] & ~above[k].
     crossed = above[:, :-1] & ~above[:, 1:]
     has_crossing = crossed.any(axis=1)

@@ -27,6 +27,16 @@ __all__ = ["GAConfig", "tournament_select", "uniform_crossover",
            "reflect_into_bounds"]
 
 
+#: Operator settings shared by both optimisers.
+CROSSOVER_RATE = 0.9
+MUTATION_RATE = 0.1     # per-gene probability
+MUTATION_SIGMA = 0.08   # Gaussian mutation width (unit space)
+TOURNAMENT_SIZE = 2
+ELITE_COUNT = 2         # WBGA survivors copied unchanged per generation
+SBX_ETA = 15.0          # SBX distribution index
+MUTATION_ETA = 20.0     # polynomial-mutation distribution index
+
+
 @dataclass(frozen=True)
 class GAConfig:
     """Shared GA settings (defaults follow the paper's section 4.2 run:
@@ -34,22 +44,14 @@ class GAConfig:
 
     population_size: int = 100
     generations: int = 100
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.1       # per-gene probability
-    mutation_sigma: float = 0.08     # Gaussian mutation width (unit space)
-    tournament_size: int = 2
-    elite_count: int = 2
     seed: int = 2008                 # DATE 2008 -- the reproduction default
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
             raise OptimizationError("population_size must be >= 2")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise OptimizationError("crossover_rate must be in [0, 1]")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise OptimizationError("mutation_rate must be in [0, 1]")
-        if self.elite_count >= self.population_size:
-            raise OptimizationError("elite_count must be < population_size")
+        if ELITE_COUNT >= self.population_size:
+            raise OptimizationError(
+                f"population_size must exceed the {ELITE_COUNT} elites")
 
 
 def tournament_select(fitness: np.ndarray, count: int, size: int,
@@ -90,12 +92,14 @@ def uniform_crossover(parents_a: np.ndarray, parents_b: np.ndarray,
 
 
 def sbx_crossover(parents_a: np.ndarray, parents_b: np.ndarray,
-                  rate: float, rng: np.random.Generator,
-                  eta: float = 15.0) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover (Deb & Agrawal) on unit genes.
+                  rate: float, rng: np.random.Generator
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Simulated binary crossover (Deb & Agrawal) on unit genes, with
+    distribution index :data:`SBX_ETA`.
 
     Returns two children per pair.
     """
+    eta = SBX_ETA
     u = rng.random(parents_a.shape)
     beta = np.where(u <= 0.5,
                     (2.0 * u) ** (1.0 / (eta + 1.0)),
@@ -119,9 +123,10 @@ def gaussian_mutation(genes: np.ndarray, rate: float, sigma: float,
 
 
 def polynomial_mutation(genes: np.ndarray, rate: float,
-                        rng: np.random.Generator,
-                        eta: float = 20.0) -> np.ndarray:
-    """Deb's polynomial mutation on unit genes."""
+                        rng: np.random.Generator) -> np.ndarray:
+    """Deb's polynomial mutation on unit genes, with distribution index
+    :data:`MUTATION_ETA`."""
+    eta = MUTATION_ETA
     u = rng.random(genes.shape)
     mutate = rng.random(genes.shape) < rate
     delta = np.where(

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ga import GAConfig, polynomial_mutation, sbx_crossover
+from .ga import (CROSSOVER_RATE, MUTATION_RATE, GAConfig,
+                 polynomial_mutation, sbx_crossover)
 from .pareto import (ParetoArchive, crowding_distance,
                      fast_non_dominated_sort)
 from .problem import OptimizationProblem
@@ -86,9 +87,9 @@ def run_nsga2(problem: OptimizationProblem,
         idx_a = _crowded_tournament(rank, crowding, pop // 2, rng)
         idx_b = _crowded_tournament(rank, crowding, pop // 2, rng)
         child_a, child_b = sbx_crossover(parents[idx_a], parents[idx_b],
-                                         config.crossover_rate, rng)
+                                         CROSSOVER_RATE, rng)
         children = np.vstack([child_a, child_b])[:pop]
-        children = polynomial_mutation(children, config.mutation_rate, rng)
+        children = polynomial_mutation(children, MUTATION_RATE, rng)
         child_obj = problem(children)
         history_params.append(children.copy())
         history_obj.append(child_obj.copy())

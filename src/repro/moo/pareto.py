@@ -87,13 +87,12 @@ def non_dominated_mask(values: np.ndarray) -> np.ndarray:
     return mask
 
 
-def pareto_front_indices(values: np.ndarray, *,
-                         sort_by: int = 0) -> np.ndarray:
-    """Indices of the Pareto front, sorted ascending by objective
-    ``sort_by`` (handy for building monotone trade-off tables)."""
+def pareto_front_indices(values: np.ndarray) -> np.ndarray:
+    """Indices of the Pareto front, sorted ascending by the first
+    objective (handy for building monotone trade-off tables)."""
     mask = non_dominated_mask(values)
     indices = np.nonzero(mask)[0]
-    order = np.argsort(np.atleast_2d(values)[indices, sort_by])
+    order = np.argsort(np.atleast_2d(values)[indices, 0])
     return indices[order]
 
 

@@ -32,8 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import OptimizationError
-from .ga import (GAConfig, gaussian_mutation, tournament_select,
-                 uniform_crossover)
+from .ga import (CROSSOVER_RATE, ELITE_COUNT, MUTATION_RATE, MUTATION_SIGMA,
+                 TOURNAMENT_SIZE, GAConfig, gaussian_mutation,
+                 tournament_select, uniform_crossover)
 from .pareto import ParetoArchive
 from .problem import OptimizationProblem
 
@@ -104,8 +105,7 @@ def _equation5_fitness(oriented: np.ndarray, weights: np.ndarray,
 
 def run_wbga(problem: OptimizationProblem,
              config: GAConfig | None = None,
-             *, rng: np.random.Generator | None = None,
-             progress=None) -> WBGAResult:
+             *, rng: np.random.Generator | None = None) -> WBGAResult:
     """Run the paper's WBGA on ``problem``.
 
     Parameters
@@ -116,8 +116,6 @@ def run_wbga(problem: OptimizationProblem,
         GA settings; the default replicates the paper's 100 x 100 run.
     rng:
         Source of randomness (defaults to ``default_rng(config.seed)``).
-    progress:
-        Optional callback ``(generation, best_fitness)`` for reporting.
 
     Returns
     -------
@@ -162,27 +160,25 @@ def run_wbga(problem: OptimizationProblem,
         history_fitness.append(fitness.copy())
         history_gen.append(np.full(pop, generation))
         best_trace[generation] = np.max(fitness)
-        if progress is not None:
-            progress(generation, best_trace[generation])
 
         if generation == config.generations - 1:
             break
 
         # Elitism: carry the best strings over unchanged.
-        elite_idx = np.argsort(fitness)[::-1][:config.elite_count]
+        elite_idx = np.argsort(fitness)[::-1][:ELITE_COUNT]
         elites = chromosome[elite_idx]
 
         # Selection -> crossover -> mutation on the full GA string
         # (parameters and weights evolve together, as in the paper).
-        n_children = pop - config.elite_count
+        n_children = pop - ELITE_COUNT
         parents_a = chromosome[tournament_select(
-            fitness, n_children, config.tournament_size, rng)]
+            fitness, n_children, TOURNAMENT_SIZE, rng)]
         parents_b = chromosome[tournament_select(
-            fitness, n_children, config.tournament_size, rng)]
+            fitness, n_children, TOURNAMENT_SIZE, rng)]
         children = uniform_crossover(parents_a, parents_b,
-                                     config.crossover_rate, rng)
-        children = gaussian_mutation(children, config.mutation_rate,
-                                     config.mutation_sigma, rng)
+                                     CROSSOVER_RATE, rng)
+        children = gaussian_mutation(children, MUTATION_RATE,
+                                     MUTATION_SIGMA, rng)
         chromosome = np.vstack([elites, children])
 
     return WBGAResult(

@@ -23,44 +23,36 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..designs.filter2 import (DEFAULT_FILTER_SPEC, FilterCaps, FilterSpec,
+from ..designs.filter2 import (FILTER_OBJECTIVES, FilterCaps,
                                build_filter_transistor, evaluate_filter,
                                filter_frequency_grid)
-from ..designs.ota import OTAParameters
+from ..designs.ota import OTAParameters, ota_points_evaluator
 from ..process import C35, ProcessKit
-from ..workload.designs import ota_points_evaluator
 
 __all__ = ["ota_evaluator_factory", "filter_evaluator_factory"]
 
 
-def ota_evaluator_factory(*, pdk: ProcessKit = C35, cl: float = 10e-12,
-                          ibias: float = 20e-6,
-                          names: tuple[str, ...] = ("gain_db", "pm_deg")):
+def ota_evaluator_factory(*, pdk: ProcessKit = C35):
     """Factory of batched OTA evaluators over normalised W/L candidates.
 
-    Parameters mirror :class:`repro.designs.problems.OTAProblem`;
-    ``names`` selects which performance keys are returned (the spec'd
-    ones are enough, and fewer keys means less result traffic through
-    pooled backends).
+    The testbench mirrors :class:`repro.designs.problems.OTAProblem`;
+    the evaluators return the spec'd ``gain_db`` and ``pm_deg`` only
+    (fewer keys means less result traffic through pooled backends).
     """
 
     def factory(unit_params: np.ndarray):
         return ota_points_evaluator(
             np.atleast_2d(OTAParameters.from_normalized(unit_params)
-                          .to_array()),
-            pdk=pdk, cl=cl, ibias=ibias, names=names)
+                          .to_array()), pdk=pdk)
 
     return factory
 
 
 def filter_evaluator_factory(ota_params: OTAParameters, *,
-                             pdk: ProcessKit = C35,
-                             spec: FilterSpec = DEFAULT_FILTER_SPEC,
-                             freqs: np.ndarray | None = None,
-                             names: tuple[str, ...] = ("ripple_db",
-                                                       "atten_db")):
+                             pdk: ProcessKit = C35):
     """Factory of batched transistor-level filter evaluators over
-    normalised C1-C3 candidates.
+    normalised C1-C3 candidates, returning ``ripple_db`` and
+    ``atten_db``.
 
     ``ota_params`` is the single OTA design embedded in both cores
     (typically the flow's mid-front reference or the yield-targeted
@@ -68,7 +60,7 @@ def filter_evaluator_factory(ota_params: OTAParameters, *,
     cores and to the capacitor process scale.
     """
     ota_vector = np.asarray(ota_params.to_array(), dtype=float).reshape(-1)
-    measure_freqs = freqs if freqs is not None else filter_frequency_grid()
+    measure_freqs = filter_frequency_grid()
 
     def factory(unit_params: np.ndarray):
         caps = FilterCaps.from_normalized(np.atleast_2d(unit_params))
@@ -83,9 +75,8 @@ def filter_evaluator_factory(ota_params: OTAParameters, *,
                 np.broadcast_to(ota_vector, (lanes.shape[0], ota_vector.size)))
             circuit = build_filter_transistor(tiled_caps, ota, pdk=pdk,
                                               variations=die_sample)
-            performance = evaluate_filter(circuit, spec=spec,
-                                          freqs=measure_freqs)
-            return {name: performance[name] for name in names}
+            performance = evaluate_filter(circuit, freqs=measure_freqs)
+            return {name: performance[name] for name in FILTER_OBJECTIVES}
 
         return evaluate
 

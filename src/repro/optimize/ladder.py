@@ -79,7 +79,7 @@ from ..mc.sampler import (_key_to_int, latin_hypercube_normal, normal_cdf,
 from ..measure.specs import SpecSet
 from ..process.pdk import GLOBAL_DIMS, ProcessKit, ProcessSample
 from ..surrogate.estimator import calibrated_yield
-from ..surrogate.regression import SURROGATE_KINDS, fit_surrogate
+from ..surrogate.regression import fit_surrogate
 from ..telemetry.ledger import SimulationLedger
 from ..yieldmodel.importance import (ImportanceSamplingConfig,
                                      estimate_yield_importance_stacked)
@@ -94,6 +94,20 @@ FIDELITY_NAMES = ("corner bounds", "surrogate classification",
 #: Clamp on reported robustness z-scores (keeps optimiser arithmetic
 #: finite when the corner spread of a performance collapses to zero).
 _Z_CLAMP = 50.0
+
+#: Sigma location of the kit's corner shifts (3.0 for C35); turns the
+#: fidelity-0 corner spread into a per-performance sigma estimate.
+CORNER_K_SIGMA = 3.0
+#: Fidelity-1 response-surface family: 6 linear coefficients fit well
+#: from the small per-candidate batches.
+SURROGATE_KIND = "linear"
+#: Floor on the fidelity-1 standard error (guards against an
+#: over-confident surrogate stopping the escalation with a
+#: systematically wrong estimate).
+SURROGATE_FLOOR = 0.01
+#: Refusal limit on ``cv_error / std(training responses)``; a refusing
+#: surrogate escalates its candidate to fidelity 2.
+CV_THRESHOLD = 0.95
 
 
 def _derived_seed(seed: int, key: str) -> int:
@@ -115,9 +129,6 @@ class LadderConfig:
         Supply/temperature lanes of the fidelity-0 grid.  Empty means
         *nominal only* -- deliberately smaller than the flow's
         verification grid, because this grid is paid per candidate.
-    corner_k_sigma:
-        Sigma location of the kit's corner shifts (3.0 for C35); turns
-        the corner spread into a per-performance sigma estimate.
     corner_z:
         Decisive nominal-margin z-score at fidelity 0: a candidate whose
         every spec margin exceeds ``corner_z`` estimated sigmas (clear
@@ -128,20 +139,9 @@ class LadderConfig:
     surrogate_population:
         Synthetic population classified through the surrogate (costs
         polynomial evaluations only).
-    surrogate_kind:
-        Response-surface family (:data:`repro.surrogate.SURROGATE_KINDS`);
-        ``"linear"`` by default -- 6 coefficients fit well from the small
-        per-candidate batches.
     surrogate_z:
         Decisive distance from the target at fidelity 1, in standard
         errors of the surrogate estimate.
-    surrogate_floor:
-        Floor on the fidelity-1 standard error (guards against an
-        over-confident surrogate stopping the escalation with a
-        systematically wrong estimate).
-    cv_threshold:
-        Refusal limit on ``cv_error / std(training responses)``; a
-        refusing surrogate escalates its candidate to fidelity 2.
     is_pilot, is_samples:
         Pilot / main-run sizes of the fidelity-2 importance-sampled
         estimator (cost per candidate is their sum).
@@ -168,8 +168,6 @@ class LadderConfig:
         Root seed; every candidate derives private streams from it.
     include_mismatch:
         Carry local (Pelgrom) mismatch in every simulator evaluation.
-    confidence:
-        Confidence level of downstream interval reporting.
     backend, workers, chunk_lanes:
         Execution-backend routing of every batched stage, exactly as in
         :class:`repro.mc.engine.MCConfig`.
@@ -178,14 +176,10 @@ class LadderConfig:
     corners: str = "all"
     corner_vdds: tuple[float, ...] = ()
     corner_temps: tuple[float, ...] = ()
-    corner_k_sigma: float = 3.0
     corner_z: float = 2.0
     surrogate_train: int = 32
     surrogate_population: int = 2000
-    surrogate_kind: str = "linear"
     surrogate_z: float = 2.0
-    surrogate_floor: float = 0.01
-    cv_threshold: float = 0.95
     is_pilot: int = 50
     is_samples: int = 200
     yield_target: float = 0.90
@@ -194,7 +188,6 @@ class LadderConfig:
     max_fidelity: int = 2
     seed: int = 2008
     include_mismatch: bool = True
-    confidence: float = 0.95
     backend: object = None
     workers: int = 0
     chunk_lanes: int = 4000
@@ -205,10 +198,6 @@ class LadderConfig:
         if self.min_fidelity > self.max_fidelity:
             raise OptimizationError(
                 "ladder min_fidelity must not exceed max_fidelity")
-        if self.surrogate_kind not in SURROGATE_KINDS:
-            raise OptimizationError(
-                f"unknown surrogate kind {self.surrogate_kind!r} "
-                f"(known: {', '.join(SURROGATE_KINDS)})")
         if not 0.0 < self.yield_target < 1.0:
             raise OptimizationError("yield_target must lie in (0, 1)")
         if self.chunk_lanes < 1:
@@ -280,8 +269,9 @@ class LadderCounts:
     *and* ``sims[2]``, but only to ``resolved[2]``).
     """
 
-    resolved: list[int] = field(default_factory=lambda: [0, 0, 0])
-    sims: list[int] = field(default_factory=lambda: [0, 0, 0])
+    resolved: list[int] = field(default_factory=lambda: [0, 0, 0],
+                                init=False)
+    sims: list[int] = field(default_factory=lambda: [0, 0, 0], init=False)
     budget_exhausted: bool = False
 
     @property
@@ -423,7 +413,7 @@ class EstimatorLadder:
             values = np.asarray(performance[spec.name], dtype=float)
             nominal = values[:, self._nominal_lane]
             spread = values.max(axis=1) - values.min(axis=1)
-            sigma = spread / (2.0 * config.corner_k_sigma)
+            sigma = spread / (2.0 * CORNER_K_SIGMA)
             margin = spec.margin(nominal)
             with np.errstate(divide="ignore", invalid="ignore"):
                 z = np.where(sigma > 0.0, margin / sigma,
@@ -466,9 +456,9 @@ class EstimatorLadder:
             models = {}
             for spec in self.specs:
                 y = responses[spec.name][row]
-                model = fit_surrogate(config.surrogate_kind, xs[row], y)
+                model = fit_surrogate(SURROGATE_KIND, xs[row], y)
                 spread = float(np.std(y))
-                if model.cv_error > config.cv_threshold * max(spread, 1e-300):
+                if model.cv_error > CV_THRESHOLD * max(spread, 1e-300):
                     refused[row] = True
                 models[spec.name] = model
                 scales[spec.name] = max(model.cv_error, 1e-12)
@@ -479,7 +469,7 @@ class EstimatorLadder:
                          for name, model in models.items()}
             yield1[row], std_error = calibrated_yield(predicted, self.specs,
                                                       scales)
-            std1[row] = max(std_error, config.surrogate_floor)
+            std1[row] = max(std_error, SURROGATE_FLOOR)
         decisive = (~refused
                     & (np.abs(yield1 - config.yield_target)
                        >= config.surrogate_z * std1))
@@ -503,8 +493,7 @@ class EstimatorLadder:
                 n_samples=config.is_samples,
                 pilot_samples=config.is_pilot,
                 seed=_derived_seed(config.seed, f"ladder-is-{uid}"),
-                include_mismatch=config.include_mismatch,
-                confidence=config.confidence) for uid in uids])
+                include_mismatch=config.include_mismatch) for uid in uids])
         yield2 = np.array([estimate.yield_estimate for estimate in estimates])
         std2 = np.array([estimate.std_error for estimate in estimates])
         return np.clip(yield2, 0.0, 1.0), std2

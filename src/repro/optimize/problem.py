@@ -16,7 +16,7 @@ guard-banding (the paper's route).  Three modes:
   escalation) -- pair it with ``LadderConfig(max_fidelity=0)``.
 * ``"chance"`` -- keeps the base objective count and *penalises*
   candidates whose estimated yield falls below ``yield_target``: every
-  oriented objective is worsened by ``penalty_weight * deficit`` in
+  oriented objective is worsened by ``PENALTY_WEIGHT * deficit`` in
   units of the objective's running span.  A chance-constrained search:
   the optimiser may trade performance freely on the feasible side of
   the target, while sub-target candidates fade from the front.  Two
@@ -47,6 +47,10 @@ __all__ = ["YIELD_MODES", "YieldAugmentedProblem"]
 #: The supported augmentation modes.
 YIELD_MODES = ("yield", "ksigma", "chance")
 
+#: Chance-mode penalty slope, in objective-span units per unit of yield
+#: deficit.
+PENALTY_WEIGHT = 2.0
+
 
 class YieldAugmentedProblem(OptimizationProblem):
     """Wrap a base problem with an in-loop yield objective or constraint.
@@ -67,14 +71,14 @@ class YieldAugmentedProblem(OptimizationProblem):
     yield_target:
         Target yield of the ``"chance"`` penalty (defaults to the
         ladder's configured target).
-    penalty_weight:
-        Chance-mode penalty slope, in objective-span units per unit of
-        yield deficit.
+
+    The chance-mode penalty slope is :data:`PENALTY_WEIGHT` objective
+    spans per unit of yield deficit.
     """
 
     def __init__(self, base: OptimizationProblem, ladder: EstimatorLadder, *,
-                 mode: str = "yield", yield_target: float | None = None,
-                 penalty_weight: float = 2.0) -> None:
+                 mode: str = "yield",
+                 yield_target: float | None = None) -> None:
         if mode not in YIELD_MODES:
             raise OptimizationError(
                 f"unknown yield mode {mode!r} (known: {', '.join(YIELD_MODES)})")
@@ -83,7 +87,6 @@ class YieldAugmentedProblem(OptimizationProblem):
         self.mode = mode
         self.yield_target = float(yield_target if yield_target is not None
                                   else ladder.config.yield_target)
-        self.penalty_weight = float(penalty_weight)
         self.parameter_names = base.parameter_names
         if mode == "yield":
             self.objectives = base.objectives + (
@@ -145,6 +148,6 @@ class YieldAugmentedProblem(OptimizationProblem):
         deficit = np.clip(self.yield_target - estimate.yield_estimate,
                           0.0, None)
         deficit = np.where(np.isnan(deficit), 0.0, deficit)
-        penalised = oriented - self.penalty_weight * deficit[:, None] * span
+        penalised = oriented - PENALTY_WEIGHT * deficit[:, None] * span
         signs = np.array([objective.sign for objective in self.objectives])
         return penalised * signs

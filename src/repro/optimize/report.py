@@ -28,16 +28,15 @@ def _subsample(count: int, limit: int) -> np.ndarray:
     return np.unique(np.linspace(0, count - 1, limit).astype(int))
 
 
-def format_yield_front(result: YieldSearchResult, *,
-                       max_rows: int = 16) -> str:
+def format_yield_front(result: YieldSearchResult) -> str:
     """The yield-annotated Pareto front as an aligned text table,
-    sorted by the first base objective (evenly subsampled past
-    ``max_rows``)."""
+    sorted by the first base objective (evenly subsampled past 16
+    rows)."""
     objectives = result.front_objectives()
     annotations = result.front_annotations()
     names = result.objective_names
     order = np.argsort(objectives[:, 0])
-    picks = order[_subsample(order.size, max_rows)]
+    picks = order[_subsample(order.size, 16)]
 
     header = "".join(f"{name:>14}" for name in names)
     header += f"{'yield':>9}{'+/-':>8}{'fid':>5}{'sims':>7}"

@@ -28,7 +28,6 @@ from ..moo.ga import GAConfig
 from ..moo.hypervolume import hypervolume
 from ..moo.nsga2 import NSGA2Result, run_nsga2
 from ..moo.problem import OptimizationProblem
-from ..moo.wbga import WBGAResult, run_wbga
 from ..process.pdk import ProcessKit
 from ..telemetry.ledger import SimulationLedger
 from .ladder import EstimatorLadder, LadderConfig, LadderCounts
@@ -49,9 +48,7 @@ class YieldSearchConfig:
     """
 
     mode: str = "yield"
-    optimizer: str = "nsga2"
     yield_target: float = 0.90
-    penalty_weight: float = 2.0
     generations: int = 20
     population: int = 24
     seed: int = 2008
@@ -62,9 +59,6 @@ class YieldSearchConfig:
             raise OptimizationError(
                 f"unknown yield mode {self.mode!r} "
                 f"(known: {', '.join(YIELD_MODES)})")
-        if self.optimizer not in ("nsga2", "wbga"):
-            raise OptimizationError(
-                f"unknown optimizer {self.optimizer!r} (known: nsga2, wbga)")
 
     def ga_config(self) -> GAConfig:
         return GAConfig(population_size=self.population,
@@ -89,10 +83,8 @@ class YieldSearchResult:
         The augmented problem (its ``base`` attribute is the wrapped
         original).
     result:
-        The optimiser archive
-        (:class:`~repro.moo.nsga2.NSGA2Result` or
-        :class:`~repro.moo.wbga.WBGAResult`) with ladder
-        ``annotations`` attached.
+        The NSGA-II archive (:class:`~repro.moo.nsga2.NSGA2Result`)
+        with ladder ``annotations`` attached.
     counts:
         Cumulative per-fidelity ladder accounting
         (:class:`~repro.optimize.ladder.LadderCounts`).
@@ -103,7 +95,7 @@ class YieldSearchResult:
     config: YieldSearchConfig
     specs: SpecSet
     problem: YieldAugmentedProblem
-    result: "NSGA2Result | WBGAResult"
+    result: NSGA2Result
     counts: LadderCounts
     ledger: SimulationLedger
 
@@ -136,28 +128,14 @@ class YieldSearchResult:
     def front_count(self) -> int:
         return int(np.count_nonzero(self.pareto_mask()))
 
-    def hypervolume(self, reference=None, *, yield_shift: float = 0.0
-                    ) -> float:
+    def hypervolume(self, reference=None) -> float:
         """Dominated hypervolume of the front (maximisation frame).
 
-        Parameters
-        ----------
-        reference:
-            Reference corner; defaults to the front nadir minus a small
-            offset (only comparable across runs when passed explicitly).
-        yield_shift:
-            Added to the yield/robustness column before scoring (the
-            benchmark scores ``+/- z * std_error`` fronts with it to
-            build a hypervolume confidence interval).  Ignored in
-            ``"chance"`` mode, which has no such column.
+        ``reference`` is the reference corner; it defaults to the front
+        nadir minus a small offset (only comparable across runs when
+        passed explicitly).
         """
         oriented = self.problem.oriented(self.front_objectives())
-        if yield_shift and self.config.mode != "chance":
-            oriented = oriented.copy()
-            shifted = oriented[:, -1] + yield_shift
-            if self.config.mode == "yield":
-                shifted = np.clip(shifted, 0.0, 1.0)
-            oriented[:, -1] = shifted
         if reference is None:
             finite = oriented[np.all(np.isfinite(oriented), axis=1)]
             if finite.shape[0] == 0:
@@ -169,8 +147,7 @@ class YieldSearchResult:
     def describe(self) -> str:
         """Compact multi-line summary (front size + ladder accounting)."""
         from .report import format_ladder_summary
-        lines = [f"yield-aware search ({self.config.mode} mode, "
-                 f"{self.config.optimizer}): "
+        lines = [f"yield-aware search ({self.config.mode} mode, nsga2): "
                  f"{self.result.evaluations} candidates evaluated, "
                  f"{self.front_count()} on the front"]
         lines.append(format_ladder_summary(self.counts))
@@ -213,14 +190,10 @@ def run_yield_search(base_problem: OptimizationProblem, evaluator_factory,
                              config.ladder_config(), ledger=ledger)
     problem = YieldAugmentedProblem(
         base_problem, ladder, mode=config.mode,
-        yield_target=config.yield_target,
-        penalty_weight=config.penalty_weight)
+        yield_target=config.yield_target)
 
-    rng = stream(config.seed, "yield-search")
-    if config.optimizer == "wbga":
-        result = run_wbga(problem, config.ga_config(), rng=rng)
-    else:
-        result = run_nsga2(problem, config.ga_config(), rng=rng)
+    result = run_nsga2(problem, config.ga_config(),
+                       rng=stream(config.seed, "yield-search"))
     result.annotations = problem.annotations()
 
     return YieldSearchResult(

@@ -58,7 +58,6 @@ class CornerDef:
     kp_scale_n: float
     dvto_p: float
     kp_scale_p: float
-    cap_scale: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -180,14 +179,6 @@ class ProcessSample:
         out.segments = tuple(segments)
         return out
 
-    @classmethod
-    def nominal(cls, size: int = 1) -> "ProcessSample":
-        """A no-variation sample (typical-mean die)."""
-        zeros = np.zeros(size)
-        ones = np.ones(size)
-        return cls(size, dvto_n=zeros, kp_scale_n=ones,
-                   dvto_p=zeros, kp_scale_p=ones)
-
     def _rebuild(self, size: int, transform) -> "ProcessSample":
         """A derived deterministic sample with every lane array mapped
         through ``transform`` (mismatch streams cannot be re-sliced)."""
@@ -296,8 +287,7 @@ class ProcessKit:
         c = self.corner_def(corner)
         return ProcessSample(
             1, dvto_n=c.dvto_n, kp_scale_n=c.kp_scale_n,
-            dvto_p=c.dvto_p, kp_scale_p=c.kp_scale_p,
-            cap_scale=c.cap_scale, vdd=vdd,
+            dvto_p=c.dvto_p, kp_scale_p=c.kp_scale_p, vdd=vdd,
             temp_k=None if temp_c is None else temp_c + _ZERO_CELSIUS_K)
 
     def pvt_sample(self, corners, vdds=None, temps_c=None) -> ProcessSample:
@@ -341,7 +331,6 @@ class ProcessKit:
             size,
             dvto_n=per_corner("dvto_n"), kp_scale_n=per_corner("kp_scale_n"),
             dvto_p=per_corner("dvto_p"), kp_scale_p=per_corner("kp_scale_p"),
-            cap_scale=per_corner("cap_scale"),
             vdd=vdd_lane, temp_k=temp_lane)
 
     def global_sigmas(self) -> np.ndarray:

@@ -67,7 +67,7 @@ def _write_status(layout: dict, job_id: str, snapshot: dict) -> None:
 
 
 # -- client side ----------------------------------------------------------
-def submit_request(root, request: dict, *, job_id: str | None = None) -> str:
+def submit_request(root, request: dict) -> str:
     """Drop a request into the service root's queue; returns the job id.
 
     The request is validated client-side (built into a workload and
@@ -76,8 +76,7 @@ def submit_request(root, request: dict, *, job_id: str | None = None) -> str:
     """
     workload = workload_from_request(request)
     layout = _ensure_layout(root)
-    if job_id is None:
-        job_id = f"job-{uuid.uuid4().hex[:12]}"
+    job_id = f"job-{uuid.uuid4().hex[:12]}"
     _write_status(layout, job_id, {
         "id": job_id, "kind": workload.kind, "key": workload.key(),
         "state": "queued", "cache_hit": False})

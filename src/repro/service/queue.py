@@ -45,7 +45,7 @@ class Job:
     result: WorkloadResult | None = None
     error: str = ""
     cache_hit: bool = False
-    submitted: float = field(default_factory=time.monotonic)
+    submitted: float = field(default_factory=time.monotonic, init=False)
     started: float | None = None
     finished: float | None = None
     progress_done: int = 0
@@ -199,17 +199,16 @@ class JobQueue:
         return True
 
     # -- lifecycle --------------------------------------------------------
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop the workers (after draining the queue when ``wait``)."""
+    def shutdown(self) -> None:
+        """Stop the workers after draining the queue."""
         with self._lock:
             if self._shutdown:
                 return
             self._shutdown = True
         for _ in self._threads:
             self._todo.put(None)
-        if wait:
-            for thread in self._threads:
-                thread.join()
+        for thread in self._threads:
+            thread.join()
 
     def __enter__(self) -> "JobQueue":
         return self

@@ -61,6 +61,8 @@ Request kinds
 
 from __future__ import annotations
 
+import inspect
+
 from ..errors import WorkloadError
 from ..workload import (Workload, lint_workload_from_source,
                         ota_corner_workload, ota_estimate_workload,
@@ -71,26 +73,23 @@ __all__ = ["workload_from_request", "REQUEST_KINDS"]
 #: Request kinds the service understands.
 REQUEST_KINDS = ("estimate", "lint", "rare", "corners", "surrogate")
 
-_ESTIMATE_FIELDS = ("n_samples", "seed", "chunk_lanes", "specs",
-                    "adaptive_ci", "check_every", "pdk", "cl", "ibias")
 
-_RARE_FIELDS = ("n_per_level", "max_levels", "level_quantile", "n_final",
-                "seed", "chunk_lanes", "specs", "max_shift_sigma",
-                "include_mismatch", "confidence", "pdk", "cl", "ibias")
+def _keyword_fields(constructor) -> tuple[str, ...]:
+    """The request fields of a design kind: its constructor's
+    keyword-only parameters (``design`` is the one positional field)."""
+    return tuple(name for name, parameter
+                 in inspect.signature(constructor).parameters.items()
+                 if parameter.kind is parameter.KEYWORD_ONLY)
 
-_CORNERS_FIELDS = ("corners", "vdds", "temps", "pdk", "cl", "ibias",
-                   "chunk_lanes")
 
-_SURROGATE_FIELDS = ("n_train", "seed", "surrogate_kind",
-                     "include_mismatch", "chunk_lanes", "pdk", "cl",
-                     "ibias")
-
+#: kind -> (accepted fields, workload constructor); the fields are read
+#: off each constructor's signature once, at import.
 _DESIGN_KINDS = {
-    "estimate": (_ESTIMATE_FIELDS, ota_estimate_workload),
-    "rare": (_RARE_FIELDS, ota_rare_workload),
-    "corners": (_CORNERS_FIELDS, ota_corner_workload),
-    "surrogate": (_SURROGATE_FIELDS, ota_surrogate_workload),
-}
+    kind: (_keyword_fields(constructor), constructor)
+    for kind, constructor in (("estimate", ota_estimate_workload),
+                              ("rare", ota_rare_workload),
+                              ("corners", ota_corner_workload),
+                              ("surrogate", ota_surrogate_workload))}
 
 
 def workload_from_request(request: dict) -> Workload:

@@ -52,6 +52,17 @@ from .train import SurrogateBundle, _surrogate_batch, train_surrogates
 __all__ = ["SurrogateConfig", "SurrogateYieldEstimate",
            "SurrogateYieldEstimator", "calibrated_yield"]
 
+#: Adaptive-refinement retrain rounds sharing ``refine_budget``.
+REFINE_ROUNDS = 2
+#: Half-width of the ambiguity band in CV-error units: a lane is
+#: refinement-eligible when some spec's predicted margin satisfies
+#: ``|margin| <= BAND_SIGMA * cv_error``.
+BAND_SIGMA = 2.0
+#: Refusal limit on ``cv_error / std(training responses)`` per
+#: performance.  At 1.0 the surrogate predicts no better than the
+#: population mean; the limit refuses a little before that.
+CV_THRESHOLD = 0.95
+
 
 def calibrated_yield(predicted: dict[str, np.ndarray], specs: SpecSet,
                      scales: dict[str, float], *,
@@ -99,51 +110,28 @@ class SurrogateConfig:
     seed:
         Root seed; training, refinement, population, and control stages
         use independent derived streams.
-    kind:
-        Surrogate family: ``"linear"``, ``"quadratic"`` (default), or
-        ``"rbf"``.
-    refine_rounds, refine_budget:
+    refine_budget:
         Adaptive refinement: up to ``refine_budget`` total ambiguous
-        lanes are simulator-evaluated across ``refine_rounds``
+        lanes are simulator-evaluated across :data:`REFINE_ROUNDS`
         retrain rounds.
-    band_sigma:
-        Half-width of the ambiguity band in CV-error units: a lane is
-        refinement-eligible when some spec's predicted margin satisfies
-        ``|margin| <= band_sigma * cv_error``.
-    cv_threshold:
-        Refusal limit on ``cv_error / std(training responses)`` per
-        performance.  At 1.0 the surrogate predicts no better than the
-        population mean; the default refuses a little before that.
-    include_mismatch:
-        Carry local mismatch in training/refinement/control evaluations
-        (keep on for honest CV errors; see the module docstring).
-    confidence:
-        Level of the reported interval.
-    backend, workers, chunk_lanes:
+    backend:
         Execution-backend routing for every simulator batch (training,
         refinement, control), exactly as in
         :class:`repro.mc.engine.MCConfig`.
+
+    The surrogate family is quadratic, refinement-eligible lanes lie
+    within :data:`BAND_SIGMA` CV errors of a limit, a surrogate whose CV
+    error exceeds :data:`CV_THRESHOLD` of its training spread refuses to
+    report, intervals are at 95 %, and every simulator batch carries
+    local mismatch (honest CV errors; see the module docstring).
     """
 
     n_train: int = 96
     n_mc: int = 4000
     control_samples: int = 100
     seed: int = 2008
-    kind: str = "quadratic"
-    refine_rounds: int = 2
     refine_budget: int = 128
-    band_sigma: float = 2.0
-    cv_threshold: float = 0.95
-    include_mismatch: bool = True
-    confidence: float = 0.95
     backend: object = None
-    workers: int = 0
-    chunk_lanes: int = 4000
-
-    def __post_init__(self) -> None:
-        if self.chunk_lanes < 1:
-            raise SurrogateError(
-                f"chunk_lanes must be >= 1, got {self.chunk_lanes}")
 
 
 @dataclass
@@ -265,10 +253,7 @@ class SurrogateYieldEstimator:
         config = self.config
         self.bundle = train_surrogates(
             self.evaluator, self.pdk, n_train=config.n_train,
-            seed=config.seed, kind=config.kind,
-            include_mismatch=config.include_mismatch,
-            backend=config.backend, workers=config.workers,
-            chunk_lanes=config.chunk_lanes)
+            seed=config.seed, backend=config.backend)
         return self.bundle
 
     def _spec_scales(self, bundle: SurrogateBundle) -> dict[str, float]:
@@ -316,8 +301,8 @@ class SurrogateYieldEstimator:
         # Adaptive refinement on the most ambiguous population lanes.
         resolved_index: list[int] = []
         resolved_pass: list[np.ndarray] = []
-        rounds = max(0, config.refine_rounds)
-        per_round = (config.refine_budget // rounds) if rounds else 0
+        rounds = REFINE_ROUNDS
+        per_round = config.refine_budget // rounds
         taken = np.zeros(config.n_mc, dtype=bool)
         for round_no in range(rounds):
             if per_round <= 0:
@@ -325,7 +310,7 @@ class SurrogateYieldEstimator:
             predicted = bundle.predict(xs)
             ambiguity = self._ambiguity(predicted, bundle)
             ambiguity[taken] = np.inf
-            eligible = np.flatnonzero(ambiguity <= config.band_sigma)
+            eligible = np.flatnonzero(ambiguity <= BAND_SIGMA)
             if eligible.size == 0:
                 break
             picks = eligible[np.argsort(ambiguity[eligible],
@@ -334,9 +319,7 @@ class SurrogateYieldEstimator:
             truth = _surrogate_batch(
                 self.evaluator, self.pdk, xs[picks], seed=config.seed,
                 stage=f"surrogate-refine{round_no}",
-                include_mismatch=config.include_mismatch,
-                backend=config.backend, workers=config.workers,
-                chunk_lanes=config.chunk_lanes)
+                backend=config.backend)
             resolved_index.extend(int(i) for i in picks)
             resolved_pass.append(self.specs.pass_mask(truth))
             bundle = bundle.augmented(xs[picks], truth)
@@ -350,11 +333,11 @@ class SurrogateYieldEstimator:
             spread = float(np.std(bundle.y_train[spec.name]))
             ratio = bundle.models[spec.name].cv_error / max(spread, 1e-300)
             cv_ratios[spec.name] = ratio
-            if ratio > config.cv_threshold:
+            if ratio > CV_THRESHOLD:
                 raise SurrogateError(
                     f"refusing to report: surrogate CV error for "
                     f"{spec.name!r} is {ratio:.0%} of the training spread "
-                    f"(threshold {config.cv_threshold:.0%}); increase "
+                    f"(threshold {CV_THRESHOLD:.0%}); increase "
                     f"n_train/refine_budget or choose another model kind")
 
         # Final classification of the population.
@@ -366,7 +349,7 @@ class SurrogateYieldEstimator:
                       if resolved_index else None))
         ambiguity = self._ambiguity(predicted, bundle)
         ambiguous = int(np.count_nonzero(
-            (ambiguity <= config.band_sigma) & ~taken))
+            (ambiguity <= BAND_SIGMA) & ~taken))
 
         # Direct-MC control batch (the cross-check).
         control = None
@@ -375,11 +358,8 @@ class SurrogateYieldEstimator:
             control_perf = monte_carlo(
                 self.evaluator, self.pdk,
                 MCConfig(n_samples=config.control_samples, seed=config.seed,
-                         include_mismatch=config.include_mismatch,
-                         chunk_lanes=config.chunk_lanes,
-                         backend=config.backend, workers=config.workers))
-            control = estimate_yield(control_perf, self.specs,
-                                     confidence=config.confidence)
+                         backend=config.backend))
+            control = estimate_yield(control_perf, self.specs)
 
         estimate = SurrogateYieldEstimate(
             yield_estimate=point,
@@ -391,7 +371,7 @@ class SurrogateYieldEstimator:
                        for s in self.specs},
             cv_ratios=cv_ratios,
             control=control,
-            confidence=config.confidence,
+            confidence=0.95,
             simulator_evals=(config.n_train + n_refined
                              + max(0, config.control_samples)),
             ambiguous_lanes=ambiguous,

@@ -96,8 +96,7 @@ class PolynomialSurrogate:
         self.n_train = int(n_train)
 
     @classmethod
-    def fit(cls, x, y, *, degree: int = 2,
-            ridge: float = 1e-9) -> "PolynomialSurrogate":
+    def fit(cls, x, y, *, degree: int = 2) -> "PolynomialSurrogate":
         """Fit a polynomial surface to ``(x, y)`` training data.
 
         Parameters
@@ -108,9 +107,9 @@ class PolynomialSurrogate:
             Response values, shape ``(N,)``.
         degree:
             Polynomial degree (1 or 2).
-        ridge:
-            Tiny Tikhonov term keeping the normal equations
-            well-conditioned when training points nearly repeat.
+
+        A tiny Tikhonov term (1e-9) keeps the normal equations
+        well-conditioned when training points nearly repeat.
 
         Raises
         ------
@@ -132,7 +131,7 @@ class PolynomialSurrogate:
             raise SurrogateError(
                 f"need at least {p + 2} training samples for a degree-"
                 f"{degree} surface over {x.shape[1]} dims, got {n}")
-        gram = features.T @ features + ridge * np.eye(p)
+        gram = features.T @ features + 1e-9 * np.eye(p)
         gram_inv = np.linalg.inv(gram)
         beta = gram_inv @ (features.T @ y)
         # Closed-form LOO: hat diagonal of the linear smoother.
@@ -194,17 +193,11 @@ class RBFSurrogate:
                 + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T))
 
     @classmethod
-    def fit(cls, x, y, *, length_scale: float | None = None,
-            ridge: float = 1e-6) -> "RBFSurrogate":
+    def fit(cls, x, y) -> "RBFSurrogate":
         """Fit a Gaussian-kernel ridge model to ``(x, y)``.
 
-        Parameters
-        ----------
-        length_scale:
-            Kernel width; ``None`` selects the median pairwise distance
-            of the training inputs.
-        ridge:
-            Kernel-ridge regularisation ``lambda``.
+        The kernel width is the median pairwise distance of the training
+        inputs; the kernel-ridge regularisation ``lambda`` is 1e-6.
         """
         x = _as_2d(x)
         y = np.asarray(y, dtype=float).reshape(-1)
@@ -213,13 +206,11 @@ class RBFSurrogate:
         if x.shape[0] < 4:
             raise SurrogateError("RBF surrogate needs at least 4 samples")
         sq = np.maximum(cls._sq_distances(x, x), 0.0)
-        if length_scale is None:
-            off_diagonal = sq[~np.eye(x.shape[0], dtype=bool)]
-            length_scale = float(np.sqrt(np.median(off_diagonal)))
-            length_scale = max(length_scale, 1e-6)
+        off_diagonal = sq[~np.eye(x.shape[0], dtype=bool)]
+        length_scale = max(float(np.sqrt(np.median(off_diagonal))), 1e-6)
         kernel = np.exp(-sq / (2.0 * length_scale ** 2))
         mean = float(np.mean(y))
-        system_inv = np.linalg.inv(kernel + ridge * np.eye(x.shape[0]))
+        system_inv = np.linalg.inv(kernel + 1e-6 * np.eye(x.shape[0]))
         weights = system_inv @ (y - mean)
         # Closed-form kernel-ridge LOO residuals.
         loo = weights / np.maximum(np.diag(system_inv), 1e-300)

@@ -46,17 +46,13 @@ class ParetoTableModel:
     columns:
         Attached per-point data: mapping name -> shape-``(K,)`` array
         (design parameters, variation percentages, ...).
-    directions:
-        Optimisation direction per objective (``+1`` maximise, ``-1``
-        minimise); used only for dominance validation.
-    validate:
-        Check the points actually form a mutually non-dominated monotone
-        set (default on).
+
+    The points must form a monotone two-objective trade-off (one
+    objective falls as the other rises), else :class:`TableModelError`.
     """
 
     def __init__(self, objectives, objective_names=("f1", "f2"), *,
-                 columns: dict | None = None,
-                 directions=(1.0, 1.0), validate: bool = True) -> None:
+                 columns: dict | None = None) -> None:
         objectives = np.asarray(objectives, dtype=float)
         if objectives.ndim != 2 or objectives.shape[1] != 2:
             raise TableModelError(
@@ -64,7 +60,6 @@ class ParetoTableModel:
         if objectives.shape[0] < 2:
             raise TableModelError("a Pareto table needs at least two points")
         self.objective_names = tuple(objective_names)
-        self.directions = tuple(float(d) for d in directions)
 
         order = np.argsort(objectives[:, 0])
         self.objectives = objectives[order]
@@ -77,17 +72,15 @@ class ParetoTableModel:
                     f"expected {objectives.shape[0]}")
             self.columns[name] = data[order]
 
-        if validate:
-            self._validate_front()
+        self._validate_front()
 
     def _validate_front(self) -> None:
         """A sorted two-objective front must trade off monotonically."""
-        f0 = self.directions[0] * self.objectives[:, 0]
-        f1 = self.directions[1] * self.objectives[:, 1]
+        f0, f1 = self.objectives[:, 0], self.objectives[:, 1]
         order = np.argsort(f0)
         f1_sorted = f1[order]
-        # As oriented-f0 increases, oriented-f1 must not increase
-        # (otherwise some point dominates another).
+        # As f0 increases, f1 must not increase (otherwise some point
+        # dominates another).
         violations = np.diff(f1_sorted) > 1e-9 * max(1.0, np.abs(f1).max())
         if np.any(violations):
             raise TableModelError(
@@ -132,7 +125,7 @@ class ParetoTableModel:
 
     # -- interpolation -------------------------------------------------------------
     def lookup(self, key_objective, key_value, column: str, *,
-               degree: str = "3", extrapolation: str = "E"):
+               extrapolation: str = "E"):
         """Interpolate ``column`` at a front position keyed by an objective.
 
         This is the paper's one-input ``$table_model`` call: e.g.
@@ -149,30 +142,25 @@ class ParetoTableModel:
             raise TableModelError(
                 f"objective {key_objective!r} is constant along the front; "
                 "cannot key on it")
-        kernel = make_interpolator(degree, x, y)
+        kernel = make_interpolator("3", x, y)
         return kernel(key_value, extrapolation)
 
-    def lookup2(self, value0, value1, column: str, *,
-                degree: str = "3", extrapolation: str = "E"):
+    def lookup2(self, value0, value1, column: str):
         """Two-input lookup reproducing ``$table_model(f1, f2, ..., "3E,3E")``.
 
         Each objective value independently indexes a front position; the
         two answers are averaged.  For queries lying exactly on the front
         the two agree and this equals either 1-D lookup.
         """
-        from_0 = self.lookup(0, value0, column, degree=degree,
-                             extrapolation=extrapolation)
-        from_1 = self.lookup(1, value1, column, degree=degree,
-                             extrapolation=extrapolation)
-        return 0.5 * (from_0 + from_1)
+        return 0.5 * (self.lookup(0, value0, column)
+                      + self.lookup(1, value1, column))
 
-    def trade_off(self, key_objective, key_value, *,
-                  degree: str = "3", extrapolation: str = "E"):
-        """The other objective's value at a front position."""
+    def trade_off(self, key_objective, key_value):
+        """The other objective's value at a front position (cubic,
+        linear extrapolation)."""
         axis = self._axis_index(key_objective)
-        other = self.objective_names[1 - axis]
-        return self.lookup(key_objective, key_value, other,
-                           degree=degree, extrapolation=extrapolation)
+        return self.lookup(key_objective, key_value,
+                           self.objective_names[1 - axis])
 
     # -- persistence ---------------------------------------------------------------
     def write_tbl(self, path, column: str, *, key_objective=0,

@@ -89,7 +89,7 @@ def enabled() -> bool:
 
 
 @contextmanager
-def session(path=None, *, fresh: bool = True):
+def session(path=None):
     """Scoped enablement: configure for the block, then restore.
 
     With a falsy ``path`` the ambient state (e.g. env-enabled
@@ -100,7 +100,7 @@ def session(path=None, *, fresh: bool = True):
         yield
         return
     previous = (_SINK, _TRACER)
-    configure(path, fresh=fresh)
+    configure(path)
     try:
         yield
     finally:

@@ -42,7 +42,7 @@ class StageRecord:
 class SimulationLedger:
     """Ordered collection of per-stage cost records."""
 
-    stages: dict[str, StageRecord] = field(default_factory=dict)
+    stages: dict[str, StageRecord] = field(default_factory=dict, init=False)
 
     @contextmanager
     def timed(self, stage: str, simulations: int = 0):

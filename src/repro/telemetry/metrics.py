@@ -47,11 +47,11 @@ class Gauge:
 
     __slots__ = ("name", "value", "updated", "samples")
 
-    def __init__(self, name: str, history: int = GAUGE_HISTORY) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self.value = 0.0
         self.updated = 0.0
-        self.samples: deque = deque(maxlen=history)
+        self.samples: deque = deque(maxlen=GAUGE_HISTORY)
 
     def set(self, value: float) -> None:
         now = time.time()

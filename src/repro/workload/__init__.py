@@ -30,8 +30,7 @@ requests (:mod:`.designs`) and queues them.
 from .base import Workload, WorkloadResult, guarded_progress
 from .designs import (design_digest, lint_workload_from_source,
                       ota_corner_workload, ota_estimate_workload,
-                      ota_points_evaluator, ota_rare_workload,
-                      ota_reference_evaluator, ota_surrogate_workload)
+                      ota_rare_workload, ota_surrogate_workload)
 from .units import (CornerSweepWorkload, LintWorkload, RareEventWorkload,
                     StreamingYieldWorkload, SurrogateTrainWorkload)
 
@@ -39,7 +38,6 @@ __all__ = [
     "Workload", "WorkloadResult", "guarded_progress",
     "LintWorkload", "CornerSweepWorkload", "StreamingYieldWorkload",
     "RareEventWorkload", "SurrogateTrainWorkload",
-    "design_digest", "ota_reference_evaluator", "ota_points_evaluator",
-    "ota_estimate_workload", "ota_rare_workload", "ota_corner_workload",
+    "design_digest", "ota_estimate_workload", "ota_rare_workload", "ota_corner_workload",
     "ota_surrogate_workload", "lint_workload_from_source",
 ]

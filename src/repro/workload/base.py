@@ -15,7 +15,7 @@ from ..errors import JobCancelled
 __all__ = ["Workload", "WorkloadResult", "guarded_progress"]
 
 
-def guarded_progress(progress, cancel, job_id: str | None = None):
+def guarded_progress(progress, cancel):
     """Wrap a progress callback with a cooperative cancellation check.
 
     The returned callable raises :class:`~repro.errors.JobCancelled` as
@@ -29,7 +29,7 @@ def guarded_progress(progress, cancel, job_id: str | None = None):
 
     def guarded(*args):
         if cancel():
-            raise JobCancelled(job_id=job_id)
+            raise JobCancelled()
         if progress is not None:
             progress(*args)
 

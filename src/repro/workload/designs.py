@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..cache import canonicalize, fingerprint_key
+from ..designs.ota import ota_points_evaluator, ota_reference_evaluator
 from ..errors import ReproError, WorkloadError, YieldModelError
 from ..mc.engine import MCConfig
 from ..mc.streaming import AdaptiveStop
@@ -22,8 +23,7 @@ from ..yieldmodel.rare import RareEventConfig
 from .units import (CornerSweepWorkload, LintWorkload, RareEventWorkload,
                     StreamingYieldWorkload, SurrogateTrainWorkload)
 
-__all__ = ["design_digest", "ota_reference_evaluator",
-           "ota_points_evaluator", "ota_estimate_workload",
+__all__ = ["design_digest", "ota_estimate_workload",
            "ota_rare_workload", "ota_corner_workload",
            "ota_surrogate_workload", "lint_workload_from_source",
            "DEFAULT_OTA_SPECS"]
@@ -57,45 +57,6 @@ def resolve_pdk(name: str):
         raise WorkloadError(
             f"unknown process kit {name!r} "
             f"(known: {', '.join(sorted(_KITS))})") from None
-
-
-def ota_reference_evaluator(reference, *, pdk=C35, cl: float = 10e-12,
-                            ibias: float = 20e-6,
-                            names=("gain_db", "pm_deg")):
-    """Streaming-MC evaluator of one OTA design point.
-
-    ``reference`` is the natural-unit parameter vector ``(8,)``
-    (W1 L1 ... W4 L4).  The returned callable follows the
-    :func:`repro.mc.engine.monte_carlo` contract: every die lane runs
-    :func:`ota_points_evaluator`'s one-point stack.
-    """
-    points = ota_points_evaluator(np.asarray(reference, dtype=float)[None, :],
-                                  pdk=pdk, cl=cl, ibias=ibias, names=names)
-    return lambda die_sample: points([0], die_sample.size, die_sample)
-
-
-def ota_points_evaluator(natural_params, *, pdk=C35, cl: float = 10e-12,
-                         ibias: float = 20e-6,
-                         names=("gain_db", "pm_deg")):
-    """Chunked many-points evaluator over a ``(K, 8)`` parameter stack.
-
-    Follows the :func:`repro.mc.engine.monte_carlo_points` contract
-    (``(point_indices, repeats, die_sample) -> dict``); the same
-    callable also serves :func:`repro.corners.corner_sweep_points`, and
-    it is the one OTA closure behind :func:`ota_reference_evaluator` and
-    :func:`repro.optimize.ota_evaluator_factory`.
-    """
-    from ..designs.ota import OTAParameters, evaluate_ota
-    natural_params = np.asarray(natural_params, dtype=float)
-
-    def evaluator(point_indices, repeats, die_sample):
-        tiled = OTAParameters.from_array(
-            np.repeat(natural_params[point_indices], repeats, axis=0))
-        performance = evaluate_ota(tiled, pdk=pdk, variations=die_sample,
-                                   cl=cl, ibias=ibias)
-        return {name: performance[name] for name in names}
-
-    return evaluator
 
 
 def _specs_from_request(entries) -> SpecSet:
@@ -263,7 +224,6 @@ def ota_surrogate_workload(design, *, n_train: int = 96, seed: int = 2008,
 
 
 def lint_workload_from_source(source: str, mode: str = "strict", *,
-                              stage: str = "service lint",
                               title: str = "") -> LintWorkload:
     """A topology-lint workload over netlist source text.
 
@@ -273,4 +233,4 @@ def lint_workload_from_source(source: str, mode: str = "strict", *,
     """
     from ..circuit.parser import parse_netlist
     circuit = parse_netlist(source, title=title)
-    return LintWorkload(circuit, mode, stage=stage, source=source)
+    return LintWorkload(circuit, mode, stage="service lint", source=source)

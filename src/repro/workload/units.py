@@ -175,9 +175,10 @@ class StreamingYieldWorkload(Workload):
             "chunk_lanes": mc.chunk_lanes,
             "pdk": self.pdk.name,
             "specs": self.specs.describe(),
-            "adaptive": ([adaptive.metric, adaptive.ci_width,
-                          adaptive.confidence, adaptive.min_samples,
-                          adaptive.check_every, adaptive.k_sigma]
+            # 0.95 and 3.0: the fixed interval confidence and guard band
+            # of an adaptive rule, kept as literals in the key.
+            "adaptive": ([adaptive.metric, adaptive.ci_width, 0.95,
+                          adaptive.min_samples, adaptive.check_every, 3.0]
                          if adaptive is not None else []),
             # The engine defaults every service job has always run with;
             # kept as literals so existing cache keys stay valid.

@@ -133,7 +133,7 @@ class YieldEstimate:
 
 
 def estimate_yield(performance: dict[str, np.ndarray],
-                   specs: SpecSet, *, confidence: float = 0.95) -> YieldEstimate:
+                   specs: SpecSet) -> YieldEstimate:
     """Estimate yield of a Monte-Carlo performance population.
 
     Parameters
@@ -154,15 +154,13 @@ def estimate_yield(performance: dict[str, np.ndarray],
         passed=int(np.count_nonzero(mask)),
         total=int(mask.size),
         per_spec_pass=per_spec,
-        confidence=confidence,
     )
 
 
 def estimate_yield_streaming(evaluator, pdk, specs: SpecSet,
                              config=None, *, adaptive=None,
-                             checkpoint=None, max_chunks=None,
+                             checkpoint=None,
                              sketch_capacity: int | None = None,
-                             confidence: float | None = None,
                              stage: str = "mc-single", progress=None):
     """Streaming (optionally adaptive) Monte-Carlo yield estimation.
 
@@ -186,14 +184,11 @@ def estimate_yield_streaming(evaluator, pdk, specs: SpecSet,
     config:
         :class:`repro.mc.engine.MCConfig`; ``n_samples`` is the exact
         count, or the cap when ``adaptive`` is given.
-    adaptive, checkpoint, max_chunks, stage, progress:
+    adaptive, checkpoint, stage, progress:
         Forwarded to :func:`monte_carlo_streaming` (adaptive stopping,
-        checkpoint/resume, invocation sharding, stream stage key).
-    confidence:
-        Confidence level of the returned estimate's Wilson interval.
-        ``None`` (the default) follows ``adaptive.confidence`` when an
-        adaptive rule is given -- the reported interval must be the one
-        the run actually stopped on -- and 0.95 otherwise.
+        checkpoint/resume, stream stage key).  The estimate's Wilson
+        interval is at the streaming run's confidence, the one an
+        adaptive rule stops on.
 
     Returns
     -------
@@ -207,7 +202,7 @@ def estimate_yield_streaming(evaluator, pdk, specs: SpecSet,
     with telemetry.span("yield.streaming", stage=stage) as estimate_span:
         streaming = monte_carlo_streaming(
             evaluator, pdk, config, specs=specs, adaptive=adaptive,
-            checkpoint=checkpoint, max_chunks=max_chunks,
+            checkpoint=checkpoint,
             sketch_capacity=(sketch_capacity if sketch_capacity is not None
                              else DEFAULT_SKETCH_CAPACITY),
             stage=stage, progress=progress)
@@ -215,13 +210,11 @@ def estimate_yield_streaming(evaluator, pdk, specs: SpecSet,
         telemetry.counter_add("estimator.simulations", simulated)
         estimate_span.set(simulations=simulated,
                           samples=streaming.samples_done)
-    if confidence is None:
-        confidence = streaming.confidence
     counter = streaming.counter
     estimate = YieldEstimate(
         passed=counter.passed,
         total=counter.total,
         per_spec_pass=dict(counter.per_spec),
-        confidence=confidence,
+        confidence=streaming.confidence,
     )
     return estimate, streaming

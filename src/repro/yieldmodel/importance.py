@@ -41,7 +41,7 @@ floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,6 +54,14 @@ from .estimator import YieldEstimate, normal_interval
 
 __all__ = ["ImportanceSamplingConfig", "ImportanceSamplingEstimate",
            "estimate_yield_importance", "estimate_yield_importance_stacked"]
+
+#: Elementwise clamp on the mean shift, in sigma units.  Guards against a
+#: wild pilot centroid degrading the proposal (a too-far shift explodes
+#: the weight variance).
+MAX_SHIFT_SIGMA = 3.0
+#: When the pilot run sees no failures, the shift is built from this
+#: fraction of the pilot population with the smallest aggregate margin.
+PILOT_QUANTILE = 0.10
 
 
 @dataclass(frozen=True)
@@ -69,39 +77,24 @@ class ImportanceSamplingConfig:
     seed:
         Root seed; pilot and main runs use independent derived streams
         (``"is-pilot"`` / ``"is-main"``).
-    max_shift_sigma:
-        Elementwise clamp on the mean shift, in sigma units.  Guards
-        against a wild pilot centroid degrading the proposal (a too-far
-        shift explodes the weight variance).
-    pilot_quantile:
-        When the pilot run sees no failures, the shift is built from this
-        fraction of the pilot population with the smallest aggregate
-        margin.
     include_mismatch:
         Carry local (Pelgrom) mismatch in both runs.  Mismatch stays at
         its nominal distribution, so it contributes no likelihood ratio.
-    confidence:
-        Level of the reported normal-approximation interval.
+
+    The mean shift is clamped to :data:`MAX_SHIFT_SIGMA`, built from the
+    :data:`PILOT_QUANTILE` most marginal pilot dies when the pilot sees
+    no failure, and the interval is at 95 %.
     """
 
     n_samples: int = 500
     pilot_samples: int = 100
     seed: int = 2008
-    max_shift_sigma: float = 3.0
-    pilot_quantile: float = 0.10
     include_mismatch: bool = True
-    confidence: float = 0.95
 
     def __post_init__(self) -> None:
         if self.pilot_samples < 2 or self.n_samples < 2:
             raise YieldModelError(
                 "pilot_samples and n_samples must be >= 2")
-        if not self.max_shift_sigma > 0.0:
-            raise YieldModelError("max_shift_sigma must be positive")
-        if not 0.0 < self.pilot_quantile <= 1.0:
-            raise YieldModelError("pilot_quantile must lie in (0, 1]")
-        if not 0.0 < self.confidence < 1.0:
-            raise YieldModelError("confidence must lie in (0, 1)")
 
 
 @dataclass
@@ -137,7 +130,7 @@ class ImportanceSamplingEstimate:
     effective_samples: float
     pilot_failures: int
     weighted_failure: float
-    confidence: float = 0.95
+    confidence: float = field(default=0.95, init=False)
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -219,18 +212,16 @@ def _aggregate_margin(performance: dict[str, np.ndarray],
 
 
 def _mean_shift(x_pilot: np.ndarray, fail_mask: np.ndarray,
-                margins: np.ndarray,
-                config: ImportanceSamplingConfig) -> np.ndarray:
+                margins: np.ndarray) -> np.ndarray:
     """Mean-shift construction from the pilot population (sigma units)."""
     if np.any(fail_mask):
         centroid = x_pilot[fail_mask].mean(axis=0)
     else:
         # No observed failures: aim at the most marginal tail instead.
-        count = max(1, int(round(config.pilot_quantile * margins.size)))
+        count = max(1, int(round(PILOT_QUANTILE * margins.size)))
         tail = np.argsort(margins)[:count]
         centroid = x_pilot[tail].mean(axis=0)
-    limit = config.max_shift_sigma
-    return np.clip(centroid, -limit, limit)
+    return np.clip(centroid, -MAX_SHIFT_SIGMA, MAX_SHIFT_SIGMA)
 
 
 def estimate_yield_importance(evaluator, specs: SpecSet,
@@ -301,7 +292,7 @@ def estimate_yield_importance_stacked(evaluate, specs: SpecSet,
                                                  strict=True):
             pilot_fails.append(~specs.pass_mask(perf))
             shifts.append(_mean_shift(x_pilot, pilot_fails[-1],
-                                      _aggregate_margin(perf, specs), config))
+                                      _aggregate_margin(perf, specs)))
 
     # Main run: shifted proposals + likelihood-ratio reweighting.
     with telemetry.span("yield.importance.main", samples=sum(
@@ -344,7 +335,6 @@ def _reduce(config: ImportanceSamplingConfig, shift: np.ndarray,
         effective_samples=ess,
         pilot_failures=int(np.count_nonzero(pilot_fail)),
         weighted_failure=failure_probability,
-        confidence=config.confidence,
     )
 
 

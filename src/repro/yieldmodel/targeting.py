@@ -31,6 +31,7 @@ import numpy as np
 from ..errors import SpecificationError, YieldModelError
 from ..measure.specs import Spec, SpecSet
 from ..tablemodel.pareto_table import ParetoTableModel
+from .variation import VARIATION_SUFFIX
 
 __all__ = ["GuardBandedTarget", "YieldTargetedDesign", "CombinedYieldModel"]
 
@@ -90,26 +91,18 @@ class CombinedYieldModel:
     table:
         A :class:`ParetoTableModel` over the two objectives whose columns
         include every designable parameter and, for each objective, a
-        ``"<objective><variation_suffix>"`` variation column.
+        ``"<objective>_delta_pct"`` variation column, and optionally an
+        ``ro_ohms`` column holding the measured output resistance per
+        front point (used by the behavioural output stage).
     parameter_names:
         The designable parameter column names, in GA-string order (they
         become ``lp1..lpN`` in the generated Verilog-A).
-    variation_suffix:
-        Suffix of the variation columns (default ``"_delta_pct"``).
-    ro_column:
-        Optional column holding the measured output resistance per front
-        point (used by the behavioural output stage).
     """
 
-    def __init__(self, table: ParetoTableModel,
-                 parameter_names, *,
-                 variation_suffix: str = "_delta_pct",
-                 ro_column: str | None = "ro_ohms") -> None:
+    def __init__(self, table: ParetoTableModel, parameter_names) -> None:
         self.table = table
         self.parameter_names = tuple(parameter_names)
-        self.variation_suffix = variation_suffix
-        self.ro_column = ro_column if (ro_column and ro_column
-                                       in table.columns) else None
+        self.ro_column = "ro_ohms" if "ro_ohms" in table.columns else None
         for name in self.parameter_names:
             if name not in table.columns:
                 raise YieldModelError(
@@ -133,7 +126,7 @@ class CombinedYieldModel:
 
     def variation_column(self, objective: str) -> str:
         """Name of the variation column belonging to ``objective``."""
-        return f"{objective}{self.variation_suffix}"
+        return f"{objective}{VARIATION_SUFFIX}"
 
     # -- queries -----------------------------------------------------------------
     def variation_at(self, objective: str, value) -> float:

@@ -28,15 +28,18 @@ __all__ = ["variation_percent", "variation_columns", "smooth_along_front",
 #: Default guard-band width in standard deviations.
 DEFAULT_K_SIGMA = 3.0
 
+#: Suffix of a performance's variation column (``gain_db_delta_pct``).
+VARIATION_SUFFIX = "_delta_pct"
 
-def variation_percent(samples: np.ndarray, *, k_sigma: float = DEFAULT_K_SIGMA,
-                      axis: int = -1) -> np.ndarray:
+
+def variation_percent(samples: np.ndarray, *,
+                      k_sigma: float = DEFAULT_K_SIGMA) -> np.ndarray:
     """k-sigma relative variation of Monte-Carlo samples, in percent.
 
     Parameters
     ----------
     samples:
-        Performance samples; the Monte-Carlo axis is ``axis``.
+        Performance samples; the Monte-Carlo axis is the last.
         Typical shape: ``(K, S)`` for K Pareto points x S samples.
     k_sigma:
         Guard-band width in standard deviations.
@@ -56,8 +59,8 @@ def variation_percent(samples: np.ndarray, *, k_sigma: float = DEFAULT_K_SIGMA,
         raise YieldModelError(
             "variation_percent received NaN samples; drop or repair failed "
             "Monte-Carlo lanes before building the variation model")
-    mean = np.mean(samples, axis=axis)
-    std = np.std(samples, axis=axis, ddof=1)
+    mean = np.mean(samples, axis=-1)
+    std = np.std(samples, axis=-1, ddof=1)
     if np.any(np.abs(mean) < 1e-300):
         raise YieldModelError("performance mean is zero; relative variation "
                               "is undefined")
@@ -91,7 +94,6 @@ def smooth_along_front(values: np.ndarray, window: int) -> np.ndarray:
 
 def variation_columns(mc_samples: dict[str, np.ndarray], *,
                       k_sigma: float = DEFAULT_K_SIGMA,
-                      suffix: str = "_delta_pct",
                       smooth_window: int = 0) -> dict[str, np.ndarray]:
     """Build the variation-model columns for a Pareto table.
 
@@ -106,12 +108,12 @@ def variation_columns(mc_samples: dict[str, np.ndarray], *,
 
     Returns
     -------
-    Mapping ``"<name><suffix>"`` -> ``(K,)`` variation percentages, ready
+    Mapping ``"<name>_delta_pct"`` -> ``(K,)`` variation percentages, ready
     to attach to a :class:`~repro.tablemodel.pareto_table.ParetoTableModel`.
     """
     columns = {}
     for name, data in mc_samples.items():
         column = variation_percent(data, k_sigma=k_sigma)
         column = smooth_along_front(column, smooth_window)
-        columns[f"{name}{suffix}"] = column
+        columns[f"{name}{VARIATION_SUFFIX}"] = column
     return columns

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import Assembler, NewtonOptions, dc_operating_point
+import repro.analysis.dc as dc_module
+from repro.analysis import Assembler, ac_analysis, dc_operating_point
 from repro.analysis.dc import GMIN_FLOOR
 from repro.analysis.mna import solve_batched
-from repro.circuit import (Circuit, Diode, Mosfet, Resistor,
+from repro.circuit import (Capacitor, Circuit, Diode, Mosfet, Resistor,
                            VoltageSource)
 from repro.circuit.mosfet import MosfetBank
 from repro.errors import ConvergenceError, SingularMatrixError
@@ -141,14 +142,17 @@ class TestHomotopies:
         # After the first attempt only the hard lane is stamped.
         assert stamped[0] == 32 and stamped.count(1) > 200
 
-    def test_convergence_error_names_the_failing_lanes(self):
+    def test_convergence_error_names_the_failing_lanes(self, monkeypatch):
+        # A short iteration budget keeps the hopeless lane's three
+        # strategies cheap; the NaN lane fails on any budget.
+        monkeypatch.setattr(dc_module, "MAX_ITERATIONS", 30)
         c = Circuit("t")
         c.add(VoltageSource("V1", "in", "0", np.array([1.0, np.nan, 2.0])))
         c.add(Resistor("R1", "in", "d", 1e3))
         c.add(Diode("D1", "d", "0"))
         with pytest.raises(ConvergenceError, match=r"lane\(s\) 1 of 3") \
                 as info:
-            dc_operating_point(c, options=NewtonOptions(max_iterations=30))
+            dc_operating_point(c)
         np.testing.assert_array_equal(info.value.converged_mask,
                                       [True, False, True])
 
@@ -228,14 +232,13 @@ class TestBatching:
         # frozen, and each subset system to the full one, row by row.
         subset = dc_operating_point(self._mismatched_ota())
         assembler = subset.assembler
-        options = NewtonOptions()
         x = np.zeros((assembler.batch, assembler.n))
         moving = np.ones(assembler.batch, dtype=bool)
-        for iteration in range(1, options.max_iterations + 1):
+        for iteration in range(1, dc_module.MAX_ITERATIONS + 1):
             G, rhs = assembler.newton_system(x, gmin=GMIN_FLOOR)
-            dx = np.clip(solve_batched(G, rhs) - x, -options.dv_limit,
-                         options.dv_limit)
-            tol = options.reltol * np.abs(x) + options.vabstol
+            dx = np.clip(solve_batched(G, rhs) - x, -dc_module.DV_LIMIT,
+                         dc_module.DV_LIMIT)
+            tol = dc_module.RELTOL * np.abs(x) + dc_module.VABSTOL
             converged = np.all(np.abs(dx) <= tol, axis=1)
             x = np.where(moving[:, None], x + dx, x)
             moving &= ~converged
@@ -257,7 +260,7 @@ class TestBatching:
         device = Mosfet("M1", "d", "g", "0", "0", nmos,
                         np.array([10e-6, 20e-6, 30e-6]), 1e-6,
                         delta_vto=np.array([0.01, 0.02, 0.03]))
-        bank = MosfetBank([device])
+        bank = MosfetBank([device], 3)
         vgs = np.array([[0.9, 1.1]])
         vds = np.array([[1.5, -0.3]])
         vbs = np.zeros((1, 2))
@@ -289,7 +292,8 @@ class TestBatching:
         assert G.tobytes() == G_full[lanes].tobytes()
         assert rhs.tobytes() == rhs_full[lanes].tobytes()
 
-    def test_singular_lane_in_a_subset_is_reported_in_batch_terms(self):
+    def test_singular_lane_in_a_subset_is_reported_in_batch_terms(
+            self, monkeypatch):
         # Lane 2 of 4 converges late; make its Newton system singular
         # once the others have stopped and the system holds lanes
         # [1, 2] only: the error must still name batch lane 2.
@@ -298,19 +302,18 @@ class TestBatching:
                                                           1.0])))
         c.add(Resistor("R1", "in", "d", 1e3))
         c.add(Diode("D1", "d", "0", i_s=1e-15))
-        assembler = Assembler(c)
-        newton_system = assembler.newton_system
+        newton_system = Assembler.newton_system
 
-        def poisoned(voltages, **kwargs):
-            G, rhs = newton_system(voltages, **kwargs)
+        def poisoned(self, voltages, **kwargs):
+            G, rhs = newton_system(self, voltages, **kwargs)
             lanes = kwargs.get("lanes")
             if lanes is not None and 2 in lanes:
                 G[list(lanes).index(2)] = 0.0
             return G, rhs
 
-        assembler.newton_system = poisoned
+        monkeypatch.setattr(Assembler, "newton_system", poisoned)
         with pytest.raises(SingularMatrixError) as excinfo:
-            dc_operating_point(c, assembler=assembler)
+            dc_operating_point(c)
         assert excinfo.value.lane_indices == (2,)
 
 
@@ -429,9 +432,10 @@ class TestDeviceBankOracle:
         c.add(Diode("D2", "s", "0", i_s=1e-15))
         c.add(Mosfet("M2", "s", "g", "d", "0", C35.pmos, 20e-6, 2e-6))
         c.add(Diode("D3", "d", "s", n=1.5, cj0=2e-13))
-        assembler = Assembler(c)
+        op = dc_operating_point(c)
+        assembler = op.assembler
         rng = np.random.default_rng(6)
-        for x in (dc_operating_point(c, assembler=assembler).x,
+        for x in (op.x,
                   rng.uniform(-1.0, 3.3, (4, assembler.n))):
             self._assert_same(assembler, x, gmin=1e-12)
             self._assert_same_ac(assembler, x)
@@ -473,20 +477,23 @@ class TestSolveBatched:
 
 
 class TestNewtonOptions:
-    def test_option_validation_not_required_but_tolerances_used(self):
+    def test_assembler_reuse(self):
+        # AC analysis reuses the assembler its operating point built.
+        c = Circuit("t")
+        c.add(VoltageSource("V1", "in", "0", 1.0, ac_mag=1.0))
+        c.add(Resistor("R1", "in", "out", 1e3))
+        c.add(Capacitor("C1", "out", "0", 1e-9))
+        op = dc_operating_point(c)
+        assert ac_analysis(c, [1e3], op=op).assembler is op.assembler
+
+    def test_option_validation_not_required_but_tolerances_used(
+            self, monkeypatch):
+        # The Newton loop reads its tolerances from the module constants.
+        monkeypatch.setattr(dc_module, "RELTOL", 1e-2)
+        monkeypatch.setattr(dc_module, "VABSTOL", 1e-3)
         c = Circuit("t")
         c.add(VoltageSource("V1", "in", "0", 1.0))
         c.add(Resistor("R1", "in", "out", 1e3))
         c.add(Resistor("R2", "out", "0", 1e3))
-        loose = dc_operating_point(
-            c, options=NewtonOptions(reltol=1e-2, vabstol=1e-3))
+        loose = dc_operating_point(c)
         assert loose.v("out")[0] == pytest.approx(0.5, abs=1e-2)
-
-    def test_assembler_reuse(self):
-        c = Circuit("t")
-        c.add(VoltageSource("V1", "in", "0", 1.0))
-        c.add(Resistor("R1", "in", "0", 1e3))
-        assembler = Assembler(c)
-        op1 = dc_operating_point(c, assembler=assembler)
-        op2 = dc_operating_point(c, assembler=assembler)
-        assert op1.assembler is op2.assembler

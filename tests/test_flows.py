@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.flow import (FilterFlowConfig, FlowConfig, load_flow_arrays,
-                        rebuild_model, reduced_config, run_filter_flow,
+from repro.flow import (FilterFlowConfig, load_flow_arrays, rebuild_model,
+                        reduced_config, run_filter_flow,
                         run_model_build_flow, save_flow_artifacts)
 from repro.measure import Spec, SpecSet
 from repro.telemetry import SimulationLedger, load_events, span_tree
@@ -178,7 +178,7 @@ class TestFilterFlow:
             assert lo <= value <= hi
 
     def test_nominal_meets_mask(self, filter_result):
-        spec = filter_result.config.spec
+        from repro.designs.filter2 import DEFAULT_FILTER_SPEC as spec
         assert filter_result.nominal_performance["ripple_db"] <= \
             spec.max_ripple_db
         assert filter_result.nominal_performance["atten_db"] >= \
@@ -278,7 +278,6 @@ class TestYieldSearchStage:
         config = dataclasses.replace(
             reduced_config(),
             yield_objective="yield", yield_target=0.90,
-            yield_generations=4, yield_population=10,
             corners="tm", corner_vdds=(3.3,), corner_temps=(27.0,),
             telemetry=str(tmp_path_factory.mktemp("yield-flow")
                           / "events.jsonl"))
@@ -373,8 +372,7 @@ class TestStreamingVerificationStage:
     def streaming_flow(self):
         config = dataclasses.replace(
             reduced_config(), generations=6,
-            adaptive_ci=0.10, adaptive_max_samples=1000,
-            adaptive_chunk_lanes=32,
+            adaptive_ci=0.10,
             corners="tm", corner_vdds=(3.3,), corner_temps=(27.0,))
         return run_model_build_flow(config)
 
@@ -417,8 +415,7 @@ class TestStreamingVerificationStage:
         checkpoint = tmp_path / "verify.ckpt.npz"
         base = dataclasses.replace(
             reduced_config(), generations=6,
-            adaptive_ci=0.15, adaptive_max_samples=500,
-            adaptive_chunk_lanes=32,
+            adaptive_ci=0.15,
             streaming_checkpoint=str(checkpoint),
             corners="none")
         run_model_build_flow(base)
@@ -436,7 +433,7 @@ class TestHighSigmaStage:
         config = dataclasses.replace(
             reduced_config(), generations=6,
             high_sigma=True, high_sigma_per_level=200,
-            high_sigma_final=300, mc_chunk_lanes=128,
+            high_sigma_final=300,
             corners="tm", corner_vdds=(3.3,), corner_temps=(27.0,))
         return run_model_build_flow(config)
 

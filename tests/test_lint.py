@@ -130,10 +130,12 @@ def test_report_sorting_and_counts():
 def test_report_exit_code_convention():
     clean = LintReport()
     assert clean.exit_code() == 0 and clean.exit_code(strict=True) == 0
-    warn = LintReport(findings=[Finding("r", "warning", "w")])
+    warn = LintReport()
+    warn.add(Finding("r", "warning", "w"))
     assert warn.exit_code() == 0
     assert warn.exit_code(strict=True) == 1
-    info = LintReport(findings=[Finding("r", "info", "i")])
+    info = LintReport()
+    info.add(Finding("r", "info", "i"))
     assert info.exit_code(strict=True) == 0
 
 

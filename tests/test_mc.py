@@ -112,7 +112,7 @@ class TestStatistics:
     def test_relative_spread(self):
         rng = np.random.default_rng(0)
         data = rng.normal(100.0, 1.0, size=(3, 5000))
-        spread = relative_spread_pct(data, k_sigma=3.0)
+        spread = relative_spread_pct(data)
         np.testing.assert_allclose(spread, 3.0, rtol=0.1)
 
     def test_cpk_two_sided(self):
@@ -158,16 +158,17 @@ class TestStatistics:
         with pytest.raises(ValueError, match="at least two"):
             relative_spread_pct([5.0])
         with pytest.raises(ValueError, match="at least two"):
-            relative_spread_pct(np.ones((4, 1)), axis=-1)
+            relative_spread_pct(np.ones((4, 1)))
 
     def test_relative_spread_rejects_nan(self):
         with pytest.raises(ValueError, match="NaN"):
             relative_spread_pct([1.0, np.nan, 3.0])
 
     def test_relative_spread_valid_axis(self):
-        # axis=0 with >= 2 rows is fine even when other axes are short.
-        data = np.array([[99.0], [101.0]])
-        np.testing.assert_allclose(relative_spread_pct(data, axis=0),
+        # >= 2 samples on the reduced (last) axis is fine even when the
+        # other axes are short.
+        data = np.array([[99.0, 101.0]])
+        np.testing.assert_allclose(relative_spread_pct(data),
                                    [3.0 * np.std(data, ddof=1) / 100.0
                                     * 100.0])
 

@@ -38,9 +38,12 @@ class TestCrossing:
         assert crossing[0] == pytest.approx(10 ** 1.5, rel=1e-9)
 
     def test_rising_crossing(self):
+        # Only a falling crossing counts: a trace rising through the
+        # target has none.
         freqs = np.array([1.0, 10.0, 100.0])
         values = np.array([[-1.0, 0.5, 2.0]])
-        crossing = crossing_frequency(freqs, values, 0.0, rising=True)
+        assert np.isnan(crossing_frequency(freqs, values, 0.0)[0])
+        crossing = crossing_frequency(freqs, -values, 0.0)
         assert 1.0 < crossing[0] < 10.0
 
     def test_no_crossing_gives_nan(self):

@@ -9,7 +9,6 @@ from repro.designs.miller import (MILLER_DESIGN_SPACE, MillerOTAProblem,
 from repro.errors import OptimizationError, ReproError
 from repro.moo import GAConfig, run_wbga
 from repro.moo.hypervolume import hypervolume_2d
-from repro.process import C35
 
 
 class TestMillerParameters:
@@ -47,15 +46,6 @@ class TestMillerCircuit:
         perf = evaluate_miller_ota(MillerParameters(
             l1=lengths, l2=lengths, l3=lengths))
         assert np.all(np.diff(perf["gain_db"]) > 0)
-
-    def test_variations_supported(self):
-        rng = np.random.default_rng(1)
-        sample = C35.sample(4, rng)
-        params = MillerParameters.from_normalized(
-            np.broadcast_to(np.full(6, 0.5), (4, 6)).copy())
-        perf = evaluate_miller_ota(params, variations=sample)
-        assert perf["gain_db"].shape == (4,)
-        assert np.std(perf["gain_db"]) > 0
 
     def test_problem_with_wbga(self):
         problem = MillerOTAProblem()

@@ -29,14 +29,24 @@ class TestModelCard:
             MOSModel("bad", "n", kp=-1.0)
 
     def test_with_variation_nmos(self):
-        varied = NMOS.with_variation(dvto=0.03, kp_scale=1.1)
-        assert varied.vto == pytest.approx(0.53)
-        assert varied.kp == pytest.approx(170e-6 * 1.1)
+        # A device's statistical shifts act like a varied model card.
+        varied = make_nmos(delta_vto=0.03, beta_scale=1.1).evaluate(
+            vgs=1.2, vds=1.5, vbs=0.0)
+        card = MOSModel("nmos", "n", vto=0.53, kp=170e-6 * 1.1)
+        shifted = Mosfet("M1", "d", "g", "s", "b", card, 10e-6,
+                         1e-6).evaluate(vgs=1.2, vds=1.5, vbs=0.0)
+        assert float(varied.ids) == pytest.approx(float(shifted.ids),
+                                                  rel=1e-12)
 
     def test_with_variation_pmos_sign(self):
         # Positive dvto means "slower" -> |VT| grows -> more negative.
-        varied = PMOS.with_variation(dvto=0.03)
-        assert varied.vto == pytest.approx(-0.68)
+        varied = make_pmos(delta_vto=0.03).evaluate(vgs=-1.2, vds=-1.5,
+                                                    vbs=0.0)
+        card = MOSModel("pmos", "p", vto=-0.68, kp=58e-6)
+        shifted = Mosfet("M1", "d", "g", "s", "b", card, 10e-6,
+                         1e-6).evaluate(vgs=-1.2, vds=-1.5, vbs=0.0)
+        assert float(varied.ids) == pytest.approx(float(shifted.ids),
+                                                  rel=1e-12)
 
 
 class TestGeometry:

@@ -8,7 +8,7 @@ from repro.analysis import dc_operating_point, log_frequencies, noise_analysis
 from repro.analysis.noise import BOLTZMANN, TEMPERATURE, _collect_sources
 from repro.circuit import (VCVS, Capacitor, Circuit, Diode, Mosfet, Resistor,
                            VoltageSource)
-from repro.designs import OTAParameters, build_ota, default_frequency_grid
+from repro.designs import OTAParameters, build_ota
 from repro.errors import AnalysisError
 from repro.process import C35
 
@@ -145,9 +145,9 @@ class TestValidationAndBatch:
         np.testing.assert_allclose(rms, expected, rtol=5e-3)
 
     def test_integration_band_validation(self):
-        res = noise_analysis(rc_circuit(), [1.0, 10.0], output_node="out")
+        res = noise_analysis(rc_circuit(), [10.0], output_node="out")
         with pytest.raises(AnalysisError):
-            res.integrated_output_rms(f_start=100.0)
+            res.integrated_output_rms()
 
 
 #: Gates of the modal noise analysis against the per-frequency solve:
@@ -216,7 +216,7 @@ class TestModalAgainstPerFrequencySolve:
         rng = np.random.default_rng(4)
         params = OTAParameters.from_normalized(rng.uniform(0.1, 0.9, (6, 8)))
         circuit = build_ota(params, variations=C35.sample(6, rng))
-        self.check(circuit, default_frequency_grid(4), "out", "VINP")
+        self.check(circuit, log_frequencies(10.0, 1e9, 4), "out", "VINP")
 
     def test_vcvs_circuit_takes_the_direct_fallback(self):
         ckt = Circuit("buffered divider")

@@ -88,7 +88,9 @@ class TestGlobalSampling:
         assert np.all(sample.kp_scale_p == 1)
 
     def test_nominal_classmethod(self):
-        sample = ProcessSample.nominal(3)
+        # A sample with no global shifts has a unit capacitor scale.
+        sample = ProcessSample(3, dvto_n=0, kp_scale_n=1, dvto_p=0,
+                               kp_scale_p=1)
         assert sample.size == 3
         assert np.all(sample.cap_scale == 1.0)
 

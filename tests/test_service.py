@@ -23,7 +23,9 @@ from repro.process import C35
 from repro.service import (JOB_STATES, JobQueue, job_statuses, read_status,
                            request_cancel, request_stats, request_stop,
                            serve, submit_request, workload_from_request)
-from repro.workload import StreamingYieldWorkload, Workload
+from repro.workload import (StreamingYieldWorkload, Workload,
+                            ota_corner_workload, ota_estimate_workload,
+                            ota_rare_workload, ota_surrogate_workload)
 
 SPECS = SpecSet([Spec("metric", "ge", 10.0)])
 
@@ -303,6 +305,25 @@ class TestRequests:
                  "n_train")):
             with pytest.raises(WorkloadError, match=match):
                 workload_from_request(request)
+
+    @pytest.mark.parametrize("kind,constructor", [
+        ("estimate", ota_estimate_workload), ("rare", ota_rare_workload),
+        ("corners", ota_corner_workload),
+        ("surrogate", ota_surrogate_workload)])
+    def test_kind_accepts_exactly_its_constructor_keywords(
+            self, kind, constructor):
+        # A request names every keyword of its workload constructor (here
+        # each at its default, so the key equals the bare request's) and
+        # nothing else.
+        defaults = constructor.__kwdefaults__
+        assert defaults, constructor
+        full = workload_from_request(
+            {"kind": kind, "design": DESIGN, **defaults})
+        bare = workload_from_request({"kind": kind, "design": DESIGN})
+        assert full.key() == bare.key()
+        with pytest.raises(WorkloadError, match=f"unknown {kind} field"):
+            workload_from_request(
+                {"kind": kind, "design": DESIGN, **defaults, "bogus": 1})
 
     @pytest.mark.parametrize("kind,chunk_lanes", [
         ("surrogate", 0), ("surrogate", -5), ("corners", -5)])

@@ -13,6 +13,7 @@ from repro.errors import ReproError
 from repro.mc import (AdaptiveStop, MCConfig, QuantileSketch,
                       StreamingAccumulator, StreamingMoments, YieldCounter,
                       cpk, monte_carlo, monte_carlo_streaming, summarize)
+from repro.mc.streaming import CONFIDENCE
 from repro.measure.specs import Spec, SpecSet
 from repro.process import C35
 from repro.yieldmodel import estimate_yield, estimate_yield_streaming
@@ -532,17 +533,18 @@ class TestEstimatorWiring:
 
     def test_estimate_confidence_follows_adaptive_rule(self):
         # The reported interval must be the one the run stopped on.
-        estimate, _ = estimate_yield_streaming(
+        estimate, streaming = estimate_yield_streaming(
             metric_evaluator, C35, self.SPECS,
             MCConfig(n_samples=4000, seed=6, chunk_lanes=64),
             adaptive=AdaptiveStop(metric="yield", ci_width=0.15,
-                                  confidence=0.99, min_samples=64))
-        assert estimate.confidence == 0.99
-        explicit, _ = estimate_yield_streaming(
+                                  min_samples=64))
+        assert estimate.confidence == streaming.confidence == CONFIDENCE
+        lo, hi = estimate.interval
+        assert hi - lo <= 0.15
+        fixed, _ = estimate_yield_streaming(
             metric_evaluator, C35, self.SPECS,
-            MCConfig(n_samples=128, seed=6, chunk_lanes=64),
-            confidence=0.90)
-        assert explicit.confidence == 0.90
+            MCConfig(n_samples=128, seed=6, chunk_lanes=64))
+        assert fixed.confidence == CONFIDENCE
 
     def test_describe_mentions_stop_state(self):
         _, streaming = estimate_yield_streaming(

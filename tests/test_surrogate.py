@@ -143,8 +143,6 @@ class TestTrainingAndBundle:
         with pytest.raises(ReproError, match="chunk size"):
             train_surrogates(_synthetic_evaluator(C35), C35, n_train=16,
                              kind="linear", chunk_lanes=0)
-        with pytest.raises(SurrogateError, match="chunk_lanes"):
-            SurrogateConfig(chunk_lanes=0)
 
     def test_bundle_is_a_monte_carlo_evaluator(self):
         bundle = train_surrogates(_synthetic_evaluator(C35), C35,
@@ -202,8 +200,7 @@ class TestSurrogateYieldEstimator:
         estimate = SurrogateYieldEstimator(
             _synthetic_evaluator(C35), self.SPECS, C35,
             SurrogateConfig(n_train=64, n_mc=4000, control_samples=80,
-                            refine_budget=40, include_mismatch=False,
-                            seed=5)).estimate()
+                            refine_budget=40, seed=5)).estimate()
         perf = monte_carlo(_synthetic_evaluator(C35), C35,
                            MCConfig(n_samples=4000, seed=77,
                                     include_mismatch=False))
@@ -225,7 +222,6 @@ class TestSurrogateYieldEstimator:
         estimator = SurrogateYieldEstimator(
             chaotic, specs, C35,
             SurrogateConfig(n_train=64, n_mc=500, control_samples=0,
-                            refine_rounds=0, include_mismatch=False,
                             seed=6))
         with pytest.raises(SurrogateError, match="refusing to report"):
             estimator.estimate()
@@ -235,8 +231,8 @@ class TestSurrogateYieldEstimator:
         estimator = SurrogateYieldEstimator(
             _synthetic_evaluator(C35), specs, C35,
             SurrogateConfig(n_train=48, n_mc=200, control_samples=0,
-                            refine_rounds=1, refine_budget=8,
-                            include_mismatch=False, seed=6))
+                            refine_budget=8,
+                            seed=6))
         with pytest.raises(SurrogateError, match="lacks performance"):
             estimator.estimate()
 
@@ -252,8 +248,8 @@ class TestSurrogateYieldEstimator:
         estimate = SurrogateYieldEstimator(
             noisy, specs, C35,
             SurrogateConfig(n_train=64, n_mc=1000, control_samples=0,
-                            refine_rounds=2, refine_budget=32,
-                            include_mismatch=False, seed=7)).estimate()
+                            refine_budget=32,
+                            seed=7)).estimate()
         assert estimate.n_refined == 32
         assert estimate.simulator_evals == 64 + 32
 

@@ -350,8 +350,8 @@ class TestGuardedProgress:
         assert seen == [(3, 10)]
 
     def test_raises_on_cancel(self):
-        guarded = guarded_progress(None, lambda: True, "job-x")
-        with pytest.raises(JobCancelled, match="job-x"):
+        guarded = guarded_progress(None, lambda: True)
+        with pytest.raises(JobCancelled, match="job cancelled"):
             guarded(1, 2)
 
     def test_no_cancel_returns_progress_unwrapped(self):

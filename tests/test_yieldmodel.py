@@ -45,7 +45,7 @@ def paper_model() -> CombinedYieldModel:
     }
     table = ParetoTableModel(np.stack([gain, pm], 1),
                              ("gain_db", "pm_deg"), columns=columns)
-    return CombinedYieldModel(table, ("l4",), ro_column=None)
+    return CombinedYieldModel(table, ("l4",))
 
 
 class TestVariationPercent:
