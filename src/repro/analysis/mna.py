@@ -18,6 +18,8 @@ runs practical in Python.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..errors import NetlistError, SingularMatrixError
@@ -122,6 +124,52 @@ class _Pattern:
             for target in targets}
 
 
+#: Stamp plans kept by :func:`_stamp_plan`, one per circuit topology.
+PLAN_MEMO_SIZE = 64
+
+
+@functools.lru_cache(maxsize=PLAN_MEMO_SIZE)
+def _stamp_plan(n: int, n_nodes: int, layout: tuple, order: tuple) -> tuple:
+    """The value-independent stamp plan of a topology: per mode, each
+    bank's first value row (``offsets``), the value rows in all
+    (``rows``) and the :class:`_Pattern`.
+
+    ``layout`` holds per bank its class, each device's node indices and
+    each mode's per-device stamps; ``order`` is every device's ``(bank,
+    index)`` in circuit element order.  The key is the whole input, so
+    circuits of one topology share one plan whatever their values.
+    """
+    offsets: dict[str, list[int]] = {}
+    rows: dict[str, int] = {}
+    patterns: dict[str, _Pattern] = {}
+    diagonal = [("G", i * n + i) for i in range(n_nodes)]
+    for m, (mode, targets) in enumerate((("newton", ("G", "rhs")),
+                                         ("ac", ("G", "C")))):
+        sizes = [bank.ROWS[mode] * len(nodes) for bank, nodes, _ in layout]
+        offsets[mode] = np.cumsum([0] + sizes[:-1]).tolist()
+        rows[mode] = sum(sizes)
+        # Round ``r`` holds every entry's ``r``-th ((target, entry),
+        # value row, sign) stamp.
+        rounds: list[list] = []
+        seen: dict[tuple[str, int], int] = {}
+        for position, index in order:
+            _, nodes, stamps = layout[position]
+            for target, a, b, value, sign in stamps[m][index]:
+                i, j = nodes[index][a], nodes[index][b]
+                if i < 0 or j < 0:  # ground
+                    continue
+                key = (target, i if target == "rhs" else i * n + j)
+                r = seen.get(key, 0)
+                seen[key] = r + 1
+                if r == len(rounds):
+                    rounds.append([])
+                row = offsets[mode][position] + value * len(nodes) + index
+                rounds[r].append((key, row, sign))
+        patterns[mode] = _Pattern(rounds, targets,
+                                  diagonal if mode == "newton" else ())
+    return offsets, rows, patterns
+
+
 class DeviceStamps:
     """A circuit's nonlinear devices compiled for batched stamping.
 
@@ -134,7 +182,9 @@ class DeviceStamps:
     accumulates each entry in the same order as stamping the devices one
     after another, and the result is bit-identical to it.  The rounds
     run on a lane-minor copy of the touched entries, where each is a
-    contiguous row, one block of lanes at a time.
+    contiguous row, one block of lanes at a time.  The pattern depends
+    on the topology only, so circuits of one topology share it
+    (:func:`_stamp_plan`); the banks' values are per instance.
     """
 
     def __init__(self, circuit, topology) -> None:
@@ -147,42 +197,18 @@ class DeviceStamps:
             groups.setdefault(element.bank, []).append(element)
         self.banks = [bank(devices, topology.batch)
                       for bank, devices in groups.items()]
-        where = {id(device): (bank, index)
-                 for bank, devices in zip(self.banks, groups.values())
+        where = {id(device): (position, index)
+                 for position, devices in enumerate(groups.values())
                  for index, device in enumerate(devices)}
-        #: Each device's bank and index in it, in circuit element order.
-        self._order = [where[id(element)] for element in elements]
-        self.offsets: dict[str, list[int]] = {}
-        self.rows: dict[str, int] = {}
-        self.patterns: dict[str, _Pattern] = {}
-        diagonal = [("G", i * self.n + i) for i in range(topology.n_nodes)]
-        for mode, targets in (("newton", ("G", "rhs")), ("ac", ("G", "C"))):
-            sizes = [bank.ROWS[mode] * bank.size for bank in self.banks]
-            self.offsets[mode] = np.cumsum([0] + sizes[:-1]).tolist()
-            self.rows[mode] = sum(sizes)
-            self.patterns[mode] = _Pattern(
-                self._rounds(mode), targets,
-                diagonal if mode == "newton" else ())
-
-    def _rounds(self, mode: str) -> list:
-        """The rounds of ``((target, entry), value row, sign)`` stamps."""
-        offset = dict(zip(map(id, self.banks), self.offsets[mode]))
-        rounds: list[list] = []
-        seen: dict[tuple[str, int], int] = {}
-        for bank, index in self._order:
-            nodes = bank.nodes[:, index]
-            for target, a, b, value, sign in bank.stamps(mode, index):
-                i, j = nodes[a], nodes[b]
-                if i < 0 or j < 0:  # ground
-                    continue
-                key = (target, int(i if target == "rhs" else i * self.n + j))
-                r = seen.get(key, 0)
-                seen[key] = r + 1
-                if r == len(rounds):
-                    rounds.append([])
-                row = offset[id(bank)] + value * bank.size + index
-                rounds[r].append((key, row, sign))
-        return rounds
+        layout = tuple(
+            (type(bank), tuple(map(tuple, bank.nodes.T.tolist())),
+             tuple(tuple(bank.stamps(mode, index)
+                         for index in range(bank.size))
+                   for mode in ("newton", "ac")))
+            for bank in self.banks)
+        self.offsets, self.rows, self.patterns = _stamp_plan(
+            self.n, topology.n_nodes, layout,
+            tuple(where[id(element)] for element in elements))
 
     def _workspace(self) -> tuple:
         """Per-block buffers, shared by the modes: the voltages with the

@@ -17,7 +17,9 @@ through the same writers.
 The store is bounded: :class:`ResultCache` evicts least-recently-used
 entries (``.npz`` mtime, refreshed on every hit) once the configured
 byte or entry budget is exceeded, and counts hits, misses, stores and
-evictions for the service's operational metrics.
+evictions for the service's operational metrics.  A store adds its
+entry to running byte and entry totals; only when these exceed a
+budget does the store list the directory, evict and reset them.
 
 Each instance also keeps a small in-process *hot tier*: the decoded
 arrays and metadata of recently stored or read entries, so a repeat
@@ -196,8 +198,11 @@ class ResultCache:
         the on-disk format *is* the cache; instances only add counters.
     max_bytes:
         Byte budget over all entries; least-recently-used entries are
-        evicted after every store once it is exceeded.  ``None``
-        disables the bound.
+        evicted after a store once it is exceeded.  ``None`` disables
+        the bound.  The instance lists the directory when it is made
+        and then keeps running totals of what it stores, so another
+        process's stores are counted at its next listing: the one its
+        own totals trigger when they exceed a budget.
     max_entries:
         Optional entry-count bound, enforced the same way.
 
@@ -224,6 +229,12 @@ class ResultCache:
         self._lock = threading.RLock()
         self._hot: OrderedDict[str, _HotEntry] = OrderedDict()
         self._hot_bytes = 0
+        #: Running ``(bytes, entries)`` of the directory (``None`` when
+        #: unbounded); an overwrite counts again until the next listing.
+        self._usage: tuple[int, int] | None = None
+        if max_bytes is not None or max_entries is not None:
+            entries = self._entries()
+            self._usage = (sum(size for _, _, size in entries), len(entries))
 
     # -- lookup -----------------------------------------------------------
     def get(self, fingerprint: str) -> CachedResult | None:
@@ -298,22 +309,27 @@ class ResultCache:
         payload = {name: np.asarray(data) for name, data in arrays.items()}
         payload[_FINGERPRINT_KEY] = np.frombuffer(
             fingerprint.encode(), dtype=np.uint8)
+        sidecar = json.dumps({"fingerprint": fingerprint, "meta": meta},
+                             indent=2, sort_keys=True).encode()
         with self._lock:
             npz_path = atomic_write_npz(self._npz(key), payload)
-            atomic_write_text(self._json(key), json.dumps(
-                {"fingerprint": fingerprint, "meta": meta}, indent=2,
-                sort_keys=True))
+            atomic_write_bytes(self._json(key), sidecar)
+            npz_stat = npz_path.stat()
             if not any(array.dtype.hasobject for array in payload.values()):
                 # Object arrays never load back (no pickles), so only
                 # plain ones may be served from memory.
                 self._hot_put(key, _HotEntry(
                     fingerprint,
                     {name: payload[name].copy() for name in arrays},
-                    json.dumps(meta, sort_keys=True),
-                    _stamp(npz_path.stat())))
+                    json.dumps(meta, sort_keys=True), _stamp(npz_stat)))
             self.stats.stores += 1
             _telemetry().counter_add("cache.stores")
-            self._evict(protect=key)
+            if self._usage is not None:
+                total, count = self._usage
+                self._usage = (total + npz_stat.st_size + len(sidecar),
+                               count + 1)
+                if self._over(*self._usage):
+                    self._evict(protect=key)
         return CachedResult(fingerprint=fingerprint, key=key, meta=meta,
                             arrays=arrays)
 
@@ -336,6 +352,8 @@ class ResultCache:
             entries = self._entries()
             for key, _, _ in entries:
                 self._remove(key)
+            if self._usage is not None:
+                self._usage = (0, 0)
         return len(entries)
 
     # -- internals --------------------------------------------------------
@@ -422,30 +440,27 @@ class ResultCache:
         entries.sort(key=lambda entry: entry[1])
         return entries
 
-    def _evict(self, protect: str | None = None) -> None:
-        """Drop LRU entries until both budgets hold (sparing ``protect``).
+    def _over(self, total: int, count: int) -> bool:
+        """Whether ``total`` bytes in ``count`` entries exceed a budget."""
+        return ((self.max_bytes is not None and total > self.max_bytes)
+                or (self.max_entries is not None
+                    and count > self.max_entries))
 
-        Callers hold :attr:`_lock` (the public entry point is
-        :meth:`put`); taking it re-entrantly here keeps direct calls in
-        tests safe too.
-        """
-        if self.max_bytes is None and self.max_entries is None:
-            return
-        with self._lock:
-            entries = self._entries()
-            total = sum(size for _, _, size in entries)
-            count = len(entries)
-            for key, _, size in entries:
-                over_bytes = (self.max_bytes is not None
-                              and total > self.max_bytes)
-                over_count = (self.max_entries is not None
-                              and count > self.max_entries)
-                if not (over_bytes or over_count):
-                    break
-                if key == protect:
-                    continue  # never evict the entry just stored
-                self._remove(key)
-                self.stats.evictions += 1
-                _telemetry().counter_add("cache.evictions")
-                total -= size
-                count -= 1
+    def _evict(self, protect: str) -> None:
+        """List the directory and drop LRU entries until both budgets
+        hold (sparing ``protect``, the entry just stored); the listing
+        resets the running totals.  Callers hold :attr:`_lock`."""
+        entries = self._entries()
+        total = sum(size for _, _, size in entries)
+        count = len(entries)
+        for key, _, size in entries:
+            if not self._over(total, count):
+                break
+            if key == protect:
+                continue
+            self._remove(key)
+            self.stats.evictions += 1
+            _telemetry().counter_add("cache.evictions")
+            total -= size
+            count -= 1
+        self._usage = (total, count)

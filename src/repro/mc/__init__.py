@@ -3,7 +3,7 @@
 from .engine import (MCConfig, evaluate_sigma_batch, monte_carlo,
                      monte_carlo_points)
 from .sampler import child_streams, latin_hypercube_normal, stream
-from .statistics import PopulationSummary, cpk, relative_spread_pct, summarize
+from .statistics import PopulationSummary, relative_spread_pct, summarize
 from .streaming import (AdaptiveStop, QuantileSketch, StreamingAccumulator,
                         StreamingMoments, StreamingResult, YieldCounter,
                         monte_carlo_streaming)
@@ -11,7 +11,7 @@ from .streaming import (AdaptiveStop, QuantileSketch, StreamingAccumulator,
 __all__ = [
     "MCConfig", "monte_carlo", "monte_carlo_points", "evaluate_sigma_batch",
     "child_streams", "latin_hypercube_normal", "stream",
-    "PopulationSummary", "cpk", "relative_spread_pct", "summarize",
+    "PopulationSummary", "relative_spread_pct", "summarize",
     "AdaptiveStop", "QuantileSketch",
     "StreamingAccumulator", "StreamingMoments", "StreamingResult",
     "YieldCounter", "monte_carlo_streaming",

@@ -1,15 +1,13 @@
 """Monte-Carlo population statistics.
 
 Summary reductions used by the variation model and the experiment
-reports: robust descriptive statistics, sigma-based spread measures and
-process-capability indices.
+reports: robust descriptive statistics and sigma-based spread
+measures.
 
 All reductions validate their populations the same way (at least two
 samples, no NaN) so a failed simulation lane can never fake a spread or
 capability number -- see :func:`_validate_population`.  The streaming
-counterparts of these reductions live in :mod:`repro.mc.streaming`;
-:func:`_cpk_from_moments` is shared between the batch and streaming Cpk
-so the two paths can never disagree on the degenerate-population rules.
+counterparts of these reductions live in :mod:`repro.mc.streaming`.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PopulationSummary", "summarize", "relative_spread_pct", "cpk"]
+__all__ = ["PopulationSummary", "summarize", "relative_spread_pct"]
 
 
 @dataclass(frozen=True)
@@ -106,53 +104,3 @@ def relative_spread_pct(samples):
         raise ValueError("population mean is zero; the relative spread "
                          "is undefined")
     return 3.0 * std / np.abs(mean) * 100.0
-
-
-def _cpk_from_moments(mean: float, std: float, lower: float | None,
-                      upper: float | None) -> float:
-    """Cpk from a population's mean/std (shared batch/streaming core).
-
-    ``Cpk = min((USL - mean), (mean - LSL)) / (3*std)``; one-sided specs
-    use only their side.  A zero-spread (degenerate) population is judged
-    by its mean alone: ``+inf`` strictly inside the limits, ``-inf``
-    outside (a population sitting wholly beyond a limit is maximally
-    *in*capable, not perfectly capable), and ``0.0`` exactly on a limit.
-    """
-    if lower is None and upper is None:
-        raise ValueError("need at least one specification limit")
-    margins = []
-    if upper is not None:
-        margins.append(upper - mean)
-    if lower is not None:
-        margins.append(mean - lower)
-    worst = min(margins)
-    if std == 0.0:
-        if worst == 0.0:
-            return 0.0
-        return float("inf") if worst > 0.0 else float("-inf")
-    return worst / (3.0 * std)
-
-
-def cpk(samples, *, lower: float | None = None,
-        upper: float | None = None) -> float:
-    """Process capability index against one- or two-sided limits.
-
-    ``Cpk = min((USL - mean), (mean - LSL)) / (3*std)``; one-sided specs
-    use only their side.  Cpk >= 1 corresponds to a 3-sigma guard band --
-    the paper's implicit yield criterion.
-
-    A zero-spread (degenerate) population is judged by its mean alone:
-    ``+inf`` strictly inside the limits, ``-inf`` outside (a population
-    sitting wholly beyond a limit is maximally *in*capable, not
-    perfectly capable), and ``0.0`` exactly on a limit.
-
-    Validation is identical to :func:`summarize` (at least two samples,
-    no NaN), so a failed Monte-Carlo lane can never fake a capability
-    number by propagating NaN through the index.
-    """
-    if lower is None and upper is None:
-        raise ValueError("need at least one specification limit")
-    samples = _validate_population(samples)
-    mean = float(np.mean(samples))
-    std = float(np.std(samples, ddof=1))
-    return _cpk_from_moments(mean, std, lower, upper)

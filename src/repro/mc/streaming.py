@@ -49,8 +49,7 @@ from ..errors import ReproError
 from ..exec import resolve_backend
 from ..process.pdk import ProcessKit
 from .engine import MCConfig, _plan_single_chunks, _single_chunk_runner
-from .statistics import (PopulationSummary, _cpk_from_moments,
-                         _mean_is_degenerate)
+from .statistics import PopulationSummary, _mean_is_degenerate
 
 __all__ = [
     "StreamingMoments", "QuantileSketch",
@@ -262,9 +261,7 @@ class StreamingAccumulator:
     The streaming counterpart of one entry of a batch MC result array.
     ``summary()`` produces the same :class:`PopulationSummary` that
     :func:`repro.mc.statistics.summarize` computes from the materialised
-    population (exactly, while the sketch has not compacted), and
-    ``cpk()`` shares the batch implementation's degenerate-population
-    rules through :func:`repro.mc.statistics._cpk_from_moments`.
+    population (exactly, while the sketch has not compacted).
     """
 
     def __init__(self, sketch_capacity: int = DEFAULT_SKETCH_CAPACITY) -> None:
@@ -300,15 +297,6 @@ class StreamingAccumulator:
             q01=self.sketch.quantile(0.01),
             q99=self.sketch.quantile(0.99),
         )
-
-    def cpk(self, *, lower: float | None = None,
-            upper: float | None = None) -> float:
-        """Process capability index from the streaming moments (same
-        semantics as :func:`repro.mc.statistics.cpk`)."""
-        if self.moments.n < 2:
-            raise ValueError("need at least two samples")
-        return _cpk_from_moments(self.moments.mean, self.moments.std,
-                                 lower, upper)
 
     def relative_spread_pct(self) -> float:
         """``3 * std / |mean| * 100`` from the streaming moments

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.analysis.dc as dc_module
-from repro.analysis import Assembler, ac_analysis, dc_operating_point
+from repro.analysis import Assembler, ac_analysis, dc_operating_point, mna
 from repro.analysis.dc import GMIN_FLOOR
 from repro.analysis.mna import solve_batched
 from repro.circuit import (Capacitor, Circuit, Diode, Mosfet, Resistor,
@@ -439,6 +439,59 @@ class TestDeviceBankOracle:
                   rng.uniform(-1.0, 3.3, (4, assembler.n))):
             self._assert_same(assembler, x, gmin=1e-12)
             self._assert_same_ac(assembler, x)
+
+
+class TestStampPlanMemo:
+    """Circuits of one topology share one compiled stamp plan."""
+
+    @staticmethod
+    def _systems(circuit, x):
+        assembler = Assembler(circuit)
+        G, rhs = assembler.newton_system(x, gmin=1e-12)
+        return (G, rhs) + assembler.ac_system(x)[:2]
+
+    def test_cleared_and_reused_memo_give_equal_systems(self):
+        circuit = TestDeviceBankOracle._ota(40)
+        x = dc_operating_point(circuit).x
+        mna._stamp_plan.cache_clear()
+        cold = self._systems(circuit, x)
+        assert mna._stamp_plan.cache_info().misses == 1
+        warm = self._systems(circuit, x)
+        assert mna._stamp_plan.cache_info().hits == 1
+        for fresh, reused in zip(cold, warm):
+            assert fresh.tobytes() == reused.tobytes()
+
+    def test_plan_follows_topology_not_values(self):
+        from repro.designs.miller import MillerParameters, build_miller_ota
+        ota = Assembler(TestDeviceBankOracle._ota(4)).devices()
+        other = Assembler(TestDeviceBankOracle._ota(9, seed=8)).devices()
+        miller = Assembler(build_miller_ota(MillerParameters())).devices()
+        assert other.patterns is ota.patterns
+        assert miller.patterns is not ota.patterns
+        assert miller.rows != ota.rows
+
+    def test_diode_capacitance_is_part_of_the_topology(self):
+        def diode(cj0):
+            c = Circuit("d")
+            c.add(VoltageSource("V1", "a", "0", 0.6))
+            c.add(Diode("D1", "a", "0", cj0=cj0))
+            return Assembler(c).devices().patterns["ac"]
+
+        assert diode(1e-12) is diode(2e-12)
+        assert diode(0.0) is not diode(1e-12)
+
+    def test_memo_stays_bounded(self):
+        def ladder(k):
+            c = Circuit(f"ladder {k}")
+            c.add(VoltageSource("V1", "n0", "0", 1.0))
+            for i in range(k):
+                c.add(Diode(f"D{i}", f"n{i}", f"n{i + 1}"))
+            c.add(Resistor("R1", f"n{k}", "0", 1e3))
+            return c
+
+        for k in range(1, mna.PLAN_MEMO_SIZE + 6):
+            Assembler(ladder(k)).devices()
+        assert mna._stamp_plan.cache_info().currsize == mna.PLAN_MEMO_SIZE
 
 
 class TestSolveBatched:

@@ -557,3 +557,72 @@ class TestHotTier:
         assert cache._hot_bytes == sum(entry.nbytes
                                        for entry in cache._hot.values())
         assert cache._hot_bytes <= 3 * 8200
+
+
+class TestStorePath:
+    """A store lists the cache directory only when the running totals
+    exceed a budget."""
+
+    def fingerprint(self, n=1):
+        return canonical_fingerprint("test-store", {"n": n})
+
+    @staticmethod
+    def _listings(monkeypatch, cache):
+        calls = []
+        entries = cache._entries
+
+        def spy():
+            calls.append(1)
+            return entries()
+
+        monkeypatch.setattr(cache, "_entries", spy)
+        return calls
+
+    def _put(self, cache, n, mtime):
+        cache.put(self.fingerprint(n), {"a": np.arange(4)})
+        path = cache._npz(fingerprint_key(self.fingerprint(n)))
+        os.utime(path, (mtime, mtime))  # deterministic LRU order
+
+    def test_no_listing_below_budget(self, tmp_path, monkeypatch):
+        for cache in (ResultCache(tmp_path / "bytes"),
+                      ResultCache(tmp_path / "count", max_entries=50)):
+            listings = self._listings(monkeypatch, cache)
+            for n in range(20):
+                cache.put(self.fingerprint(n), {"a": np.arange(n)})
+            assert not listings
+            assert cache._usage == (cache.total_bytes(), 20)
+
+    def test_over_budget_lists_and_evicts_lru(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path, max_entries=3)
+        listings = self._listings(monkeypatch, cache)
+        for n in range(3):
+            self._put(cache, n, n)
+        assert not listings
+        self._put(cache, 3, 3)
+        assert len(listings) == 1 and cache.stats.evictions == 1
+        assert cache.get(self.fingerprint(0)) is None
+        assert cache._usage == (cache.total_bytes(), 3)
+
+    def test_other_writer_counted_at_next_listing(self, tmp_path):
+        cache = ResultCache(tmp_path, max_entries=3)
+        other = ResultCache(tmp_path, max_bytes=None)
+        for n in range(2):
+            self._put(cache, n, n)
+        for n in range(2, 5):
+            self._put(other, n, n)
+        # Within its own totals (3 of 3): no listing, 6 entries stay.
+        self._put(cache, 5, 5)
+        assert cache.stats.evictions == 0 and len(cache) == 6
+        # Over them: the listing sees the other writer's entries too.
+        cache.put(self.fingerprint(6), {"a": np.arange(4)})
+        assert cache.stats.evictions == 4
+        assert sorted(cache.keys()) == sorted(
+            fingerprint_key(self.fingerprint(n)) for n in (4, 5, 6))
+        assert cache._usage == (cache.total_bytes(), 3)
+
+    def test_clear_resets_totals(self, tmp_path):
+        cache = ResultCache(tmp_path, max_entries=2)
+        for n in range(2):
+            cache.put(self.fingerprint(n), {"a": np.arange(4)})
+        cache.clear()
+        assert cache._usage == (0, 0)

@@ -1,6 +1,8 @@
 """OTA and filter design tests: parameter spaces, physics sanity,
 behavioural-vs-transistor agreement."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,33 +141,29 @@ class TestOTAEvaluation:
 OTA_MEASURES = ("gain_db", "pm_deg", "ugf_hz", "f3db_hz")
 
 
-def _warm_start_case():
-    """Three distinct designs x 12 dies with Pelgrom mismatch, global
-    variation, off-nominal supplies and temperatures.  Returns the tiled
-    parameters and a factory of fresh (equal) die samples: mismatch is
-    drawn while the circuit is built."""
-    unit = np.array([[0.2] * 8, [0.5] * 8, [0.8, 0.3, 0.6, 0.9,
-                                            0.4, 0.7, 0.1, 0.5]])
-    dies = 12
-    params = OTAParameters.from_normalized(unit).tile(dies)
-    size = params.batch()
+def _corner_designs():
+    """The 256 corners of the design box (0.02/0.98 in all 8 parameters)."""
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    return OTAParameters.from_normalized(np.where(bits, 0.98, 0.02))
+
+
+def _corner_dies(size):
+    """Fresh (equal) die samples for ``size`` lanes: Pelgrom mismatch,
+    global variation, off-nominal supplies and temperatures.  Mismatch
+    is drawn while the circuit is built, so each solve needs its own."""
     glob = C35.sample(size, np.random.default_rng(3), include_mismatch=False)
-
-    def die_sample():
-        return ProcessSample(
-            size, dvto_n=glob.dvto_n, kp_scale_n=glob.kp_scale_n,
-            dvto_p=glob.dvto_p, kp_scale_p=glob.kp_scale_p,
-            cap_scale=glob.cap_scale, mismatch=C35.mismatch,
-            rng=np.random.default_rng(4),
-            vdd=np.resize([3.0, 3.3, 3.6], size),
-            temp_k=np.resize([233.15, 300.15, 398.15, 300.15], size))
-
-    return params, die_sample
+    return ProcessSample(
+        size, dvto_n=glob.dvto_n, kp_scale_n=glob.kp_scale_n,
+        dvto_p=glob.dvto_p, kp_scale_p=glob.kp_scale_p,
+        cap_scale=glob.cap_scale, mismatch=C35.mismatch,
+        rng=np.random.default_rng(4),
+        vdd=np.resize([3.0, 3.3, 3.6], size),
+        temp_k=np.resize([233.15, 300.15, 398.15, 300.15], size))
 
 
-def _cold_ota(params, variations):
-    """``evaluate_ota`` with every die solved from ``x = 0``: the oracle
-    of the nominal warm start."""
+def _cold_ota(params, variations=None):
+    """``evaluate_ota`` with every lane solved from ``x = 0``: the oracle
+    of the reference start."""
     freqs = default_frequency_grid()
     circuit = build_ota(params, variations=variations)
     result = ac_analysis(circuit, freqs, op=dc_operating_point(circuit))
@@ -177,7 +175,15 @@ def _cold_ota(params, variations):
 
 
 @pytest.fixture
-def dc_starts(monkeypatch):
+def reference_memo():
+    """An empty reference-point memo, emptied again afterwards."""
+    ota_module._reference_point.cache_clear()
+    yield ota_module._reference_point
+    ota_module._reference_point.cache_clear()
+
+
+@pytest.fixture
+def dc_starts(monkeypatch, reference_memo):
     """The ``x0`` of every DC solve ``evaluate_ota`` makes."""
     starts = []
 
@@ -189,46 +195,68 @@ def dc_starts(monkeypatch):
     return starts
 
 
-class TestNominalWarmStart:
-    """Dies start DC Newton from their design's nominal operating point."""
+class TestReferenceStart:
+    """Every DC solve starts from the kit's reference operating point."""
 
-    def test_matches_cold_start(self, dc_starts):
-        params, die_sample = _warm_start_case()
-        warm = evaluate_ota(params, variations=die_sample())
-        # One nominal solve of the three designs, then the dies from it.
-        assert dc_starts[0] is None and dc_starts[1].shape[0] == 36
-        cold = _cold_ota(params, die_sample())
+    @pytest.mark.parametrize("varied", [False, True], ids=["nominal", "dies"])
+    def test_matches_cold_start_at_box_corners(self, varied):
+        params = _corner_designs()
+        warm = evaluate_ota(params, variations=_corner_dies(256)
+                            if varied else None)
+        cold = _cold_ota(params, _corner_dies(256) if varied else None)
         for key in OTA_MEASURES:
             assert np.array_equal(np.isnan(warm[key]), np.isnan(cold[key]))
-            np.testing.assert_allclose(warm[key], cold[key], rtol=1e-8,
+            np.testing.assert_allclose(warm[key], cold[key], rtol=1e-7,
                                        err_msg=key)
 
-    def test_nominal_failure_falls_back_to_cold_start(self, monkeypatch):
-        params, die_sample = _warm_start_case()
+    def test_every_call_gets_the_same_row(self, dc_starts):
+        evaluate_ota(OTAParameters())
+        evaluate_ota(_corner_designs(), variations=_corner_dies(256))
+        evaluate_ota(OTAParameters(), variations=_corner_dies(5))
+        # The reference solve itself starts cold; every other solve
+        # starts from its one read-only row.
+        reference, *rest = dc_starts
+        assert reference is None and len(rest) == 3
+        assert all(start is rest[0] for start in rest)
+        assert rest[0].shape == (12,) and not rest[0].flags.writeable
+
+    def test_computed_once_per_kit(self, dc_starts, reference_memo):
+        def cold_solves():
+            return sum(start is None for start in dc_starts)
+
+        for _ in range(3):
+            evaluate_ota(OTAParameters())
+        assert cold_solves() == 1
+        low = dataclasses.replace(C35, supply=3.0)
+        evaluate_ota(OTAParameters(), pdk=low)
+        evaluate_ota(OTAParameters(), pdk=low)
+        evaluate_ota(OTAParameters(), pdk=C35, cl=5e-12)
+        assert cold_solves() == 3
+        assert reference_memo.cache_info().currsize == 3
+        assert not np.array_equal(dc_starts[1], dc_starts[5])
+
+    def test_failing_reference_falls_back_to_cold_start(self, monkeypatch,
+                                                        reference_memo):
         calls = []
 
-        def nominal_fails(circuit, **kwargs):
+        def reference_fails(circuit, **kwargs):
             calls.append(kwargs.get("x0"))
             if len(calls) == 1:
-                raise ConvergenceError("nominal solve failed")
+                raise ConvergenceError("reference solve failed")
             return dc_operating_point(circuit, **kwargs)
 
-        monkeypatch.setattr(ota_module, "dc_operating_point", nominal_fails)
-        fallback = evaluate_ota(params, variations=die_sample())
-        assert len(calls) == 2 and calls[1] is None
-        cold = _cold_ota(params, die_sample())
+        monkeypatch.setattr(ota_module, "dc_operating_point", reference_fails)
+        params = _corner_designs()
+        fallback = evaluate_ota(params, variations=_corner_dies(256))
+        again = evaluate_ota(OTAParameters())
+        # The failure is memoised: no second reference solve.
+        assert calls == [None, None, None]
+        cold = _cold_ota(params, _corner_dies(256))
         for key in OTA_MEASURES:
             np.testing.assert_array_equal(fallback[key], cold[key],
                                           err_msg=key)
-
-    def test_single_design_seeds_one_broadcast_row(self, dc_starts):
-        evaluate_ota(OTAParameters(),
-                     variations=C35.sample(5, np.random.default_rng(2)))
-        assert dc_starts[0] is None and dc_starts[1].ndim == 1
-
-    def test_nominal_evaluation_keeps_cold_start(self, dc_starts):
-        evaluate_ota(OTAParameters())
-        assert dc_starts == [None]
+            np.testing.assert_array_equal(
+                again[key], _cold_ota(OTAParameters())[key], err_msg=key)
 
 
 class TestOTAProblem:

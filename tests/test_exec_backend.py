@@ -148,9 +148,9 @@ class TestRunContract:
 def _ota_mc(backend_spec):
     """A small two-chunk OTA point sweep under the given backend.
 
-    The first chunk holds two designs and the second one, so the dies
-    start DC Newton from both shapes of nominal seed (a row per lane and
-    one broadcast row)."""
+    The first chunk holds two designs and the second one; every die
+    starts DC Newton from the kit's reference operating point, which a
+    forked worker inherits filled or fills itself, with the same row."""
     points = OTAParameters.from_normalized(
         np.linspace(0.2, 0.8, 3)[:, None] * np.ones((3, 8))).to_array()
 

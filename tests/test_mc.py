@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.mc import (MCConfig, PopulationSummary, child_streams, cpk,
+from repro.mc import (MCConfig, PopulationSummary, child_streams,
                       latin_hypercube_normal, monte_carlo,
                       monte_carlo_points, relative_spread_pct, stream,
                       summarize)
@@ -115,34 +115,6 @@ class TestStatistics:
         spread = relative_spread_pct(data)
         np.testing.assert_allclose(spread, 3.0, rtol=0.1)
 
-    def test_cpk_two_sided(self):
-        rng = np.random.default_rng(1)
-        data = rng.normal(0.0, 1.0, 10000)
-        assert cpk(data, lower=-3.0, upper=3.0) == pytest.approx(1.0,
-                                                                 abs=0.05)
-
-    def test_cpk_one_sided(self):
-        rng = np.random.default_rng(1)
-        data = rng.normal(10.0, 1.0, 10000)
-        assert cpk(data, lower=7.0) == pytest.approx(1.0, abs=0.05)
-
-    def test_cpk_requires_limit(self):
-        with pytest.raises(ValueError):
-            cpk([1.0, 2.0])
-
-    def test_cpk_zero_std_capable(self):
-        assert cpk([5.0, 5.0, 5.0], lower=0.0) == np.inf
-
-    def test_cpk_zero_std_violating_is_not_capable(self):
-        # Regression: a degenerate population sitting beyond a limit used
-        # to report +inf ("perfectly capable"); it must report -inf.
-        assert cpk([5.0, 5.0, 5.0], upper=4.0) == -np.inf
-        assert cpk([5.0, 5.0, 5.0], lower=6.0) == -np.inf
-        assert cpk([5.0, 5.0, 5.0], lower=0.0, upper=4.0) == -np.inf
-
-    def test_cpk_zero_std_on_the_limit(self):
-        assert cpk([5.0, 5.0, 5.0], upper=5.0) == 0.0
-
     def test_relative_spread_zero_mean_raises(self):
         # Regression: a zero-mean population used to silently return
         # +/-inf; the relative spread is undefined there.
@@ -171,18 +143,6 @@ class TestStatistics:
         np.testing.assert_allclose(relative_spread_pct(data),
                                    [3.0 * np.std(data, ddof=1) / 100.0
                                     * 100.0])
-
-    def test_cpk_rejects_nan(self):
-        # Regression: summarize rejects NaN samples but cpk used to
-        # silently propagate them into a NaN index -- a failed lane
-        # could fake a capability number.
-        with pytest.raises(ValueError, match="NaN"):
-            cpk([1.0, np.nan, 3.0], lower=0.0)
-
-    def test_cpk_single_sample_raises(self):
-        # Validation identical to summarize: ddof=1 needs n >= 2.
-        with pytest.raises(ValueError, match="at least two"):
-            cpk([5.0], lower=0.0)
 
 
 class TestMCConfigValidation:

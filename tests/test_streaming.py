@@ -12,7 +12,7 @@ import pytest
 from repro.errors import ReproError
 from repro.mc import (AdaptiveStop, MCConfig, QuantileSketch,
                       StreamingAccumulator, StreamingMoments, YieldCounter,
-                      cpk, monte_carlo, monte_carlo_streaming, summarize)
+                      monte_carlo, monte_carlo_streaming, summarize)
 from repro.mc.streaming import CONFIDENCE
 from repro.measure.specs import Spec, SpecSet
 from repro.process import C35
@@ -127,7 +127,7 @@ class TestQuantileSketch:
 
 class TestShardMergeAgainstBatch:
     """Satellite gate: merged streaming accumulators must agree with the
-    batch ``summarize``/``cpk`` reductions on identical populations."""
+    batch ``summarize`` reduction on identical populations."""
 
     def test_summary_matches_summarize(self):
         rng = np.random.default_rng(7)
@@ -158,21 +158,6 @@ class TestShardMergeAgainstBatch:
         assert merged.summary().mean == pytest.approx(batch.mean, rel=1e-12)
         assert merged.summary().std == pytest.approx(batch.std, rel=1e-12)
         assert merged.summary().median == batch.median
-
-    def test_cpk_matches_batch(self):
-        rng = np.random.default_rng(9)
-        data = rng.normal(10.0, 1.0, 800)
-        accumulator = StreamingAccumulator().update(data)
-        for limits in ({"lower": 7.0}, {"upper": 13.0},
-                       {"lower": 7.0, "upper": 12.0}):
-            assert accumulator.cpk(**limits) == pytest.approx(
-                cpk(data, **limits), rel=1e-12)
-
-    def test_cpk_degenerate_rules_shared(self):
-        accumulator = StreamingAccumulator().update([5.0, 5.0, 5.0])
-        assert accumulator.cpk(lower=0.0) == np.inf
-        assert accumulator.cpk(upper=4.0) == -np.inf
-        assert accumulator.cpk(upper=5.0) == 0.0
 
     def test_relative_spread_guards_shared(self):
         accumulator = StreamingAccumulator().update([-1.0, 1.0])

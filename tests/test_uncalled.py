@@ -34,7 +34,6 @@ CALLERS = ("src", "examples", "perfbench", "benchmarks", "tools")
 ALLOWED = {
     "TableModel": "the $table_model reader the tests check emitted .tbl "
                   "artefacts with",
-    "cpk": "batch oracle the streaming Cpk accumulator is tested against",
     "summarize": "batch oracle the streaming population summary is "
                  "tested against",
     "db20": "the forward conversion the from_db20 round trip is tested "
@@ -69,10 +68,6 @@ ALLOWED_OPTIONS = {
                                      "ladder the stacked rungs and the "
                                      "mismatch-carrying ladder are checked "
                                      "against",
-    "cpk.*": "(b) reference: the batch Cpk the streaming Cpk is held "
-             "equal to",
-    "StreamingAccumulator.cpk.*": "(b) reference: the streaming side of "
-                                  "the batch/streaming Cpk pair",
     "format_si.*": "(b) reference: the inverse the parse_si round trip is "
                    "tested through",
     "TableModel.from_data.*": "(b) reference: the $table_model reader the "
