@@ -14,8 +14,8 @@ whole budget.  This benchmark gates that claim:
   the streaming variation numbers must agree with the batch ones (both
   runs draw from the same guard-banded design);
 * the streaming path must never materialise the full population --
-  every evaluator call is bounded by ``chunk_lanes`` and the retained
-  accumulator state by the sketch capacity.
+  every evaluator call is bounded by ``chunk_lanes``, and each
+  accumulator retains only its fixed-size moments vector.
 
 The measured saving is recorded in ``benchmarks/results/streaming_mc.txt``.
 """
@@ -36,7 +36,6 @@ FIXED_SAMPLES = 500
 #: Requested precision: full Wilson-CI width on the yield fraction.
 REQUESTED_CI = 0.08
 CHUNK_LANES = 50
-SKETCH_CAPACITY = 128
 PILOT_SAMPLES = 64
 SEED = 2008
 
@@ -90,8 +89,7 @@ def test_streaming_adaptive_vs_fixed(flow_result, emit):
         MCConfig(n_samples=FIXED_SAMPLES * 8, seed=SEED,
                  chunk_lanes=CHUNK_LANES),
         adaptive=AdaptiveStop(metric="yield", ci_width=REQUESTED_CI,
-                              min_samples=PILOT_SAMPLES),
-        sketch_capacity=SKETCH_CAPACITY)
+                              min_samples=PILOT_SAMPLES))
     adaptive_lanes = streaming.samples_done
     adaptive_lo, adaptive_hi = adaptive_estimate.interval
     adaptive_width = adaptive_hi - adaptive_lo
@@ -116,11 +114,14 @@ def test_streaming_adaptive_vs_fixed(flow_result, emit):
         # agreement, not bit equality.
         np.testing.assert_allclose(streaming_spread, batch_spread, rtol=0.5)
     # 4. Memory contract: the streaming path never concatenated the
-    #    population -- every chunk is bounded by chunk_lanes and the
-    #    retained state by the sketch budget.
+    #    population -- every chunk is bounded by chunk_lanes and each
+    #    accumulator retains only the fixed-size moments vector
+    #    [n, mean, m2, min, max].
     assert max(lanes_seen) <= CHUNK_LANES
     for accumulator in streaming.accumulators.values():
-        assert accumulator.sketch.state()["values"].size <= SKETCH_CAPACITY
+        state = accumulator.state()
+        assert list(state) == ["moments"]
+        assert state["moments"].shape == (5,)
 
     lines = [
         f"scale: {'full' if FULL_SCALE else 'reduced'} flow front, "

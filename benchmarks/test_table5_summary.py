@@ -62,6 +62,10 @@ def test_table5_summary(flow_result, emit, benchmark):
         "",
         f"proposed: {proposed_sims} transistor sims once, then 0 per design",
         f"conventional: {baseline_sims} transistor sims per design episode",
+        f"conventional design's verified yield: "
+        f"{baseline.best_yield.passed}/{baseline.best_yield.total} = "
+        f"{baseline.best_yield.percent:.1f}% (counted in the ledger's "
+        "final verification row)",
         f"break-even after {proposed_sims / max(baseline_sims, 1):.1f} "
         "design uses (paper: 4h vs 7h already on the first use at full "
         "scale)",

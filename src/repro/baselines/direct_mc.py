@@ -75,21 +75,15 @@ class DirectMCResult:
 
     Attributes
     ----------
-    best_parameters:
-        Best design found (natural units).
     best_yield:
-        Monte-Carlo yield estimate of the best design.
-    best_performance:
-        Nominal performance of the best design.
+        The 500-die Monte-Carlo verification of the best design found.
     transistor_simulations:
         Total transistor-level simulator calls spent -- the number the
         Table-5 comparison is about.
     """
 
     config: DirectMCConfig
-    best_parameters: dict[str, float]
     best_yield: YieldEstimate
-    best_performance: dict[str, float]
     transistor_simulations: int
     ledger: SimulationLedger = field(default_factory=SimulationLedger)
 
@@ -164,9 +158,6 @@ def run_direct_mc_optimization(specs: SpecSet,
                 best = {
                     "fitness": float(fitness[gen_best]),
                     "genes": genes[gen_best].copy(),
-                    "yield": float(yields[gen_best]),
-                    "nominal": {name: float(values[gen_best])
-                                for name, values in nominal.items()},
                 }
 
             parents_a = genes[tournament_select(fitness, pop, 2, rng)]
@@ -184,14 +175,9 @@ def run_direct_mc_optimization(specs: SpecSet,
         final_perf = evaluate_ota(tiled, pdk=pdk, variations=die)
         final_yield = estimate_yield(final_perf, specs)
 
-    values = winner.to_array()
-    names = ("w1", "l1", "w2", "l2", "w3", "l3", "w4", "l4")
     return DirectMCResult(
         config=config,
-        best_parameters={name: float(values[i])
-                         for i, name in enumerate(names)},
         best_yield=final_yield,
-        best_performance=best["nominal"],
         transistor_simulations=ledger.total_simulations,
         ledger=ledger,
     )

@@ -166,15 +166,6 @@ class FilterCaps:
             return cls(float(caps[0]), float(caps[1]), float(caps[2]))
         return cls(caps[..., 0], caps[..., 1], caps[..., 2])
 
-    def to_array(self) -> np.ndarray:
-        columns = [self.c1, self.c2, self.c3]
-        batched = any(np.ndim(c) == 1 for c in columns)
-        if not batched:
-            return np.array([float(c) for c in columns])
-        batch = max(np.size(c) for c in columns)
-        return np.stack([np.broadcast_to(np.asarray(c, float), (batch,))
-                         for c in columns], axis=-1)
-
     def scaled(self, factor) -> "FilterCaps":
         """All three capacitors scaled (process variation)."""
         return FilterCaps(self.c1 * factor, self.c2 * factor,

@@ -105,7 +105,6 @@ class FilterFlowResult:
     nominal_performance: dict[str, float]
     transistor_performance: dict[str, float]
     yield_estimate: YieldEstimate
-    pareto_caps: np.ndarray
     pareto_objectives: np.ndarray
     ledger: SimulationLedger = field(default_factory=SimulationLedger)
 
@@ -297,7 +296,6 @@ def _filter_flow(model: CombinedYieldModel, config: FilterFlowConfig, *,
         nominal_performance=nominal,
         transistor_performance=transistor,
         yield_estimate=yield_estimate,
-        pareto_caps=FilterCaps.from_normalized(front_unit).to_array(),
         pareto_objectives=front_obj,
         ledger=ledger,
     )

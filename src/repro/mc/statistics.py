@@ -28,9 +28,6 @@ class PopulationSummary:
     std: float
     minimum: float
     maximum: float
-    median: float
-    q01: float
-    q99: float
 
     def describe(self) -> str:
         return (f"n={self.n} mean={self.mean:.6g} std={self.std:.3g} "
@@ -59,9 +56,6 @@ def summarize(samples) -> PopulationSummary:
         std=float(np.std(samples, ddof=1)),
         minimum=float(np.min(samples)),
         maximum=float(np.max(samples)),
-        median=float(np.median(samples)),
-        q01=float(np.quantile(samples, 0.01)),
-        q99=float(np.quantile(samples, 0.99)),
     )
 
 

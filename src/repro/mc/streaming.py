@@ -52,16 +52,9 @@ from .engine import MCConfig, _plan_single_chunks, _single_chunk_runner
 from .statistics import PopulationSummary, _mean_is_degenerate
 
 __all__ = [
-    "StreamingMoments", "QuantileSketch",
-    "StreamingAccumulator", "YieldCounter", "AdaptiveStop",
+    "StreamingMoments", "StreamingAccumulator", "YieldCounter", "AdaptiveStop",
     "StreamingResult", "monte_carlo_streaming",
 ]
-
-#: Default retained-sample budget of the quantile sketch.  Below this
-#: population size the sketch is exact; beyond it, deterministic
-#: compaction bounds the rank error by roughly ``1/capacity`` per
-#: compaction generation.
-DEFAULT_SKETCH_CAPACITY = 4096
 
 #: Confidence level of every streaming interval (yield and variation).
 CONFIDENCE = 0.95
@@ -152,132 +145,27 @@ class StreamingMoments:
         return moments
 
 
-class QuantileSketch:
-    """Mergeable deterministic quantile sketch (bounded memory).
-
-    Plays the role of a P²-style constant-memory quantile estimator in
-    the streaming accumulators, generalised to support the exact
-    shard-merge contract P² lacks: the sketch keeps a weighted sample
-    buffer of at most ``capacity`` points; merging concatenates buffers,
-    and whenever the buffer overflows it is **deterministically
-    compacted** to ``capacity`` representative points at evenly-spaced
-    weighted-rank positions.  Consequences:
-
-    * below ``capacity`` total samples the sketch is *exact* -- every
-      quantile query matches ``np.quantile`` (linear interpolation)
-      bit-for-bit;
-    * beyond it, memory stays bounded at ``2 * capacity`` floats and the
-      rank error is roughly ``1/capacity`` per compaction generation;
-    * compaction and merging are deterministic, so folding the same
-      shards in the same order always reproduces identical state
-      (the engine folds in task-submission order on every backend).
-    """
-
-    __slots__ = ("capacity", "compacted", "_values", "_weights")
-
-    def __init__(self, capacity: int = DEFAULT_SKETCH_CAPACITY) -> None:
-        if capacity < 8:
-            raise ValueError("sketch capacity must be >= 8")
-        self.capacity = int(capacity)
-        self.compacted = False
-        self._values = np.empty(0)
-        self._weights = np.empty(0)
-
-    def update(self, values) -> "QuantileSketch":
-        """Fold a batch of samples into the sketch."""
-        values = np.asarray(values, dtype=float).reshape(-1)
-        if values.size == 0:
-            return self
-        if np.any(np.isnan(values)):
-            raise ValueError("samples contain NaN; repair failed lanes first")
-        self._values = np.concatenate([self._values, values])
-        self._weights = np.concatenate([self._weights,
-                                        np.ones(values.size)])
-        self._maybe_compact()
-        return self
-
-    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        """Fold another sketch's buffer into this one."""
-        if other._values.size:
-            self._values = np.concatenate([self._values, other._values])
-            self._weights = np.concatenate([self._weights, other._weights])
-            self.compacted = self.compacted or other.compacted
-            self._maybe_compact()
-        return self
-
-    def _maybe_compact(self) -> None:
-        if self._values.size <= self.capacity:
-            return
-        order = np.argsort(self._values, kind="stable")
-        values = self._values[order]
-        weights = self._weights[order]
-        total = float(np.sum(weights))
-        # Midpoint weighted rank of each retained point, and the evenly
-        # spaced target ranks of the compacted representatives.
-        ranks = np.cumsum(weights) - 0.5 * weights
-        targets = (np.arange(self.capacity) + 0.5) / self.capacity * total
-        self._values = np.interp(targets, ranks, values)
-        self._weights = np.full(self.capacity, total / self.capacity)
-        self.compacted = True
-
-    @property
-    def n(self) -> float:
-        """Total sample weight folded into the sketch."""
-        return float(np.sum(self._weights))
-
-    def quantile(self, q: float) -> float:
-        """Quantile estimate (exact while the sketch never compacted)."""
-        if self._values.size == 0:
-            raise ValueError("no samples observed")
-        if not self.compacted:
-            # Exact: every raw sample is still in the buffer.
-            return float(np.quantile(self._values, q))
-        order = np.argsort(self._values, kind="stable")
-        values = self._values[order]
-        weights = self._weights[order]
-        ranks = np.cumsum(weights) - 0.5 * weights
-        total = float(np.sum(weights))
-        return float(np.interp(q * total, ranks, values))
-
-    def state(self) -> dict[str, np.ndarray]:
-        """Serialisable state arrays."""
-        return {"values": self._values.copy(),
-                "weights": self._weights.copy(),
-                "meta": np.array([float(self.capacity),
-                                  float(self.compacted)])}
-
-    @classmethod
-    def from_state(cls, values, weights, meta) -> "QuantileSketch":
-        sketch = cls(int(np.asarray(meta, dtype=float)[0]))
-        sketch._values = np.asarray(values, dtype=float).copy()
-        sketch._weights = np.asarray(weights, dtype=float).copy()
-        sketch.compacted = bool(np.asarray(meta, dtype=float)[1])
-        return sketch
-
-
 class StreamingAccumulator:
-    """Per-performance streaming statistics: moments + quantile sketch.
+    """Per-performance streaming statistics over the running moments.
 
     The streaming counterpart of one entry of a batch MC result array.
-    ``summary()`` produces the same :class:`PopulationSummary` that
+    ``summary()`` produces the :class:`PopulationSummary` that
     :func:`repro.mc.statistics.summarize` computes from the materialised
-    population (exactly, while the sketch has not compacted).
+    population.  Its retained state is the fixed-size moments vector,
+    whatever the number of samples.
     """
 
-    def __init__(self, sketch_capacity: int = DEFAULT_SKETCH_CAPACITY) -> None:
+    def __init__(self) -> None:
         self.moments = StreamingMoments()
-        self.sketch = QuantileSketch(sketch_capacity)
 
     def update(self, values) -> "StreamingAccumulator":
-        """Fold a batch of samples into moments and sketch."""
+        """Fold a batch of samples into the moments."""
         self.moments.update(values)
-        self.sketch.update(values)
         return self
 
     def merge(self, other: "StreamingAccumulator") -> "StreamingAccumulator":
         """Fold another accumulator (a shard partial) into this one."""
         self.moments.merge(other.moments)
-        self.sketch.merge(other.sketch)
         return self
 
     @property
@@ -287,16 +175,9 @@ class StreamingAccumulator:
     def summary(self) -> PopulationSummary:
         """The population summary, shaped like :func:`summarize`'s."""
         moments = self.moments
-        return PopulationSummary(
-            n=moments.n,
-            mean=moments.mean,
-            std=moments.std,
-            minimum=moments.minimum,
-            maximum=moments.maximum,
-            median=self.sketch.quantile(0.5),
-            q01=self.sketch.quantile(0.01),
-            q99=self.sketch.quantile(0.99),
-        )
+        return PopulationSummary(n=moments.n, mean=moments.mean,
+                                 std=moments.std, minimum=moments.minimum,
+                                 maximum=moments.maximum)
 
     def relative_spread_pct(self) -> float:
         """``3 * std / |mean| * 100`` from the streaming moments
@@ -308,18 +189,14 @@ class StreamingAccumulator:
         return 3.0 * self.moments.std / abs(self.moments.mean) * 100.0
 
     def state(self) -> dict[str, np.ndarray]:
-        state = {"moments": self.moments.state()}
-        for key, data in self.sketch.state().items():
-            state[f"sketch_{key}"] = data
-        return state
+        return {"moments": self.moments.state()}
 
     @classmethod
     def from_state(cls, state: dict) -> "StreamingAccumulator":
-        accumulator = cls.__new__(cls)
+        """Restore from :meth:`state`'s arrays; any other arrays (the
+        quantile-sketch state older checkpoints carry) are ignored."""
+        accumulator = cls()
         accumulator.moments = StreamingMoments.from_state(state["moments"])
-        accumulator.sketch = QuantileSketch.from_state(
-            state["sketch_values"], state["sketch_weights"],
-            state["sketch_meta"])
         return accumulator
 
 
@@ -508,11 +385,6 @@ class StreamingResult:
         adaptive rule stops on)."""
         return CONFIDENCE
 
-    def summaries(self) -> dict[str, PopulationSummary]:
-        """Per-performance population summaries."""
-        return {name: acc.summary()
-                for name, acc in self.accumulators.items()}
-
     def variation_percent(self, name: str) -> float:
         """3-sigma relative variation of one performance, in percent."""
         return self.accumulators[name].relative_spread_pct()
@@ -552,8 +424,7 @@ class StreamingResult:
 
 
 def _fingerprint(config: MCConfig, pdk: ProcessKit, stage: str, specs,
-                 adaptive: AdaptiveStop | None,
-                 sketch_capacity: int) -> str:
+                 adaptive: AdaptiveStop | None) -> str:
     """Checkpoint compatibility key (canonical fingerprint form).
 
     Covers every *inspectable* input that shapes the sample population
@@ -580,7 +451,9 @@ def _fingerprint(config: MCConfig, pdk: ProcessKit, stage: str, specs,
                       CONFIDENCE, adaptive.min_samples,
                       adaptive.check_every, 3.0]
                      if adaptive is not None else []),
-        "sketch_capacity": sketch_capacity,
+        # The retired quantile sketch's default budget: kept so that
+        # checkpoints written before it was removed still resume.
+        "sketch_capacity": 4096,
     }
     return canonical_fingerprint("mc-streaming", payload, evaluator=stage)
 
@@ -651,7 +524,6 @@ def monte_carlo_streaming(evaluator, pdk: ProcessKit,
                           adaptive: AdaptiveStop | None = None,
                           checkpoint=None,
                           max_chunks: int | None = None,
-                          sketch_capacity: int = DEFAULT_SKETCH_CAPACITY,
                           stage: str = "mc-single",
                           progress=None) -> StreamingResult:
     """Streaming Monte Carlo on one design.
@@ -686,8 +558,6 @@ def monte_carlo_streaming(evaluator, pdk: ProcessKit,
         invocation* -- the sharding/interruption hook: combined with
         ``checkpoint``, a long run can be spread over many invocations,
         and the final state is bit-identical to an uninterrupted run.
-    sketch_capacity:
-        Retained-sample budget of each quantile sketch.
     stage:
         Random-stream stage key (matching :func:`monte_carlo`'s).
     progress:
@@ -709,8 +579,7 @@ def monte_carlo_streaming(evaluator, pdk: ProcessKit,
     if adaptive is not None and adaptive.metric == "yield" and specs is None:
         raise ReproError("adaptive yield stopping needs a spec set")
 
-    fingerprint = _fingerprint(config, pdk, stage, specs, adaptive,
-                               sketch_capacity)
+    fingerprint = _fingerprint(config, pdk, stage, specs, adaptive)
     checkpoint_path = Path(checkpoint) if checkpoint else None
     accumulators: dict[str, StreamingAccumulator] = {}
     counter = YieldCounter(specs) if specs is not None else None
@@ -770,8 +639,7 @@ def monte_carlo_streaming(evaluator, pdk: ProcessKit,
             for part in parts:
                 for name, values in part.items():
                     if name not in accumulators:
-                        accumulators[name] = StreamingAccumulator(
-                            sketch_capacity)
+                        accumulators[name] = StreamingAccumulator()
                     accumulators[name].update(values)
                 if counter is not None:
                     counter.update(part)

@@ -38,8 +38,6 @@ class NSGA2Result(ParetoArchive):
     config: GAConfig
     all_parameters: np.ndarray
     all_objectives: np.ndarray
-    final_parameters: np.ndarray
-    final_objectives: np.ndarray
     annotations: dict[str, np.ndarray] | None = None
 
 
@@ -79,7 +77,7 @@ def run_nsga2(problem: OptimizationProblem,
     history_params = [parents.copy()]
     history_obj = [parent_obj.copy()]
 
-    for _ in range(config.generations - 1):
+    for generation in range(1, config.generations):
         oriented = problem.oriented(parent_obj)
         oriented = np.where(np.isfinite(oriented), oriented, -1e300)
         rank, crowding = _rank_and_crowding(oriented)
@@ -93,6 +91,8 @@ def run_nsga2(problem: OptimizationProblem,
         child_obj = problem(children)
         history_params.append(children.copy())
         history_obj.append(child_obj.copy())
+        if generation == config.generations - 1:
+            break
 
         # Environmental selection over parents + children.
         merged = np.vstack([parents, children])
@@ -119,6 +119,4 @@ def run_nsga2(problem: OptimizationProblem,
         config=config,
         all_parameters=np.concatenate(history_params, axis=0),
         all_objectives=np.concatenate(history_obj, axis=0),
-        final_parameters=parents,
-        final_objectives=parent_obj,
     )

@@ -27,7 +27,7 @@ samples" of Table 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,14 +66,6 @@ class WBGAResult(ParetoArchive):
         (``E = generations * population``; the paper's 10,000).
     all_objectives:
         Natural-unit objective values, ``(E, M)``.
-    all_weights:
-        Equation-(4)-normalised weight vectors, ``(E, M)``.
-    all_fitness:
-        Equation-(5) fitness of each individual, ``(E,)``.
-    generation_of:
-        Generation index of each evaluated individual, ``(E,)``.
-    best_fitness_per_generation:
-        Convergence trace, ``(G,)``.
     annotations:
         Optional per-individual side channel aligned with
         ``all_parameters`` rows (see
@@ -84,12 +76,6 @@ class WBGAResult(ParetoArchive):
     config: GAConfig
     all_parameters: np.ndarray
     all_objectives: np.ndarray
-    all_weights: np.ndarray
-    all_fitness: np.ndarray
-    generation_of: np.ndarray
-    best_fitness_per_generation: np.ndarray
-    objective_minima: np.ndarray = field(default=None)
-    objective_maxima: np.ndarray = field(default=None)
     annotations: dict[str, np.ndarray] | None = None
 
 
@@ -133,18 +119,19 @@ def run_wbga(problem: OptimizationProblem,
     chromosome = rng.random((pop, n_params + n_obj))
 
     history_params, history_obj = [], []
-    history_weights, history_fitness, history_gen = [], [], []
-    best_trace = np.empty(config.generations)
     f_min = np.full(n_obj, np.inf)
     f_max = np.full(n_obj, -np.inf)
 
     for generation in range(config.generations):
         params = chromosome[:, :n_params]
-        weights = normalise_weights(chromosome[:, n_params:])
-
         objectives = problem(params)               # (B, M) natural units
-        oriented = problem.oriented(objectives)    # maximisation frame
+        history_params.append(params.copy())
+        history_obj.append(objectives.copy())
+        if generation == config.generations - 1:
+            break
 
+        weights = normalise_weights(chromosome[:, n_params:])
+        oriented = problem.oriented(objectives)    # maximisation frame
         finite = np.isfinite(oriented)
         if np.any(finite):
             f_min = np.minimum(f_min, np.nanmin(
@@ -153,16 +140,6 @@ def run_wbga(problem: OptimizationProblem,
                 np.where(finite, oriented, -np.inf), axis=0))
         fitness = _equation5_fitness(oriented, weights, f_min, f_max)
         fitness = np.where(np.all(finite, axis=1), fitness, -np.inf)
-
-        history_params.append(params.copy())
-        history_obj.append(objectives.copy())
-        history_weights.append(weights.copy())
-        history_fitness.append(fitness.copy())
-        history_gen.append(np.full(pop, generation))
-        best_trace[generation] = np.max(fitness)
-
-        if generation == config.generations - 1:
-            break
 
         # Elitism: carry the best strings over unchanged.
         elite_idx = np.argsort(fitness)[::-1][:ELITE_COUNT]
@@ -186,10 +163,4 @@ def run_wbga(problem: OptimizationProblem,
         config=config,
         all_parameters=np.concatenate(history_params, axis=0),
         all_objectives=np.concatenate(history_obj, axis=0),
-        all_weights=np.concatenate(history_weights, axis=0),
-        all_fitness=np.concatenate(history_fitness, axis=0),
-        generation_of=np.concatenate(history_gen, axis=0),
-        best_fitness_per_generation=best_trace,
-        objective_minima=f_min,
-        objective_maxima=f_max,
     )

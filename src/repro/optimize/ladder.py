@@ -242,9 +242,6 @@ class LadderBatchEstimate:
     robust_z:
         Corner-stage worst-spec nominal z-score (the k-sigma robustness
         objective); NaN when the corner stage was skipped.
-    refused:
-        Candidates whose fidelity-1 surrogate refused (CV error rivalled
-        the training spread) and therefore escalated.
     """
 
     yield_estimate: np.ndarray
@@ -252,7 +249,6 @@ class LadderBatchEstimate:
     fidelity: np.ndarray
     sims: np.ndarray
     robust_z: np.ndarray
-    refused: np.ndarray
 
     @property
     def size(self) -> int:
@@ -432,10 +428,11 @@ class EstimatorLadder:
     # -- fidelity 1: surrogate classification -------------------------------
     def _surrogate_stage(self, evaluator, indices: np.ndarray,
                          uids: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                    np.ndarray]:
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Train + classify per escalated candidate; return
-        ``(yield1, std1, refused, decisive)`` aligned with ``indices``."""
+        ``(yield1, std1, decisive)`` aligned with ``indices``.  A
+        candidate whose surrogate is refused (CV error rivalling the
+        training spread) is never decisive, so it escalates."""
         config = self.config
         dims = len(GLOBAL_DIMS)
         xs = [latin_hypercube_normal(
@@ -473,7 +470,7 @@ class EstimatorLadder:
         decisive = (~refused
                     & (np.abs(yield1 - config.yield_target)
                        >= config.surrogate_z * std1))
-        return yield1, std1, refused, decisive
+        return yield1, std1, decisive
 
     # -- fidelity 2: importance-sampled Monte Carlo -------------------------
     def _importance_stage(self, evaluator, indices: np.ndarray,
@@ -524,7 +521,6 @@ class EstimatorLadder:
         fidelity = np.zeros(n_points, dtype=int)
         sims = np.zeros(n_points, dtype=int)
         robust_z = np.full(n_points, np.nan)
-        refused = np.zeros(n_points, dtype=bool)
 
         # Fidelity 0: stacked corner sweep of the whole batch.
         if config.min_fidelity <= 0:
@@ -551,14 +547,12 @@ class EstimatorLadder:
             chosen = self._afford(escalate, cost, ambiguity)
             if chosen.size:
                 with self._rung(1, chosen.size * cost):
-                    yield1, std1, refused1, decisive1 = \
-                        self._surrogate_stage(evaluator, chosen,
-                                              uids[chosen])
+                    yield1, std1, decisive1 = self._surrogate_stage(
+                        evaluator, chosen, uids[chosen])
                 yield_est[chosen] = yield1
                 std_err[chosen] = std1
                 fidelity[chosen] = 1
                 sims[chosen] += cost
-                refused[chosen] = refused1
                 escalate = chosen[~decisive1]
             else:
                 escalate = np.empty(0, dtype=int)
@@ -584,4 +578,4 @@ class EstimatorLadder:
                 np.count_nonzero(fidelity == level))
         return LadderBatchEstimate(
             yield_estimate=yield_est, std_error=std_err, fidelity=fidelity,
-            sims=sims, robust_z=robust_z, refused=refused)
+            sims=sims, robust_z=robust_z)

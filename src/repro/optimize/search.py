@@ -128,21 +128,18 @@ class YieldSearchResult:
     def front_count(self) -> int:
         return int(np.count_nonzero(self.pareto_mask()))
 
-    def hypervolume(self, reference=None) -> float:
+    def hypervolume(self) -> float:
         """Dominated hypervolume of the front (maximisation frame).
 
-        ``reference`` is the reference corner; it defaults to the front
-        nadir minus a small offset (only comparable across runs when
-        passed explicitly).
+        The reference corner is the front's own nadir minus a small
+        offset, so values from different runs are not comparable.
         """
         oriented = self.problem.oriented(self.front_objectives())
-        if reference is None:
-            finite = oriented[np.all(np.isfinite(oriented), axis=1)]
-            if finite.shape[0] == 0:
-                return 0.0
-            span = np.maximum(finite.max(axis=0) - finite.min(axis=0), 1.0)
-            reference = finite.min(axis=0) - 1e-9 * span
-        return hypervolume(oriented, reference)
+        finite = oriented[np.all(np.isfinite(oriented), axis=1)]
+        if finite.shape[0] == 0:
+            return 0.0
+        span = np.maximum(finite.max(axis=0) - finite.min(axis=0), 1.0)
+        return hypervolume(oriented, finite.min(axis=0) - 1e-9 * span)
 
     def describe(self) -> str:
         """Compact multi-line summary (front size + ladder accounting)."""

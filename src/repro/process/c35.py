@@ -57,15 +57,15 @@ def make_c35() -> ProcessKit:
     kp_fast = 1.0 + 3.0 * _SIGMA_KP
     kp_slow = 1.0 - 3.0 * _SIGMA_KP
     corners = {
-        "tm": CornerDef("tm", "typical mean", 0.0, 1.0, 0.0, 1.0),
-        "wp": CornerDef("wp", "worst power (fast N, fast P)",
-                        -three_sigma_n, kp_fast, -three_sigma_p, kp_fast),
-        "ws": CornerDef("ws", "worst speed (slow N, slow P)",
-                        +three_sigma_n, kp_slow, +three_sigma_p, kp_slow),
-        "wo": CornerDef("wo", "worst one (fast N, slow P)",
-                        -three_sigma_n, kp_fast, +three_sigma_p, kp_slow),
-        "wz": CornerDef("wz", "worst zero (slow N, fast P)",
-                        +three_sigma_n, kp_slow, -three_sigma_p, kp_fast),
+        "tm": CornerDef("tm", 0.0, 1.0, 0.0, 1.0),
+        "wp": CornerDef("wp", -three_sigma_n, kp_fast, -three_sigma_p,
+                        kp_fast),
+        "ws": CornerDef("ws", +three_sigma_n, kp_slow, +three_sigma_p,
+                        kp_slow),
+        "wo": CornerDef("wo", -three_sigma_n, kp_fast, +three_sigma_p,
+                        kp_slow),
+        "wz": CornerDef("wz", +three_sigma_n, kp_slow, -three_sigma_p,
+                        kp_fast),
     }
 
     return ProcessKit(

@@ -53,7 +53,6 @@ class CornerDef:
     """
 
     name: str
-    description: str
     dvto_n: float
     kp_scale_n: float
     dvto_p: float

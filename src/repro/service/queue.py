@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import queue as _queue
 import threading
-import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,9 +44,6 @@ class Job:
     result: WorkloadResult | None = None
     error: str = ""
     cache_hit: bool = False
-    submitted: float = field(default_factory=time.monotonic, init=False)
-    started: float | None = None
-    finished: float | None = None
     progress_done: int = 0
     progress_total: int = 0
     _cancel: threading.Event = field(default_factory=threading.Event,
@@ -231,7 +227,6 @@ class JobQueue:
                 self._finish(job, "cancelled")
                 continue
             job.state = "running"
-            job.started = time.monotonic()
 
             def progress(done=0, total=0, *, _job=job):
                 # Engine progress signatures vary; only the numeric
@@ -282,6 +277,5 @@ class JobQueue:
 
     def _finish(self, job: Job, state: str) -> None:
         job.state = state
-        job.finished = time.monotonic()
         telemetry.counter_add(f"jobs.{state}")
         job._done.set()

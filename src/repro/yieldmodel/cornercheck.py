@@ -31,21 +31,14 @@ class CornerMCCheck:
 
     Attributes
     ----------
-    corner_lo, corner_hi:
-        Extremes over the PVT grid, shape ``(K,)``.
-    mc_lo, mc_hi:
-        Monte-Carlo ``mean -/+ k_sigma * std``, shape ``(K,)``.
     bounded:
-        Per-design flag: corner interval contains the MC interval.
+        Per-design flag, shape ``(K,)``: the interval of extremes over
+        the PVT grid contains the Monte-Carlo ``mean -/+ k_sigma * std``.
     k_sigma:
         Spread width the MC interval was built with.
     """
 
     name: str
-    corner_lo: np.ndarray
-    corner_hi: np.ndarray
-    mc_lo: np.ndarray
-    mc_hi: np.ndarray
     bounded: np.ndarray
     k_sigma: float
 
@@ -103,8 +96,7 @@ def compare_corners_to_mc(corner_samples: dict[str, np.ndarray],
         mc_lo = mean - k_sigma * std
         mc_hi = mean + k_sigma * std
         checks[name] = CornerMCCheck(
-            name=name, corner_lo=corner_lo, corner_hi=corner_hi,
-            mc_lo=mc_lo, mc_hi=mc_hi,
+            name=name,
             bounded=(corner_lo <= mc_lo) & (corner_hi >= mc_hi),
             k_sigma=float(k_sigma))
     return checks

@@ -160,7 +160,6 @@ def estimate_yield(performance: dict[str, np.ndarray],
 def estimate_yield_streaming(evaluator, pdk, specs: SpecSet,
                              config=None, *, adaptive=None,
                              checkpoint=None,
-                             sketch_capacity: int | None = None,
                              stage: str = "mc-single", progress=None):
     """Streaming (optionally adaptive) Monte-Carlo yield estimation.
 
@@ -198,14 +197,11 @@ def estimate_yield_streaming(evaluator, pdk, specs: SpecSet,
     """
     # Runtime import: repro.mc must stay importable without repro.yieldmodel,
     # and this keeps the one-way module-level dependency explicit.
-    from ..mc.streaming import DEFAULT_SKETCH_CAPACITY, monte_carlo_streaming
+    from ..mc.streaming import monte_carlo_streaming
     with telemetry.span("yield.streaming", stage=stage) as estimate_span:
         streaming = monte_carlo_streaming(
             evaluator, pdk, config, specs=specs, adaptive=adaptive,
-            checkpoint=checkpoint,
-            sketch_capacity=(sketch_capacity if sketch_capacity is not None
-                             else DEFAULT_SKETCH_CAPACITY),
-            stage=stage, progress=progress)
+            checkpoint=checkpoint, stage=stage, progress=progress)
         simulated = streaming.samples_done - streaming.samples_resumed
         telemetry.counter_add("estimator.simulations", simulated)
         estimate_span.set(simulations=simulated,

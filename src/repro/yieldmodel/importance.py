@@ -118,8 +118,6 @@ class ImportanceSamplingEstimate:
     pilot_failures:
         Failing dies observed in the pilot (0 is normal for guard-banded
         designs; the marginal-tail fallback then builds the shift).
-    weighted_failure:
-        The raw weighted failure probability ``mean(w * fail)``.
     """
 
     yield_estimate: float
@@ -129,7 +127,6 @@ class ImportanceSamplingEstimate:
     shift_sigma: np.ndarray
     effective_samples: float
     pilot_failures: int
-    weighted_failure: float
     confidence: float = field(default=0.95, init=False)
 
     @property
@@ -334,7 +331,6 @@ def _reduce(config: ImportanceSamplingConfig, shift: np.ndarray,
         shift_sigma=shift,
         effective_samples=ess,
         pilot_failures=int(np.count_nonzero(pilot_fail)),
-        weighted_failure=failure_probability,
     )
 
 

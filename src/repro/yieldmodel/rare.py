@@ -292,12 +292,6 @@ class RareEventResult:
                                self.confidence)
 
     @property
-    def yield_interval(self) -> tuple[float, float]:
-        """Confidence interval on the true yield."""
-        lo, hi = self.interval
-        return 1.0 - hi, 1.0 - lo
-
-    @property
     def acceptance_rates(self) -> list[float]:
         """Per-level elite acceptance rates, walk order."""
         return [level.acceptance for level in self.levels]

@@ -284,10 +284,6 @@ class TestFilterCaps:
         with pytest.raises(ReproError):
             FilterCaps.from_normalized(np.zeros(4))
 
-    def test_to_array_batched(self):
-        caps = FilterCaps(np.array([1e-11, 2e-11]), 3e-11, 4e-12)
-        assert caps.to_array().shape == (2, 3)
-
 
 class TestFilterSpec:
     def test_mask_specs(self):

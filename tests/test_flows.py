@@ -173,8 +173,9 @@ class TestFilterFlow:
 
     def test_caps_within_bounds(self, filter_result):
         from repro.designs.filter2 import FilterCaps
-        caps = filter_result.caps.to_array()
-        for value, (lo, hi) in zip(caps, FilterCaps.BOUNDS, strict=True):
+        caps = filter_result.caps
+        for value, (lo, hi) in zip((caps.c1, caps.c2, caps.c3),
+                                   FilterCaps.BOUNDS, strict=True):
             assert lo <= value <= hi
 
     def test_nominal_meets_mask(self, filter_result):

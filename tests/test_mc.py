@@ -98,7 +98,7 @@ class TestStatistics:
         assert isinstance(s, PopulationSummary)
         assert s.mean == 3.0
         assert s.minimum == 1.0 and s.maximum == 5.0
-        assert s.median == 3.0
+        assert s.std == pytest.approx(np.sqrt(2.5))
         assert "n=5" in s.describe()
 
     def test_summarize_rejects_nan(self):

@@ -1,7 +1,7 @@
 """Streaming Monte-Carlo subsystem tests.
 
-Covers the mergeable accumulators (Welford moments, quantile sketches),
-the shard-merge correctness contract (streaming == batch on identical
+Covers the mergeable accumulators (Welford moments, yield counts), the
+shard-merge correctness contract (streaming == batch on identical
 populations, bit-identical across execution backends and across a
 checkpoint/resume split), adaptive stopping, and checkpoint/resume.
 """
@@ -9,11 +9,12 @@ checkpoint/resume split), adaptive stopping, and checkpoint/resume.
 import numpy as np
 import pytest
 
+from repro.cache import fingerprint_key
 from repro.errors import ReproError
-from repro.mc import (AdaptiveStop, MCConfig, QuantileSketch,
-                      StreamingAccumulator, StreamingMoments, YieldCounter,
-                      monte_carlo, monte_carlo_streaming, summarize)
-from repro.mc.streaming import CONFIDENCE
+from repro.mc import (AdaptiveStop, MCConfig, StreamingAccumulator,
+                      StreamingMoments, YieldCounter, monte_carlo,
+                      monte_carlo_streaming, summarize)
+from repro.mc.streaming import CONFIDENCE, _fingerprint
 from repro.measure.specs import Spec, SpecSet
 from repro.process import C35
 from repro.yieldmodel import estimate_yield, estimate_yield_streaming
@@ -25,11 +26,9 @@ def metric_evaluator(sample):
             "other": sample.kp_scale_n}
 
 
-def accumulator_states(result, name="metric"):
-    accumulator = result.accumulators[name]
-    states = [accumulator.moments.state()]
-    states.extend(accumulator.sketch.state().values())
-    return states
+def accumulator_states(result):
+    return [result.accumulators[name].moments.state()
+            for name in sorted(result.accumulators)]
 
 
 class TestStreamingMoments:
@@ -76,55 +75,6 @@ class TestStreamingMoments:
         np.testing.assert_array_equal(clone.state(), moments.state())
 
 
-class TestQuantileSketch:
-    def test_exact_below_capacity(self):
-        rng = np.random.default_rng(3)
-        data = rng.normal(size=300)
-        sketch = QuantileSketch(512)
-        for chunk in np.array_split(data, 7):
-            sketch.update(chunk)
-        assert not sketch.compacted
-        for q in (0.01, 0.5, 0.99):
-            assert sketch.quantile(q) == np.quantile(data, q)
-
-    def test_merge_exact_below_capacity(self):
-        rng = np.random.default_rng(4)
-        a_data, b_data = rng.normal(size=100), rng.normal(2.0, 1.0, 150)
-        merged = QuantileSketch(512).update(a_data).merge(
-            QuantileSketch(512).update(b_data))
-        whole = np.concatenate([a_data, b_data])
-        assert merged.quantile(0.5) == np.quantile(whole, 0.5)
-
-    def test_bounded_memory_and_approximate_beyond_capacity(self):
-        rng = np.random.default_rng(5)
-        data = rng.normal(size=50000)
-        sketch = QuantileSketch(256)
-        for chunk in np.array_split(data, 100):
-            sketch.update(chunk)
-        assert sketch.compacted
-        assert sketch.state()["values"].size <= 256
-        assert sketch.n == pytest.approx(data.size)
-        for q in (0.1, 0.5, 0.9):
-            assert sketch.quantile(q) == pytest.approx(
-                np.quantile(data, q), abs=0.05)
-
-    def test_deterministic_compaction(self):
-        rng = np.random.default_rng(6)
-        data = rng.normal(size=5000)
-        runs = []
-        for _ in range(2):
-            sketch = QuantileSketch(64)
-            for chunk in np.array_split(data, 50):
-                sketch.update(chunk)
-            runs.append(sketch.state())
-        np.testing.assert_array_equal(runs[0]["values"], runs[1]["values"])
-        np.testing.assert_array_equal(runs[0]["weights"], runs[1]["weights"])
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            QuantileSketch(4)
-
-
 class TestShardMergeAgainstBatch:
     """Satellite gate: merged streaming accumulators must agree with the
     batch ``summarize`` reduction on identical populations."""
@@ -141,10 +91,6 @@ class TestShardMergeAgainstBatch:
         assert streaming.std == pytest.approx(batch.std, rel=1e-12)
         assert streaming.minimum == batch.minimum
         assert streaming.maximum == batch.maximum
-        # Exact below the sketch capacity.
-        assert streaming.median == batch.median
-        assert streaming.q01 == batch.q01
-        assert streaming.q99 == batch.q99
 
     def test_sharded_merge_matches_summarize(self):
         rng = np.random.default_rng(8)
@@ -157,7 +103,6 @@ class TestShardMergeAgainstBatch:
         batch = summarize(data)
         assert merged.summary().mean == pytest.approx(batch.mean, rel=1e-12)
         assert merged.summary().std == pytest.approx(batch.std, rel=1e-12)
-        assert merged.summary().median == batch.median
 
     def test_relative_spread_guards_shared(self):
         accumulator = StreamingAccumulator().update([-1.0, 1.0])
@@ -203,14 +148,13 @@ class TestStreamingEngine:
         config = MCConfig(n_samples=200, seed=5, chunk_lanes=32)
         batch = summarize(monte_carlo(metric_evaluator, C35,
                                       config)["metric"])
-        streaming = monte_carlo_streaming(metric_evaluator, C35,
-                                          config).summaries()["metric"]
+        streaming = monte_carlo_streaming(
+            metric_evaluator, C35, config).accumulators["metric"].summary()
         assert streaming.n == batch.n
         assert streaming.mean == pytest.approx(batch.mean, rel=1e-12)
         assert streaming.std == pytest.approx(batch.std, rel=1e-12)
         assert streaming.minimum == batch.minimum
         assert streaming.maximum == batch.maximum
-        assert streaming.median == batch.median
 
     @pytest.mark.parametrize("backend", ["thread:2", "process:2"])
     def test_bit_identical_across_backends(self, backend):
@@ -237,14 +181,14 @@ class TestStreamingEngine:
         result = monte_carlo_streaming(
             evaluator, C35,
             MCConfig(n_samples=500, seed=2, chunk_lanes=25,
-                     backend="serial"),
-            sketch_capacity=64)
+                     backend="serial"))
         assert result.samples_done == 500
         assert max(seen_sizes) <= 25
-        # The accumulators retain at most the sketch budget, never the
-        # full population.
-        sketch = result.accumulators["metric"].sketch
-        assert sketch.state()["values"].size <= 64
+        # The accumulators retain the fixed-size moments vector, never
+        # the population.
+        state = result.accumulators["metric"].state()
+        assert list(state) == ["moments"]
+        assert state["moments"].shape == (5,)
 
     def test_progress_callback(self):
         seen = []
@@ -354,6 +298,49 @@ class TestCheckpointResume:
             np.testing.assert_array_equal(a, b)
         assert resumed.counter.state().tolist() == \
             whole.counter.state().tolist()
+
+    def test_checkpoint_identity_is_pinned(self):
+        # A literal recorded while the accumulators also kept a quantile
+        # sketch (whose default budget, 4096, stays in the key): such
+        # checkpoints must still resume.
+        config = MCConfig(n_samples=160, seed=7, chunk_lanes=32)
+        text = _fingerprint(config, C35, "mc-single", self.SPECS, None)
+        assert fingerprint_key(text) == (
+            "20efa79cccff981ed52aa71868a849d32076e6c529bb3977e931145986e63405")
+
+    def test_resume_ignores_quantile_sketch_arrays(self, tmp_path):
+        # Older checkpoints also carry each accumulator's quantile-sketch
+        # state (acc_<name>__sketch_{values,weights,meta}); a resume
+        # ignores it and ends bitwise equal to an uninterrupted run.
+        config = MCConfig(n_samples=160, seed=7, chunk_lanes=32)
+        checkpoint = tmp_path / "mc.ckpt.npz"
+        monte_carlo_streaming(metric_evaluator, C35, config,
+                              specs=self.SPECS, checkpoint=checkpoint,
+                              max_chunks=2)
+        with np.load(checkpoint) as data:
+            arrays = dict(data)
+        population = monte_carlo(metric_evaluator, C35, config)
+        for name, values in population.items():
+            values = values[:64]   # the two checkpointed chunks
+            arrays[f"acc_{name}__sketch_values"] = values
+            arrays[f"acc_{name}__sketch_weights"] = np.ones(values.size)
+            arrays[f"acc_{name}__sketch_meta"] = np.array([4096.0, 0.0])
+        np.savez(checkpoint, **arrays)
+
+        resumed = monte_carlo_streaming(metric_evaluator, C35, config,
+                                        specs=self.SPECS,
+                                        checkpoint=checkpoint)
+        whole = monte_carlo_streaming(metric_evaluator, C35, config,
+                                      specs=self.SPECS)
+        assert resumed.samples_resumed == 64
+        assert sorted(resumed.accumulators) == sorted(whole.accumulators)
+        for a, b in zip(accumulator_states(resumed),
+                        accumulator_states(whole), strict=True):
+            np.testing.assert_array_equal(a, b)
+        assert resumed.counter.state().tolist() == \
+            whole.counter.state().tolist()
+        with np.load(checkpoint) as data:
+            assert not [key for key in data.files if "sketch" in key]
 
     def test_many_small_shards(self, tmp_path):
         # Sharding across invocations: one chunk per call until done.
