@@ -241,14 +241,18 @@ def caller_modules() -> tuple[tuple[Scope, ast.Module], ...]:
 # -- names -------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _public_top_level() -> tuple[ast.FunctionDef | ast.ClassDef, ...]:
+    """Every public module-level function and class in ``src/repro``."""
+    return tuple(
+        node for path in (ROOT / "src" / "repro").rglob("*.py")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_"))
+
+
 def public_definitions() -> set[str]:
-    names = set()
-    for path in (ROOT / "src" / "repro").rglob("*.py"):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                names.add(node.name)
-    return names
+    return {node.name for node in _public_top_level()}
 
 
 def _is_all(statement: ast.stmt) -> bool:
@@ -329,13 +333,8 @@ def _fields(node: ast.ClassDef, init_only: bool = True):
 
 
 def _public_classes() -> dict[str, ast.ClassDef]:
-    classes = {}
-    for path in (ROOT / "src" / "repro").rglob("*.py"):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if (isinstance(node, ast.ClassDef)
-                    and not node.name.startswith("_")):
-                classes[node.name] = node
-    return classes
+    return {node.name: node for node in _public_top_level()
+            if isinstance(node, ast.ClassDef)}
 
 
 def option_definitions() -> dict[str, list[tuple[str, str, list, list, bool]]]:
@@ -354,12 +353,10 @@ def option_definitions() -> dict[str, list[tuple[str, str, list, list, bool]]]:
         definitions.setdefault(name, []).append(
             (kind, owner, positional, defaulted, fields))
 
-    for path in (ROOT / "src" / "repro").rglob("*.py"):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if (isinstance(node, ast.FunctionDef)
-                    and not node.name.startswith("_")):
-                add("function", node.name, node.name,
-                    *_signature(node.args, False))
+    for node in _public_top_level():
+        if isinstance(node, ast.FunctionDef):
+            add("function", node.name, node.name,
+                *_signature(node.args, False))
     for name, node in classes.items():
         init = None
         for item in node.body:
